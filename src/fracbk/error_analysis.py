@@ -5,6 +5,13 @@ bound of the true modulus; the bound checks therefore carry a small
 explicit slack.  When no grid size is supplied the grid is sized adaptively
 so that the shift window contains a useful number of steps even for very
 small radii.
+
+The first modulus over k grid shifts is the largest max - min over windows
+of k+1 consecutive grid values, found by sparse-table doubling in
+O(n log k) for a grid of n points.  Floating-point subtraction is
+monotone, so this equals the largest |f[u+j] - f[u]|, j <= k, bit for bit.
+The second modulus is a loop over the k shifts, O(n k): its three-point
+difference is not a window range.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import OperatorParams
-from .errors import DomainError
-from .operator_uni import apply_kernel, central_moments, eval_function, kernel_integrals
+from .errors import DomainError, EvaluationError
+from .operator_uni import DEFAULT_ORDER, apply_kernel, central_moments, eval_function, kernel_integrals
 
 DEFAULT_MODULUS_GRID = 4001
 _ADAPTIVE_TARGET = 32
@@ -57,8 +64,49 @@ def _check_delta(delta: float) -> None:
         raise DomainError(f"delta must be non-negative, got {delta}")
 
 
+def _check_finite(values):
+    # max() over differences would drop a NaN and report a modulus of 0.0
+    if not np.all(np.isfinite(values)):
+        raise EvaluationError("function has non-finite values on the modulus grid")
+    return values
+
+
 def _shift_count(delta: float, grid_n: int) -> int:
     return min(int(delta * (grid_n - 1) + _SHIFT_EPS), grid_n - 1)
+
+
+def _window_extremes(values: np.ndarray, width: int, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Running max and min over every run of `width` consecutive entries
+    along `axis`, 1 <= width <= n; the axis shrinks to n - width + 1.
+
+    Sparse-table doubling: after j passes entry i holds the extremes of the
+    2**j entries from i on, and one overlapping pair of such spans covers
+    any width, so the cost is O(n log width).
+    """
+    a = np.moveaxis(values, axis, -1)
+    hi = lo = a
+    span = 1
+    while 2 * span <= width:
+        hi = np.maximum(hi[..., :-span], hi[..., span:])
+        lo = np.minimum(lo[..., :-span], lo[..., span:])
+        span *= 2
+    if span < width:
+        count, rest = a.shape[-1] - width + 1, width - span
+        hi = np.maximum(hi[..., :count], hi[..., rest : rest + count])
+        lo = np.minimum(lo[..., :count], lo[..., rest : rest + count])
+    return np.moveaxis(hi, -1, axis), np.moveaxis(lo, -1, axis)
+
+
+def _window_range(values: np.ndarray, shifts: int, axis: int = -1) -> float:
+    """max |values[u+k] - values[u]| over 0 <= k <= shifts along axis.
+
+    Every entry lies in some window, and max, min and subtraction carry NaN
+    and inf through (inf - inf is NaN), so a non-finite entry anywhere
+    gives a non-finite range, which raises EvaluationError.
+    """
+    hi, lo = _window_extremes(values, shifts + 1, axis)
+    with np.errstate(invalid="ignore"):
+        return float(_check_finite(np.max(hi - lo)))
 
 
 def modulus_continuity(f, delta: float, grid_n: int = DEFAULT_MODULUS_GRID) -> ModulusEstimate:
@@ -66,17 +114,14 @@ def modulus_continuity(f, delta: float, grid_n: int = DEFAULT_MODULUS_GRID) -> M
     _check_delta(delta)
     _check_grid(grid_n)
     fs = eval_function(f, np.linspace(0.0, 1.0, grid_n))
-    best = 0.0
-    for k in range(1, _shift_count(delta, grid_n) + 1):
-        best = max(best, float(np.max(np.abs(fs[k:] - fs[:-k]))))
-    return ModulusEstimate(delta, best, grid_n)
+    return ModulusEstimate(delta, _window_range(fs, _shift_count(delta, grid_n)), grid_n)
 
 
 def second_modulus(f, delta: float, grid_n: int = DEFAULT_MODULUS_GRID) -> ModulusEstimate:
     """Grid estimate of sup |f(u+2h) - 2f(u+h) + f(u)| over 0 < h <= delta."""
     _check_delta(delta)
     _check_grid(grid_n)
-    fs = eval_function(f, np.linspace(0.0, 1.0, grid_n))
+    fs = _check_finite(eval_function(f, np.linspace(0.0, 1.0, grid_n)))
     best = 0.0
     top = min(_shift_count(delta, grid_n), (grid_n - 1) // 2)
     for k in range(1, top + 1):
@@ -122,7 +167,7 @@ def bound_kfunctional(params: OperatorParams, f, z: float, C: float, grid_n: int
     return C * w2 + w1
 
 
-def error_table(params: OperatorParams, f, z_values, order: int = 64) -> ErrorTable:
+def error_table(params: OperatorParams, f, z_values, order: int = DEFAULT_ORDER) -> ErrorTable:
     """Pointwise exact/approximate values and absolute errors over z_values."""
     ki = kernel_integrals(params, f, order)
     rows = []
@@ -135,7 +180,7 @@ def error_table(params: OperatorParams, f, z_values, order: int = 64) -> ErrorTa
     return ErrorTable(params, f, rows, max_err)
 
 
-def max_error(params: OperatorParams, f, grid_n: int = 1001, order: int = 64) -> float:
+def max_error(params: OperatorParams, f, grid_n: int = 1001, order: int = DEFAULT_ORDER) -> float:
     """Maximum absolute error over a uniform grid on [0, 1]."""
     _check_grid(grid_n)
     zs = np.linspace(0.0, 1.0, grid_n)

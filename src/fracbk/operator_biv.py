@@ -4,7 +4,7 @@ The kernel integral matrix is computed once per function with a tensor
 Gauss-Jacobi rule and reused for every evaluation point, so full surface
 grids cost one matrix product per row of points.  Moduli of continuity on
 [0,1]^2 are grid estimates, sized adaptively from the requested radius when
-no grid is given.
+no grid is given, and use the window extremes of error_analysis.
 """
 
 from __future__ import annotations
@@ -15,16 +15,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import OperatorParams, basis_row
-from .errors import DomainError, QuadratureError
+from .error_analysis import (
+    _SHIFT_EPS,
+    _check_delta,
+    _check_grid,
+    _shift_count,
+    _window_extremes,
+    _window_range,
+)
+from .errors import QuadratureError
 from .exprlib import FunctionExpr, evaluate
-from .operator_uni import central_moments, raw_moments
+from .operator_uni import DEFAULT_ORDER, central_moments, raw_moments
 from .quadrature import gauss_jacobi_rule
 
 _PARTIAL_TARGET = 16
 _COMPLETE_TARGET = 12
 _BIV_GRID_CAP = 641
 _DEFAULT_BIV_GRID = 241
-_SHIFT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,7 @@ def eval_function2(F, zv, yv) -> np.ndarray:
     return vals
 
 
-def biv_kernel_integrals(bp: BivariateParams, F, order: int = 64) -> BivKernelIntegrals:
+def biv_kernel_integrals(bp: BivariateParams, F, order: int = DEFAULT_ORDER) -> BivKernelIntegrals:
     """The (m1+1) x (m2+1) matrix of tensor kernel integrals of F."""
     px, py = bp.px, bp.py
     rule1 = gauss_jacobi_rule(px.eta, order)
@@ -82,12 +89,12 @@ def apply_biv_kernel(ki: BivKernelIntegrals, z: float, y: float) -> float:
     return float(bz @ ki.values @ by)
 
 
-def apply_biv(bp: BivariateParams, F, z: float, y: float, order: int = 64) -> float:
+def apply_biv(bp: BivariateParams, F, z: float, y: float, order: int = DEFAULT_ORDER) -> float:
     """Bivariate operator value at one point; use surface_values for grids."""
     return apply_biv_kernel(biv_kernel_integrals(bp, F, order), z, y)
 
 
-def surface_values(bp: BivariateParams, F, zs, ys, order: int = 64) -> np.ndarray:
+def surface_values(bp: BivariateParams, F, zs, ys, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Operator values on the product grid zs x ys, shape (len(zs), len(ys))."""
     ki = biv_kernel_integrals(bp, F, order)
     bz = np.array([basis_row(bp.px, float(z)).weights for z in zs])
@@ -101,16 +108,6 @@ def biv_moments(bp: BivariateParams, z: float, y: float) -> BivMoments:
     mx = raw_moments(bp.px, z)
     my = raw_moments(bp.py, y)
     return BivMoments(1.0, mx.e1, my.e1, mx.e1 * my.e1, mx.e2, my.e2)
-
-
-def _check_grid(grid_n: int) -> None:
-    if grid_n < 101:
-        raise DomainError(f"grid_n must be >= 101 per axis, got {grid_n}")
-
-
-def _check_delta(d: float) -> None:
-    if d < 0.0:
-        raise DomainError(f"modulus radius must be non-negative, got {d}")
 
 
 def _adaptive_grid_n(d: float, target: int) -> int:
@@ -133,23 +130,19 @@ def partial_moduli(F, d1: float, d2: float, grid_n: int | None = None) -> tuple[
         grid_n = _adaptive_grid_n(max(min(d1, d2), 0.0) or max(d1, d2), _PARTIAL_TARGET)
     _check_grid(grid_n)
     G = _grid_values(F, grid_n)
-    k1 = min(int(d1 * (grid_n - 1) + _SHIFT_EPS), grid_n - 1)
-    k2 = min(int(d2 * (grid_n - 1) + _SHIFT_EPS), grid_n - 1)
-    w1 = 0.0
-    for k in range(1, k1 + 1):
-        w1 = max(w1, float(np.max(np.abs(G[k:, :] - G[:-k, :]))))
-    w2 = 0.0
-    for k in range(1, k2 + 1):
-        w2 = max(w2, float(np.max(np.abs(G[:, k:] - G[:, :-k]))))
+    w1 = _window_range(G, _shift_count(d1, grid_n), axis=0)
+    w2 = _window_range(G, _shift_count(d2, grid_n), axis=1)
     return w1, w2
 
 
 def complete_modulus(F, d: float, grid_n: int | None = None) -> float:
     """Grid estimate of sup |F(v) - F(u)| over pairs with |v-u| <= d.
 
-    Cost grows as (d*grid_n)^2 slices of a grid_n^2 array; the adaptive
-    default keeps d*grid_n near the target, so prefer it over large
-    explicit grids when d is not small.
+    The grid offsets (a, b) inside the disc are taken one row offset a at a
+    time: the partners F[u+a, v+b], |b| <= B(a), of each grid point form a
+    window of 2*B(a)+1 columns, and the term is the point's largest distance
+    to that window's max or min.  With k = d*(grid_n-1) offsets per axis the
+    cost is O(k * grid_n^2 * log k).
     """
     _check_delta(d)
     if grid_n is None:
@@ -160,16 +153,22 @@ def complete_modulus(F, d: float, grid_n: int | None = None) -> float:
     kmax = min(int(d / h + _SHIFT_EPS), grid_n - 1)
     limit = (d / h) ** 2 + _SHIFT_EPS
     best = 0.0
+    b = kmax  # the half-width B(a) only shrinks as a grows
     for a in range(0, kmax + 1):
-        bs = range(1, kmax + 1) if a == 0 else range(-kmax, kmax + 1)
-        for b in bs:
-            if a * a + b * b > limit or (a == 0 and b == 0):
-                continue
-            if b >= 0:
-                diff = G[a:, b:] - G[: grid_n - a, : grid_n - b]
-            else:
-                diff = G[a:, : grid_n + b] - G[: grid_n - a, -b:]
-            best = max(best, float(np.max(np.abs(diff))))
+        while b >= 0 and a * a + b * b > limit:
+            b -= 1
+        if b < 0:
+            break
+        if a == 0:
+            # offsets (0, b) and (0, -b) pair the same points; this term
+            # also rejects a grid with non-finite values
+            best = _window_range(G, b, axis=1)
+            continue
+        # edge padding repeats a border column the clipped window holds anyway
+        partners = np.pad(G[a:], ((0, 0), (b, b)), mode="edge")
+        hi, lo = _window_extremes(partners, 2 * b + 1, axis=1)
+        base = G[: grid_n - a]
+        best = max(best, float(np.max(hi - base)), float(np.max(base - lo)))
     return best
 
 
@@ -187,7 +186,7 @@ def bound_partial(bp: BivariateParams, F, z: float, y: float, grid_n: int | None
     return 2.0 * (w1 + w2)
 
 
-def surface_rows(bp: BivariateParams, F, zs, ys, order: int = 64):
+def surface_rows(bp: BivariateParams, F, zs, ys, order: int = DEFAULT_ORDER):
     """Row-major (z, y, exact, approx, abs_error) tuples over the grid."""
     approx = surface_values(bp, F, zs, ys, order)
     rows = []

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from fracbk import (
     DomainError,
+    EvaluationError,
     OperatorParams,
     bound_kfunctional,
     bound_lipschitz,
@@ -18,6 +20,7 @@ from fracbk import (
 )
 
 from conftest import draw_params
+from fracbk.error_analysis import _shift_count
 
 
 class TestModulusContinuity:
@@ -54,11 +57,59 @@ class TestModulusContinuity:
         # the grid estimate approaches the modulus from below
         assert fine >= coarse - 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_value_rejected(self, bad):
+        # a NaN must not vanish inside max() and leave a modulus of 0.0
+        with pytest.raises(EvaluationError):
+            modulus_continuity(lambda u: np.where(u < 0.5, u, bad), 0.1)
+
     def test_delta_above_one_saturates(self):
         f = parse_source("(1-z)*cos(2*pi*z)")
         full = modulus_continuity(f, 1.0, grid_n=2001).value
         over = modulus_continuity(f, 1.7, grid_n=2001).value
         assert over == pytest.approx(full, abs=1e-15)
+
+
+_PARITY_FUNCS = {
+    "constant": lambda u: np.full_like(u, 3.0),
+    "abs": lambda u: np.abs(u - 1.0 / 3.0),
+    "step": lambda u: np.floor(7.0 * u) / 7.0 + 1e-3 * np.sin(50.0 * u),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_loop_moduli(name, grid_n, top):
+    """Entry K is the shift-loop modulus over shifts 1..K, K <= top."""
+    fs = _PARITY_FUNCS[name](np.linspace(0.0, 1.0, grid_n))
+    best = np.zeros(top + 1)
+    for k in range(1, top + 1):
+        best[k] = max(best[k - 1], float(np.max(np.abs(fs[k:] - fs[:-k]))))
+    return best
+
+
+def _parity_cases():
+    for n in (101, 4001, 100001):
+        shifts = [0, 1, 2, 31, 32, 33, 63, 64, 65, n - 2, n - 1]
+        for k in shifts:
+            # the shift-loop reference costs O(n*K), some 5e9 element
+            # operations at n = 100001 and K near n, so K near n is only
+            # checked at the smaller grids
+            if n < 100001 or k <= 65:
+                yield n, k / (n - 1), k
+        if n < 100001:
+            yield n, 1.5, n - 1
+
+
+class TestModulusParity:
+    """The window-range modulus equals the shift loop bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_PARITY_FUNCS))
+    @pytest.mark.parametrize("grid_n, delta, shifts", list(_parity_cases()))
+    def test_matches_shift_loop(self, name, grid_n, delta, shifts):
+        assert _shift_count(delta, grid_n) == shifts
+        top = 65 if grid_n == 100001 else grid_n - 1
+        expected = float(_shift_loop_moduli(name, grid_n, top)[shifts])
+        assert modulus_continuity(_PARITY_FUNCS[name], delta, grid_n).value == expected
 
 
 class TestSecondModulus:
@@ -75,6 +126,10 @@ class TestSecondModulus:
         f = parse_source("(1-z)*cos(2*pi*z)")
         values = [second_modulus(f, d, grid_n=2001).value for d in (0.05, 0.1, 0.2)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+    def test_non_finite_grid_value_rejected(self):
+        with pytest.raises(EvaluationError):
+            second_modulus(lambda u: np.where(u < 0.5, u, np.nan), 0.1)
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -6,6 +6,7 @@ import pytest
 from fracbk import (
     BivariateParams,
     DomainError,
+    EvaluationError,
     OperatorParams,
     apply,
     apply_biv,
@@ -188,6 +189,11 @@ class TestPartialModuli:
         w1, w2 = partial_moduli(F, 0.0, 0.0, grid_n=241)
         assert w1 == 0.0 and w2 == 0.0
 
+    def test_non_finite_grid_value_rejected(self):
+        F = lambda z, y: np.where(z < 0.5, z * y, np.nan)
+        with pytest.raises(EvaluationError):
+            partial_moduli(F, 0.1, 0.1, grid_n=241)
+
     def test_validation(self):
         F = parse_source("z*y")
         with pytest.raises(DomainError):
@@ -243,6 +249,80 @@ class TestCompleteModulus:
 
     def test_zero_radius(self):
         assert complete_modulus(parse_source("z*y"), 0.0, grid_n=241) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_value_rejected(self, bad):
+        F = lambda z, y: np.where(z < 0.5, z * y, bad)
+        with pytest.raises(EvaluationError):
+            complete_modulus(F, 0.1, grid_n=241)
+
+
+_PARITY_FUNCS = {
+    "abs_diff": lambda z, y: np.abs(z - y),
+    "sin_cos": lambda z, y: np.sin(3.0 * z) * np.cos(5.0 * y),
+}
+
+
+def _parity_grid(name, grid_n):
+    u = np.linspace(0.0, 1.0, grid_n)
+    return _PARITY_FUNCS[name](u[:, None], u[None, :])
+
+
+def _shift_loop_partial(G, d1, d2):
+    n = G.shape[0]
+    k1 = min(int(d1 * (n - 1) + 1e-9), n - 1)
+    k2 = min(int(d2 * (n - 1) + 1e-9), n - 1)
+    w1 = w2 = 0.0
+    for k in range(1, k1 + 1):
+        w1 = max(w1, float(np.max(np.abs(G[k:, :] - G[:-k, :]))))
+    for k in range(1, k2 + 1):
+        w2 = max(w2, float(np.max(np.abs(G[:, k:] - G[:, :-k]))))
+    return w1, w2
+
+
+def _offset_loop_complete(G, d):
+    n = G.shape[0]
+    h = 1.0 / (n - 1)
+    kmax = min(int(d / h + 1e-9), n - 1)
+    limit = (d / h) ** 2 + 1e-9
+    best = 0.0
+    for a in range(0, kmax + 1):
+        for b in range(1, kmax + 1) if a == 0 else range(-kmax, kmax + 1):
+            if a * a + b * b > limit:
+                continue
+            if b >= 0:
+                diff = G[a:, b:] - G[: n - a, : n - b]
+            else:
+                diff = G[a:, : n + b] - G[: n - a, -b:]
+            best = max(best, float(np.max(np.abs(diff))))
+    return best
+
+
+class TestModuliParity:
+    """The window-extreme moduli equal the offset loops bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_PARITY_FUNCS))
+    @pytest.mark.parametrize(
+        "grid_n, d1, d2",
+        [(101, 0.0, 0.0), (101, 0.01, 0.3), (101, 0.32, 0.64), (101, 1.0, 0.99),
+         (101, 1.5, 2.0), (241, 0.13, 0.05), (241, 1.0, 1.0)],
+    )
+    def test_partial_matches_shift_loop(self, name, grid_n, d1, d2):
+        expected = _shift_loop_partial(_parity_grid(name, grid_n), d1, d2)
+        assert partial_moduli(_PARITY_FUNCS[name], d1, d2, grid_n) == expected
+
+    @pytest.mark.parametrize("name", sorted(_PARITY_FUNCS))
+    @pytest.mark.parametrize(
+        "grid_n, d",
+        # 0.72 and 1.0: disc offsets run past the grid border; 1.0 and 1.5:
+        # kmax reaches grid_n - 1; 1.5: every row offset keeps all columns
+        [(101, 0.0), (101, 0.03), (101, 0.5), (101, 0.72), (101, 1.0), (101, 1.5),
+         (241, 0.05), (None, 0.02), (None, 0.1)],
+    )
+    def test_complete_matches_offset_loop(self, name, grid_n, d):
+        n = grid_n if grid_n is not None else int(math.ceil(12 / d)) + 1
+        expected = _offset_loop_complete(_parity_grid(name, n), d)
+        assert complete_modulus(_PARITY_FUNCS[name], d, grid_n) == expected
 
 
 class TestBivariateBounds:
