@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
+from .quadrature import _check_eta
 from .specfun import LOG_ZERO, log_binomial
 
 
@@ -31,12 +31,15 @@ class OperatorParams:
     s: int
 
     def __post_init__(self):
+        for name in ("m", "s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DomainError(f"{name} must be an int, got {value!r}")
         if self.m < 1:
             raise DomainError(f"degree m must be >= 1, got {self.m}")
-        if self.eta <= 0.0:
-            raise DomainError(f"eta must be positive, got {self.eta}")
-        if self.gamma <= 0.0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
+        _check_eta(self.eta)
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0.0 <= self.alpha <= 1.0:
             raise DomainError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.s < 0:
@@ -50,8 +53,32 @@ class BasisRow:
     weights: np.ndarray
 
 
+# log(k!) for k = 0..size-1; read-only, grown on demand by _log_factorials.
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(256)])
+_LOG_FACTORIAL.setflags(write=False)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """The log-factorial table, grown first if it does not reach log(n!).
+
+    Growth adds only the missing entries and at least doubles the size, so
+    rising degree sweeps amortise it, and the table never holds more than
+    2*(n+1) entries for the largest n seen (or the initial 256).
+    """
+    global _LOG_FACTORIAL
+    table = _LOG_FACTORIAL
+    if n >= table.size:
+        extra = [math.lgamma(k + 1.0) for k in range(table.size, max(n + 1, 2 * table.size))]
+        table = np.concatenate((table, extra))
+        table.setflags(write=False)
+        _LOG_FACTORIAL = table
+    return table
+
+
 def bernstein_row(n: int, z: float) -> np.ndarray:
     """Classical Bernstein row of degree n at z, computed in log space."""
+    if n < 0:
+        raise DomainError(f"degree n must be >= 0, got {n}")
     if n == 0:
         return np.ones(1)
     if z == 0.0:
@@ -62,8 +89,9 @@ def bernstein_row(n: int, z: float) -> np.ndarray:
         row = np.zeros(n + 1)
         row[-1] = 1.0
         return row
+    lf = _log_factorials(n)
     j = np.arange(n + 1)
-    logc = math.lgamma(n + 1) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
+    logc = lf[n] - lf[: n + 1] - lf[n::-1]
     return np.exp(logc + j * math.log(z) + (n - j) * math.log1p(-z))
 
 

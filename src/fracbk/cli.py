@@ -144,8 +144,11 @@ def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
 def _meta_params(params: OperatorParams) -> str:

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorParams, basis_row
-from .errors import DomainError, QuadratureError, UnsupportedOrderError
+from .basis import OperatorParams, _check_point, basis_row
+from .errors import QuadratureError, UnsupportedOrderError
 from .exprlib import FunctionExpr, evaluate
 from .quadrature import adaptive_reference, gauss_jacobi_rule
-
 from .specfun import binomial, moment_coeff
 
 DEFAULT_ORDER = 64
@@ -101,11 +100,6 @@ def apply_grid(params: OperatorParams, f, zs, order: int = DEFAULT_ORDER) -> np.
     """Operator values over a grid, reusing one set of kernel integrals."""
     ki = kernel_integrals(params, f, order)
     return np.array([apply_kernel(ki, z) for z in np.asarray(zs, dtype=float)])
-
-
-def _check_point(z: float) -> None:
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"z must lie in [0, 1], got {z}")
 
 
 def _bracket(params: OperatorParams) -> float:

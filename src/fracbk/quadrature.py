@@ -1,7 +1,10 @@
 """Quadrature for the normalized fractional kernel eta*(1-t)^(eta-1) on [0,1].
 
-The main tool is a Gauss-Jacobi rule built with the Golub-Welsch algorithm
-from the Jacobi recurrence coefficients for the weight (1-t)^(eta-1).  The
+The main tool is a Gauss-Jacobi rule built with the Golub-Welsch algorithm:
+the nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of
+the weight (1-t)^(eta-1), and the weights are the squared first components
+of its eigenvectors.  The matrix is solved densely with numpy.linalg.eigh;
+rules are cached, so the O(order^3) solve runs once per (eta, order).  The
 eta prefactor is folded into the weights so they sum to one, which makes the
 rule a discrete probability measure.  An adaptive Simpson integrator serves
 as a slow, independent validation oracle.
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .errors import DomainError, QuadratureError
 
@@ -41,9 +43,10 @@ def _build_rule(eta: float, order: int) -> tuple[np.ndarray, np.ndarray]:
         k = np.arange(1, order)
         diag = np.concatenate(([-a / (a + 2.0)], -a * a / ((2 * k + a) * (2 * k + a + 2.0))))
         off = np.sqrt(4 * k**2 * (k + a) ** 2 / ((2 * k + a) ** 2 * ((2 * k + a) ** 2 - 1.0)))
+        jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         try:
-            x, vectors = eigh_tridiagonal(diag, off)
-        except LinAlgError as exc:
+            x, vectors = np.linalg.eigh(jacobi)
+        except np.linalg.LinAlgError as exc:
             raise QuadratureError(f"eigen-solve failed for eta={eta}, order={order}") from exc
         nodes = (x + 1.0) / 2.0
         weights = vectors[0, :] ** 2
@@ -53,10 +56,14 @@ def _build_rule(eta: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _check_eta(eta: float) -> None:
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise DomainError(f"eta must be positive and finite, got {eta}")
+
+
 def gauss_jacobi_rule(eta: float, order: int) -> QuadratureRule:
     """Gauss rule for eta*(1-t)^(eta-1) dt on [0,1], weights summing to 1."""
-    if eta <= 0.0:
-        raise DomainError(f"eta must be positive, got {eta}")
+    _check_eta(eta)
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     nodes, weights = _build_rule(float(eta), int(order))
@@ -115,8 +122,7 @@ def adaptive_reference(eta: float, g, tol: float) -> float:
     turns the integral into int_0^1 g(1 - u^(1/eta)) du with a bounded
     integrand, which the subdivision then handles.
     """
-    if eta <= 0.0:
-        raise DomainError(f"eta must be positive, got {eta}")
+    _check_eta(eta)
     if tol < 1e-13:
         raise DomainError(f"tol must be >= 1e-13, got {tol}")
 

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from fracbk import DomainError, OperatorParams, basis_row, basis_weight, bernstein_row
+from fracbk import basis
 
 
 def make_params(m, s, alpha, eta=1.0, gamma=1.0):
@@ -12,6 +16,10 @@ class TestOperatorParams:
     def test_valid_construction(self):
         p = OperatorParams(m=10, eta=2.0, gamma=3.0, alpha=0.9, s=2)
         assert (p.m, p.eta, p.gamma, p.alpha, p.s) == (10, 2.0, 3.0, 0.9, 2)
+
+    def test_integer_kernel_exponents_accepted(self):
+        p = OperatorParams(m=10, eta=2, gamma=3, alpha=1, s=2)
+        assert (p.eta, p.gamma, p.alpha) == (2, 3, 1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -24,6 +32,14 @@ class TestOperatorParams:
             {"alpha": -0.1},
             {"alpha": 1.5},
             {"s": -1},
+            {"m": True},
+            {"m": 10.5},
+            {"s": False},
+            {"s": 2.0},
+            {"eta": float("nan")},
+            {"eta": float("inf")},
+            {"gamma": float("inf")},
+            {"gamma": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -31,6 +47,66 @@ class TestOperatorParams:
         base.update(kwargs)
         with pytest.raises(DomainError):
             OperatorParams(**base)
+
+
+def _gammaln_row(n, z):
+    """The Bernstein row as computed from scipy's gammaln, for reference."""
+    j = np.arange(n + 1)
+    logc = math.lgamma(n + 1) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
+    return np.exp(logc + j * math.log(z) + (n - j) * math.log1p(-z))
+
+
+@pytest.fixture
+def fresh_log_factorials(monkeypatch):
+    """Start from a small log-factorial table so growth is exercised."""
+    monkeypatch.setattr(basis, "_LOG_FACTORIAL", basis._LOG_FACTORIAL[:16].copy())
+
+
+class TestLogFactorialRows:
+    @pytest.mark.parametrize("n", [1, 2, 10, 250, 10**4, 10**5])
+    @pytest.mark.parametrize("z", [1e-3, 0.1, 0.37, 0.5, 0.9, 0.999])
+    def test_matches_gammaln_formula(self, n, z):
+        # math.lgamma and gammaln may disagree by an ulp of log(k!), which is
+        # an absolute error in the exponent and so a relative one in the
+        # weight: up to 3 ulp of log(n!) (1e-10 relative at n=1e5).
+        got = bernstein_row(n, z)
+        ref = _gammaln_row(n, z)
+        live = ref > 1e-300
+        rel = np.abs(got[live] - ref[live]) / ref[live]
+        assert np.max(rel) <= 1e-13 + 4.0 * np.spacing(math.lgamma(n + 1.0))
+        assert np.all(got[~live] <= 1e-290)
+
+    def test_table_entries_are_lgamma(self, fresh_log_factorials):
+        table = basis._log_factorials(300)
+        assert table.size >= 301
+        assert all(table[k] == math.lgamma(k + 1.0) for k in range(table.size))
+
+    def test_growth_order_does_not_change_rows(self, fresh_log_factorials):
+        big = bernstein_row(10**5, 0.37)
+        small = bernstein_row(10, 0.37)
+        assert np.array_equal(bernstein_row(10**5, 0.37), big)
+        basis._LOG_FACTORIAL = basis._LOG_FACTORIAL[:16].copy()
+        assert np.array_equal(bernstein_row(10, 0.37), small)
+        bernstein_row(5000, 0.37)
+        assert np.array_equal(bernstein_row(10**5, 0.37), big)
+
+    def test_growth_is_bounded_and_amortised(self, fresh_log_factorials):
+        basis._log_factorials(20)
+        assert basis._LOG_FACTORIAL.size == 32
+        basis._log_factorials(100)
+        assert basis._LOG_FACTORIAL.size == 101
+        basis._log_factorials(10**5)
+        assert basis._LOG_FACTORIAL.size == 10**5 + 1
+        basis._log_factorials(10**5 + 1)
+        assert basis._LOG_FACTORIAL.size == 2 * (10**5 + 1)
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            basis._log_factorials(10)[3] = 0.0
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(DomainError):
+            bernstein_row(-1, 0.5)
 
 
 class TestBernsteinRow:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fracbk
 from fracbk.cli import main
 
 
@@ -72,6 +78,18 @@ class TestEval:
         assert code == 2
 
 
+    def test_nan_eta_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--fn", "f1", "--z", "0.5", "--eta", "nan")
+        assert code == 2
+        assert out == ""
+        assert "eta must be positive and finite" in err
+
+    def test_infinite_gamma_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "--fn", "f1", "--z", "0.5", "--gamma", "inf")
+        assert code == 2
+        assert "gamma must be positive and finite" in err
+
+
 class TestArgparseBehavior:
     def test_no_arguments_usage_error(self, capsys):
         assert main([]) == 2
@@ -105,6 +123,15 @@ class TestTableFigure:
         capsys.readouterr()
         assert code2 == 0
         assert path.read_text() == out
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "table", "1", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("fracbk: error: cannot write")
+        assert len(err.strip().splitlines()) == 1
+        assert not target.exists()
 
     def test_table_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "table", "9")
@@ -244,3 +271,33 @@ class TestBivEval:
             capsys, "biv-eval", "--fn", "z^2", "--z", "0.5", "--y", "0.5"
         )
         assert code == 0
+
+
+# Run in a fresh interpreter so that modules imported by other tests (the
+# scipy references among them) do not mask what the CLI itself loads.
+_NO_SCIPY = """
+import sys
+{body}
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+if loaded:
+    sys.exit("scipy modules loaded: " + ", ".join(loaded))
+"""
+
+
+def _run_fresh(body):
+    src = str(Path(fracbk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", _NO_SCIPY.format(body=body)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestNumpyOnlyRuntime:
+    def test_import_loads_no_scipy(self):
+        proc = _run_fresh("import fracbk.cli")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_table_run_loads_no_scipy(self):
+        proc = _run_fresh("from fracbk.cli import main\nassert main(['table', '1']) == 0")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("# table 1")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
 from fracbk import (
@@ -12,6 +13,7 @@ from fracbk import (
     integrate,
     moment_coeff,
 )
+from fracbk.quadrature import _build_rule
 
 
 class TestRuleConstruction:
@@ -58,6 +60,42 @@ class TestRuleConstruction:
         rule = gauss_jacobi_rule(eta, n)
         assert np.allclose(rule.nodes, (x + 1.0) / 2.0, atol=1e-12)
         assert np.allclose(rule.weights, w / w.sum(), atol=1e-12)
+
+
+def _tridiagonal_rule(eta, order):
+    """Golub-Welsch with scipy's tridiagonal eigensolver, for reference."""
+    a = eta - 1.0
+    k = np.arange(1, order)
+    diag = np.concatenate(([-a / (a + 2.0)], -a * a / ((2 * k + a) * (2 * k + a + 2.0))))
+    off = np.sqrt(4 * k**2 * (k + a) ** 2 / ((2 * k + a) ** 2 * ((2 * k + a) ** 2 - 1.0)))
+    x, vectors = eigh_tridiagonal(diag, off)
+    weights = vectors[0, :] ** 2
+    return (x + 1.0) / 2.0, weights / weights.sum()
+
+
+class TestDenseEigensolver:
+    @pytest.mark.parametrize("eta", [0.25, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("order", [1, 2, 8, 12, 64, 128, 256, 512])
+    def test_matches_tridiagonal_reference(self, eta, order):
+        nodes, weights = _build_rule(eta, order)
+        ref_nodes, ref_weights = _tridiagonal_rule(eta, order)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0.0, atol=1e-15)
+
+    def test_solver_failure_is_quadrature_error(self, monkeypatch):
+        def fail(_matrix):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(QuadratureError):
+            _build_rule.__wrapped__(2.0, 8)
+
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_eta_rejected(self, eta):
+        with pytest.raises(DomainError):
+            gauss_jacobi_rule(eta, 8)
+        with pytest.raises(DomainError):
+            adaptive_reference(eta, lambda t: t, 1e-12)
 
 
 class TestExactness:
