@@ -75,48 +75,88 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
+# Upper bound on the weights held by one block of basis rows (512 KiB of
+# float64), so long rows are built a few at a time.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _check_points(zs) -> np.ndarray:
+    """The points as a 1-D float array, rejecting NaN and points off [0, 1]."""
+    zs = np.asarray(zs, dtype=float).reshape(-1)
+    # min and max carry a NaN through, so this also rejects NaN
+    if zs.size and not (0.0 <= zs.min() and zs.max() <= 1.0):
+        bad = zs[~((zs >= 0.0) & (zs <= 1.0))]
+        raise DomainError(f"z must lie in [0, 1], got {float(bad[0])}")
+    return zs
+
+
+def _log_points(z: list):
+    """Columns of log z and log1p(-z) at the checked points z, with 0.5
+    standing in at 0 and 1, and (index, unit column) of each such endpoint.
+    math.log per point, not numpy's array logarithm (which differs in the
+    last bit at some points), makes a row the same whatever block holds it."""
+    safe = [v if 0.0 < v < 1.0 else 0.5 for v in z]
+    ends = [(i, 0 if v == 0.0 else -1) for i, v in enumerate(z) if v == 0.0 or v == 1.0]
+    return np.array([[math.log(v)] for v in safe]), np.array([[math.log1p(-v)] for v in safe]), ends
+
+
+def _bernstein_matrix(n: int, logs) -> np.ndarray:
+    """Bernstein rows of degree n, computed in log space from
+    logs = _log_points(z); rows at 0 and 1 are unit vectors."""
+    log_z, log_1mz, ends = logs
+    lf = _log_factorials(n)
+    j = np.arange(n + 1.0)  # j[::-1] is n - j
+    rows = np.exp(lf[n] - lf[: n + 1] - lf[n::-1] + j * log_z + j[::-1] * log_1mz)
+    for i, k in ends:
+        rows[i] = 0.0
+        rows[i, k] = 1.0
+    return rows
+
+
 def bernstein_row(n: int, z: float) -> np.ndarray:
     """Classical Bernstein row of degree n at z, computed in log space."""
     if n < 0:
         raise DomainError(f"degree n must be >= 0, got {n}")
-    if n == 0:
-        return np.ones(1)
-    if z == 0.0:
-        row = np.zeros(n + 1)
-        row[0] = 1.0
-        return row
-    if z == 1.0:
-        row = np.zeros(n + 1)
-        row[-1] = 1.0
-        return row
-    lf = _log_factorials(n)
-    j = np.arange(n + 1)
-    logc = lf[n] - lf[: n + 1] - lf[n::-1]
-    return np.exp(logc + j * math.log(z) + (n - j) * math.log1p(-z))
+    return _bernstein_matrix(n, _log_points(_check_points(z).tolist()))[0]
 
 
-def _check_point(z: float) -> None:
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"z must lie in [0, 1], got {z}")
+def _row_blocks(params: OperatorParams, zs: np.ndarray):
+    """(slice, rows) for consecutive blocks of the checked points zs, each
+    block holding at most _BLOCK_ELEMENTS weights (and at least one point).
+
+    For m >= s each row is assembled from two Bernstein rows: the degree-m
+    row and the degree-(m-s) row shifted by s indices (scaled by z) or kept
+    in place (scaled by 1-z).  This composition makes partition of unity
+    automatic and is numerically stable for large m.
+    """
+    m, s, alpha = params.m, params.s, params.alpha
+    step = max(1, _BLOCK_ELEMENTS // (m + 1))
+    for start in range(0, zs.size, step):
+        z = zs[start : start + step]
+        logs = _log_points(z.tolist())
+        rows = _bernstein_matrix(m, logs)
+        if m >= s:
+            rows *= alpha
+            sub = _bernstein_matrix(m - s, logs)
+            z = z[:, None]
+            rows[:, s:] += (1.0 - alpha) * z * sub
+            rows[:, : m - s + 1] += (1.0 - alpha) * (1.0 - z) * sub
+        yield slice(start, start + step), rows
+
+
+def basis_matrix(params: OperatorParams, zs) -> np.ndarray:
+    """The basis rows at every point of zs, shape (len(zs), m+1), built in
+    blocks of at most _BLOCK_ELEMENTS weights to bound the temporaries."""
+    zs = _check_points(zs)
+    out = np.empty((zs.size, params.m + 1))
+    for block, rows in _row_blocks(params, zs):
+        out[block] = rows
+    return out
 
 
 def basis_row(params: OperatorParams, z: float) -> BasisRow:
-    """All m+1 basis weights at z.
-
-    The m >= s branch is assembled from two Bernstein rows: the degree-m row
-    and the degree-(m-s) row shifted by s indices (scaled by z) or kept in
-    place (scaled by 1-z).  This composition makes partition of unity
-    automatic and is numerically stable for large m.
-    """
-    _check_point(z)
-    m, s, alpha = params.m, params.s, params.alpha
-    if m < s:
-        return BasisRow(m, z, bernstein_row(m, z))
-    weights = alpha * bernstein_row(m, z)
-    sub = bernstein_row(m - s, z)
-    weights[s:] += (1.0 - alpha) * z * sub
-    weights[: m - s + 1] += (1.0 - alpha) * (1.0 - z) * sub
-    return BasisRow(m, z, weights)
+    """All m+1 basis weights at z; one row of basis_matrix."""
+    return BasisRow(params.m, z, basis_matrix(params, [z])[0])
 
 
 def _term(log_coeff: float, z: float, a: int, b: int) -> float:
@@ -139,7 +179,7 @@ def basis_weight(params: OperatorParams, j: int, z: float) -> float:
     m, s, alpha = params.m, params.s, params.alpha
     if not 0 <= j <= m:
         raise DomainError(f"index j must lie in [0, {m}], got {j}")
-    _check_point(z)
+    _check_points(z)
     if m < s:
         return _term(log_binomial(m, j), z, j, m - j)
     t1 = (1.0 - alpha) * _term(log_binomial(m - s, j - s), z, j - s + 1, m - j)

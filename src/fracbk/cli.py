@@ -96,13 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="emit a preset error table (1..7)")
     p.add_argument("which", type=int, help="table number 1..7")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--out", default=None)
+    _add_common(p)
 
     p = sub.add_parser("figure", help="emit a preset figure dataset (1..6)")
     p.add_argument("which", type=int, help="figure number 1..6")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--out", default=None)
+    _add_common(p)
 
     p = sub.add_parser("compare", help="four-way operator comparison per m")
     p.add_argument("--fn", default="f4")
@@ -156,7 +154,7 @@ def _meta_params(params: OperatorParams) -> str:
             f"alpha={params.alpha} s={params.s}")
 
 
-def _cmd_eval(args) -> None:
+def _cmd_eval(args) -> str:
     f = get_function(args.fn)
     if is_bivariate(f):
         raise DomainError("eval is univariate; use biv-eval for functions of z and y")
@@ -164,18 +162,10 @@ def _cmd_eval(args) -> None:
     params = _params(args)
     et = error_table(params, f, zs, order=args.order)
     comments = (f"eval fn={args.fn}", _meta_params(params), f"order={args.order}")
-    _write(et.to_csv(comments), args.out)
+    return et.to_csv(comments)
 
 
-def _cmd_table(args) -> None:
-    _write(to_csv(table_dataset(args.which, args.order)), args.out)
-
-
-def _cmd_figure(args) -> None:
-    _write(to_csv(figure_dataset(args.which, args.order)), args.out)
-
-
-def _cmd_compare(args) -> None:
+def _cmd_compare(args) -> str:
     f = get_function(args.fn)
     if is_bivariate(f):
         raise DomainError("compare is univariate; functions of y are not supported")
@@ -190,11 +180,10 @@ def _cmd_compare(args) -> None:
         f"base eta={args.eta} gamma={args.gamma} alpha={args.alpha} s={args.s}",
         f"z={args.z} order={args.order} bbk_gamma={args.bbk_gamma}",
     )
-    ds = Dataset("compare", meta, ("m", "rlbk", "bbk", "fbk", "rlgbk"), rows)
-    _write(to_csv(ds), args.out)
+    return to_csv(Dataset("compare", meta, ("m", "rlbk", "bbk", "fbk", "rlgbk"), rows))
 
 
-def _cmd_bounds(args) -> None:
+def _cmd_bounds(args) -> str:
     f = get_function(args.fn)
     if is_bivariate(f):
         raise DomainError("bounds is univariate; functions of y are not supported")
@@ -203,44 +192,33 @@ def _cmd_bounds(args) -> None:
     zs = _parse_axis(args.z)
     params = _params(args)
     et = error_table(params, f, zs, order=args.order)
-    lines = [
-        f"# bounds fn={args.fn}",
-        f"# {_meta_params(params)}",
-        f"# grid={args.grid} order={args.order}",
-        "z,actual_error,bound_t2,bound_lipschitz,bound_kfunctional",
-    ]
-    for z, _exact, _approx, err in et.rows:
-        t2 = bound_t2(params, f, z, grid_n=args.grid)
-        lip = ("" if args.M is None
-               else repr(bound_lipschitz(params, args.M, args.kappa, z)))
-        kf = ("" if args.C is None
-              else repr(bound_kfunctional(params, f, z, args.C, grid_n=args.grid)))
-        lines.append(f"{z!r},{err!r},{t2!r},{lip},{kf}")
-    _write("\n".join(lines) + "\n", args.out)
+    meta = (f"bounds fn={args.fn}", _meta_params(params), f"grid={args.grid} order={args.order}")
+    rows = tuple(
+        (z, err, bound_t2(params, f, z, grid_n=args.grid),
+         "" if args.M is None else bound_lipschitz(params, args.M, args.kappa, z),
+         "" if args.C is None else bound_kfunctional(params, f, z, args.C, grid_n=args.grid))
+        for z, _exact, _approx, err in et.rows
+    )
+    columns = ("z", "actual_error", "bound_t2", "bound_lipschitz", "bound_kfunctional")
+    return to_csv(Dataset("bounds", meta, columns, rows))
 
 
-def _cmd_biv_eval(args) -> None:
+def _cmd_biv_eval(args) -> str:
     F = get_function(args.fn)
     bp = BivariateParams(_params(args), _params(args, "2"))
     zs = _parse_axis(args.z)
     ys = _parse_axis(args.y)
     rows, max_err = surface_rows(bp, F, zs, ys, order=args.order)
-    lines = [
-        f"# biv-eval fn={args.fn}",
-        f"# axis1 {_meta_params(bp.px)}",
-        f"# axis2 {_meta_params(bp.py)}",
-        f"# order={args.order}",
-        "z,y,exact,approx,abs_error",
-    ]
-    lines.extend(",".join(repr(v) for v in row) for row in rows)
-    lines.append(f"# max_error={max_err!r}")
-    _write("\n".join(lines) + "\n", args.out)
+    meta = (f"biv-eval fn={args.fn}", f"axis1 {_meta_params(bp.px)}",
+            f"axis2 {_meta_params(bp.py)}", f"order={args.order}")
+    columns = ("z", "y", "exact", "approx", "abs_error")
+    return to_csv(Dataset("biv-eval", meta, columns, tuple(rows), (f"max_error={max_err!r}",)))
 
 
 _HANDLERS = {
     "eval": _cmd_eval,
-    "table": _cmd_table,
-    "figure": _cmd_figure,
+    "table": lambda args: to_csv(table_dataset(args.which, args.order)),
+    "figure": lambda args: to_csv(figure_dataset(args.which, args.order)),
     "compare": _cmd_compare,
     "bounds": _cmd_bounds,
     "biv-eval": _cmd_biv_eval,
@@ -253,7 +231,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        _HANDLERS[args.command](args)
+        _write(_HANDLERS[args.command](args), args.out)
     except (ParseError, DomainError) as exc:
         print(f"fracbk: error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorParams
+from .basis import OperatorParams, _check_points
+from .dataset import Dataset, to_csv
 from .errors import DomainError, EvaluationError
 from .operator_uni import DEFAULT_ORDER, apply_kernel, central_moments, eval_function, kernel_integrals
 
@@ -46,12 +47,9 @@ class ErrorTable:
     max_error: float
 
     def to_csv(self, comments: tuple[str, ...] = ()) -> str:
-        lines = [f"# {c}" for c in comments]
-        lines.append("z,exact,approx,abs_error")
-        for z, exact, approx, err in self.rows:
-            lines.append(f"{z!r},{exact!r},{approx!r},{err!r}")
-        lines.append(f"# max_error={self.max_error!r}")
-        return "\n".join(lines) + "\n"
+        columns = ("z", "exact", "approx", "abs_error")
+        footer = (f"max_error={self.max_error!r}",)
+        return to_csv(Dataset("error table", tuple(comments), columns, tuple(self.rows), footer))
 
 
 def _check_grid(grid_n: int) -> None:
@@ -168,16 +166,18 @@ def bound_kfunctional(params: OperatorParams, f, z: float, C: float, grid_n: int
 
 
 def error_table(params: OperatorParams, f, z_values, order: int = DEFAULT_ORDER) -> ErrorTable:
-    """Pointwise exact/approximate values and absolute errors over z_values."""
+    """Pointwise exact/approximate values and absolute errors over z_values.
+
+    The operator values come from apply_kernel, one point at a time: the
+    benchmark's self-test (bench/tests) alters that function to prove that a
+    wrong approximation on its bounds workload is caught.
+    """
+    zs = _check_points(z_values).tolist()
     ki = kernel_integrals(params, f, order)
-    rows = []
-    for z in z_values:
-        z = float(z)
-        exact = float(eval_function(f, np.asarray(z)))
-        approx = apply_kernel(ki, z)
-        rows.append((z, exact, approx, abs(exact - approx)))
-    max_err = max(row[3] for row in rows) if rows else 0.0
-    return ErrorTable(params, f, rows, max_err)
+    exact = eval_function(f, np.array(zs)).tolist()
+    approx = [apply_kernel(ki, z) for z in zs]
+    rows = [(z, e, a, abs(e - a)) for z, e, a in zip(zs, exact, approx)]
+    return ErrorTable(params, f, rows, max((row[3] for row in rows), default=0.0))
 
 
 def max_error(params: OperatorParams, f, grid_n: int = 1001, order: int = DEFAULT_ORDER) -> float:

@@ -1,104 +1,98 @@
 """Preset experiment datasets: error tables 1-7 and figure datasets 1-6.
 
 Each preset carries its full parameter set and emits a deterministic CSV
-(comment lines prefixed with '#', numbers printed with repr so they
-round-trip losslessly).
+through dataset.to_csv.  Every preset but table 4 is one row of PRESETS: a
+sweep of one parameter over which the operator is evaluated at fixed points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .basis import OperatorParams, basis_row
-from .corpus import BUILTINS, get_function
+from .basis import OperatorParams, basis_matrix
+from .corpus import BUILTINS, UNIVARIATE, get_function
+from .dataset import Dataset, to_csv
+from .error_analysis import error_table
 from .errors import DomainError
-from .operator_biv import BivariateParams, biv_kernel_integrals, eval_function2
-from .operator_uni import DEFAULT_ORDER, apply_kernel, eval_function, kernel_integrals
+from .operator_biv import BivariateParams, biv_kernel_integrals
+from .operator_uni import DEFAULT_ORDER, eval_function, kernel_integrals, operator_values
 
 NINE_POINTS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
+# (function, base parameters, sweep name, sweep values, params factory) of
+# the bivariate presets, each shown both as a table and as a figure
+_G1 = ("g1", "eta=2 gamma=3 alpha=0.9 s=2 (both axes)", "m", (10, 30, 90),
+       lambda m: OperatorParams(m, 2.0, 3.0, 0.9, 2))
+_G2 = ("g2", "m=15 eta=2 gamma=2 s=2 (both axes)", "alpha", (0.1, 0.5, 0.9),
+       lambda a: OperatorParams(15, 2.0, 2.0, a, 2))
+_G3 = ("g3", "m=15 eta=3 gamma=2 alpha=0.8 (both axes)", "s", (9, 6, 3),
+       lambda s: OperatorParams(15, 3.0, 2.0, 0.8, s))
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    name: str
-    meta: tuple[str, ...]
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+# (kind, number, function, base parameters, sweep name, sweep values, params factory)
+PRESETS = (
+    ("table", 1, "f1", "eta=2 gamma=4 alpha=0.9 s=3", "m", (40, 100, 250),
+     lambda m: OperatorParams(m, 2.0, 4.0, 0.9, 3)),
+    ("table", 2, "f2", "m=90 eta=3 gamma=2 s=3", "alpha", (0.35, 0.65, 0.95),
+     lambda a: OperatorParams(90, 3.0, 2.0, a, 3)),
+    ("table", 3, "f3", "m=70 eta=3 gamma=2 alpha=0.75", "s", (8, 5, 2),
+     lambda s: OperatorParams(70, 3.0, 2.0, 0.75, s)),
+    ("table", 5, *_G1),
+    ("table", 6, *_G2),
+    ("table", 7, *_G3),
+    ("figure", 1, "f1", "eta=3 gamma=3 alpha=0.9 s=4", "m", (20, 30, 70),
+     lambda m: OperatorParams(m, 3.0, 3.0, 0.9, 4)),
+    ("figure", 2, "f2", "m=10 eta=2 gamma=3 s=4", "alpha", (0.35, 0.65, 0.95),
+     lambda a: OperatorParams(10, 2.0, 3.0, a, 4)),
+    ("figure", 3, "f3", "m=10 eta=3 gamma=2 alpha=0.75", "s", (2, 5, 8),
+     lambda s: OperatorParams(10, 3.0, 2.0, 0.75, s)),
+    ("figure", 4, *_G1),
+    ("figure", 5, *_G2),
+    ("figure", 6, *_G3),
+)
 
 
-def _cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
-def to_csv(ds: Dataset) -> str:
-    lines = [f"# {line}" for line in ds.meta]
-    lines.append(",".join(ds.columns))
-    lines.extend(",".join(_cell(v) for v in row) for row in ds.rows)
-    return "\n".join(lines) + "\n"
-
-
-def _label(prefix: str, value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return f"{prefix}{int(value)}"
-    return f"{prefix}{str(float(value)).replace('.', '')}"
-
-
-def _uni_errors(params: OperatorParams, fn: str, zs, order: int) -> np.ndarray:
+def _operator(fn, order, contract):
+    """values(p, u): the operator with parameters p at the points u or, for
+    a function of z and y, contract(B, V) of the basis matrix B at u and the
+    kernel matrix V, with p on both axes."""
     f = get_function(fn)
-    ki = kernel_integrals(params, f, order)
-    zs = np.asarray(zs, dtype=float)
-    exact = eval_function(f, zs)
-    approx = np.array([apply_kernel(ki, float(z)) for z in zs])
-    return np.abs(exact - approx)
+    if fn in UNIVARIATE:
+        return lambda p, u: operator_values(kernel_integrals(p, f, order), u)
+    kernel = lambda p: biv_kernel_integrals(BivariateParams(p, p), f, order).values
+    return lambda p, u: contract(basis_matrix(p, u), kernel(p))
 
 
-def _biv_errors(p: OperatorParams, fn: str, pts, order: int) -> np.ndarray:
-    F = get_function(fn)
-    ki = biv_kernel_integrals(BivariateParams(p, p), F, order)
-    out = np.empty(len(pts))
-    for i, (z, y) in enumerate(pts):
-        bz = basis_row(p, z).weights
-        by = basis_row(p, y).weights
-        exact = float(eval_function2(F, np.asarray(z), np.asarray(y)))
-        out[i] = abs(exact - float(bz @ ki.values @ by))
-    return out
+def _dataset(spec, order, coords, data, prefix, extra=()) -> Dataset:
+    """Columns z (and y), the extra data columns, then one per sweep value,
+    named prefix + parameter initial + value."""
+    kind, number, fn, base, sweep_name, sweep, _ = spec
+    meta = (f"{kind} {number}", f"function {fn} = {BUILTINS[fn]}", base,
+            f"{sweep_name} values: {', '.join(str(v) for v in sweep)}", f"order={order}")
+    columns = ("z", "y")[: len(coords)] + extra
+    columns += tuple(f"{prefix}{sweep_name[0]}{str(v).replace('.', '')}" for v in sweep)
+    rows = tuple(zip(*(a.ravel().tolist() for a in (*coords, *data))))
+    return Dataset(f"{kind} {number}", meta, columns, rows)
 
 
-def _uni_error_table(name, fn, base, sweep_name, sweep, make_params, order) -> Dataset:
-    columns = ["z"] + [_label("err_" + sweep_name[0], v) for v in sweep]
-    errs = [_uni_errors(make_params(v), fn, NINE_POINTS, order) for v in sweep]
-    rows = tuple(
-        (z, *(e[i] for e in errs)) for i, z in enumerate(NINE_POINTS)
-    )
-    meta = (
-        name,
-        f"function {fn} = {BUILTINS[fn]}",
-        base,
-        f"{sweep_name} values: {', '.join(str(v) for v in sweep)}",
-        f"order={order}",
-    )
-    return Dataset(name, meta, tuple(columns), rows)
+def _table(spec, order) -> Dataset:
+    """Absolute errors at NINE_POINTS, paired as (z, z) for a function of z and y."""
+    u = np.array(NINE_POINTS)
+    coords = (u,) if spec[2] in UNIVARIATE else (u, u)
+    exact = eval_function(get_function(spec[2]), *coords)
+    values = _operator(spec[2], order, lambda B, V: np.einsum("ij,jk,ik->i", B, V, B))
+    errors = [np.abs(exact - values(p, u)) for p in map(spec[6], spec[5])]
+    return _dataset(spec, order, coords, errors, "err_")
 
 
-def _biv_error_table(name, fn, base, sweep_name, sweep, make_params, order) -> Dataset:
-    pts = [(z, z) for z in NINE_POINTS]
-    columns = ["z", "y"] + [_label("err_" + sweep_name[0], v) for v in sweep]
-    errs = [_biv_errors(make_params(v), fn, pts, order) for v in sweep]
-    rows = tuple((z, y, *(e[i] for e in errs)) for i, (z, y) in enumerate(pts))
-    meta = (
-        name,
-        f"function {fn} = {BUILTINS[fn]}",
-        base,
-        f"{sweep_name} values: {', '.join(str(v) for v in sweep)}",
-        f"order={order}",
-    )
-    return Dataset(name, meta, tuple(columns), rows)
+def _figure(spec, order) -> Dataset:
+    """The function (phi) and the operators on 201 points, or on a 41 x 41
+    product grid for a function of z and y."""
+    u = np.linspace(0.0, 1.0, 201 if spec[2] in UNIVARIATE else 41)
+    coords = (u,) if spec[2] in UNIVARIATE else tuple(np.meshgrid(u, u, indexing="ij"))
+    phi = eval_function(get_function(spec[2]), *coords)
+    values = _operator(spec[2], order, lambda B, V: B @ V @ B.T)
+    ops = [values(p, u) for p in map(spec[6], spec[5])]
+    return _dataset(spec, order, coords, [phi, *ops], "op_", ("phi",))
 
 
 def comparator_params(m, eta, gamma, alpha, s, bbk_gamma=None):
@@ -118,13 +112,12 @@ def comparator_params(m, eta, gamma, alpha, s, bbk_gamma=None):
 def compare_rows(fn, m_values, eta, gamma, alpha, s, z_values, order=DEFAULT_ORDER,
                  bbk_gamma=None):
     """One row per m: the largest error over z_values for each comparator."""
-    rows = []
-    for m in m_values:
-        row = [int(m)]
-        for _tag, params in comparator_params(int(m), eta, gamma, alpha, s, bbk_gamma):
-            row.append(float(np.max(_uni_errors(params, fn, z_values, order))))
-        rows.append(tuple(row))
-    return tuple(rows)
+    f = get_function(fn)
+    return tuple(
+        (int(m), *(error_table(params, f, z_values, order).max_error
+                   for _tag, params in comparator_params(int(m), eta, gamma, alpha, s, bbk_gamma)))
+        for m in m_values
+    )
 
 
 def _table4(order: int) -> Dataset:
@@ -141,107 +134,16 @@ def _table4(order: int) -> Dataset:
     return Dataset("table4", meta, ("m", "rlbk", "bbk", "fbk", "rlgbk"), rows)
 
 
+def _preset(kind: str, which: int, count: int, order: int, build) -> Dataset:
+    for spec in PRESETS:
+        if spec[:2] == (kind, which):
+            return build(spec, order)
+    raise DomainError(f"{kind} number must be in 1..{count}, got {which}")
+
+
 def table_dataset(which: int, order: int = DEFAULT_ORDER) -> Dataset:
-    if which == 1:
-        return _uni_error_table(
-            "table 1", "f1", "eta=2 gamma=4 alpha=0.9 s=3", "m", (40, 100, 250),
-            lambda m: OperatorParams(m, 2.0, 4.0, 0.9, 3), order)
-    if which == 2:
-        return _uni_error_table(
-            "table 2", "f2", "m=90 eta=3 gamma=2 s=3", "alpha", (0.35, 0.65, 0.95),
-            lambda a: OperatorParams(90, 3.0, 2.0, a, 3), order)
-    if which == 3:
-        return _uni_error_table(
-            "table 3", "f3", "m=70 eta=3 gamma=2 alpha=0.75", "s", (8, 5, 2),
-            lambda s: OperatorParams(70, 3.0, 2.0, 0.75, s), order)
-    if which == 4:
-        return _table4(order)
-    if which == 5:
-        return _biv_error_table(
-            "table 5", "g1", "eta=2 gamma=3 alpha=0.9 s=2 (both axes)", "m", (10, 30, 90),
-            lambda m: OperatorParams(m, 2.0, 3.0, 0.9, 2), order)
-    if which == 6:
-        return _biv_error_table(
-            "table 6", "g2", "m=15 eta=2 gamma=2 s=2 (both axes)", "alpha", (0.1, 0.5, 0.9),
-            lambda a: OperatorParams(15, 2.0, 2.0, a, 2), order)
-    if which == 7:
-        return _biv_error_table(
-            "table 7", "g3", "m=15 eta=3 gamma=2 alpha=0.8 (both axes)", "s", (9, 6, 3),
-            lambda s: OperatorParams(15, 3.0, 2.0, 0.8, s), order)
-    raise DomainError(f"table number must be in 1..7, got {which}")
-
-
-def _uni_figure(name, fn, base, sweep_name, sweep, make_params, order) -> Dataset:
-    zs = np.linspace(0.0, 1.0, 201)
-    f = get_function(fn)
-    phi = eval_function(f, zs)
-    columns = ["z", "phi"] + [_label("op_" + sweep_name[0], v) for v in sweep]
-    ops = []
-    for v in sweep:
-        ki = kernel_integrals(make_params(v), f, order)
-        ops.append(np.array([apply_kernel(ki, float(z)) for z in zs]))
-    rows = tuple(
-        (float(zs[i]), float(phi[i]), *(op[i] for op in ops)) for i in range(len(zs))
-    )
-    meta = (
-        name,
-        f"function {fn} = {BUILTINS[fn]}",
-        base,
-        f"{sweep_name} values: {', '.join(str(v) for v in sweep)}",
-        f"order={order}",
-    )
-    return Dataset(name, meta, tuple(columns), rows)
-
-
-def _biv_figure(name, fn, base, sweep_name, sweep, make_params, order) -> Dataset:
-    u = np.linspace(0.0, 1.0, 41)
-    F = get_function(fn)
-    phi = eval_function2(F, u[:, None], u[None, :])
-    columns = ["z", "y", "phi"] + [_label("op_" + sweep_name[0], v) for v in sweep]
-    surfaces = []
-    for v in sweep:
-        p = make_params(v)
-        ki = biv_kernel_integrals(BivariateParams(p, p), F, order)
-        b = np.array([basis_row(p, float(t)).weights for t in u])
-        surfaces.append(b @ ki.values @ b.T)
-    rows = []
-    for i in range(41):
-        for k in range(41):
-            rows.append((float(u[i]), float(u[k]), float(phi[i, k]),
-                         *(float(surf[i, k]) for surf in surfaces)))
-    meta = (
-        name,
-        f"function {fn} = {BUILTINS[fn]}",
-        base,
-        f"{sweep_name} values: {', '.join(str(v) for v in sweep)}",
-        f"order={order}",
-    )
-    return Dataset(name, meta, tuple(columns), tuple(rows))
+    return _table4(order) if which == 4 else _preset("table", which, 7, order, _table)
 
 
 def figure_dataset(which: int, order: int = DEFAULT_ORDER) -> Dataset:
-    if which == 1:
-        return _uni_figure(
-            "figure 1", "f1", "eta=3 gamma=3 alpha=0.9 s=4", "m", (20, 30, 70),
-            lambda m: OperatorParams(m, 3.0, 3.0, 0.9, 4), order)
-    if which == 2:
-        return _uni_figure(
-            "figure 2", "f2", "m=10 eta=2 gamma=3 s=4", "alpha", (0.35, 0.65, 0.95),
-            lambda a: OperatorParams(10, 2.0, 3.0, a, 4), order)
-    if which == 3:
-        return _uni_figure(
-            "figure 3", "f3", "m=10 eta=3 gamma=2 alpha=0.75", "s", (2, 5, 8),
-            lambda s: OperatorParams(10, 3.0, 2.0, 0.75, s), order)
-    if which == 4:
-        return _biv_figure(
-            "figure 4", "g1", "eta=2 gamma=3 alpha=0.9 s=2 (both axes)", "m", (10, 30, 90),
-            lambda m: OperatorParams(m, 2.0, 3.0, 0.9, 2), order)
-    if which == 5:
-        return _biv_figure(
-            "figure 5", "g2", "m=15 eta=2 gamma=2 s=2 (both axes)", "alpha", (0.1, 0.5, 0.9),
-            lambda a: OperatorParams(15, 2.0, 2.0, a, 2), order)
-    if which == 6:
-        return _biv_figure(
-            "figure 6", "g3", "m=15 eta=3 gamma=2 alpha=0.8 (both axes)", "s", (9, 6, 3),
-            lambda s: OperatorParams(15, 3.0, 2.0, 0.8, s), order)
-    raise DomainError(f"figure number must be in 1..6, got {which}")
+    return _preset("figure", which, 6, order, _figure)

@@ -1,10 +1,10 @@
 """Tensor-product bivariate operator, its moments and error bounds.
 
-The kernel integral matrix is computed once per function with a tensor
-Gauss-Jacobi rule and reused for every evaluation point, so full surface
-grids cost one matrix product per row of points.  Moduli of continuity on
-[0,1]^2 are grid estimates, sized adaptively from the requested radius when
-no grid is given, and use the window extremes of error_analysis.
+The kernel integral matrix V is computed once per function with a tensor
+Gauss-Jacobi rule and reused for every point; a product grid is Bz @ V @ By.T
+for the basis matrices of its axes.  Moduli of continuity on [0,1]^2 are
+grid estimates, sized adaptively from the requested radius when no grid is
+given, and use the window extremes of error_analysis.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorParams, basis_row
+from .basis import OperatorParams, basis_matrix, basis_row
 from .error_analysis import (
     _SHIFT_EPS,
     _check_delta,
@@ -24,8 +24,7 @@ from .error_analysis import (
     _window_range,
 )
 from .errors import QuadratureError
-from .exprlib import FunctionExpr, evaluate
-from .operator_uni import DEFAULT_ORDER, central_moments, raw_moments
+from .operator_uni import DEFAULT_ORDER, central_moments, eval_function, raw_moments
 from .quadrature import gauss_jacobi_rule
 
 _PARTIAL_TARGET = 16
@@ -56,16 +55,6 @@ class BivMoments:
     e02: float
 
 
-def eval_function2(F, zv, yv) -> np.ndarray:
-    """Evaluate a bivariate expression or callable on broadcastable arrays."""
-    vals = evaluate(F, zv, yv) if isinstance(F, FunctionExpr) else F(zv, yv)
-    vals = np.asarray(vals, dtype=float)
-    target = np.broadcast_shapes(np.shape(zv), np.shape(yv))
-    if vals.shape != target:
-        vals = np.broadcast_to(vals, target)
-    return vals
-
-
 def biv_kernel_integrals(bp: BivariateParams, F, order: int = DEFAULT_ORDER) -> BivKernelIntegrals:
     """The (m1+1) x (m2+1) matrix of tensor kernel integrals of F."""
     px, py = bp.px, bp.py
@@ -75,7 +64,7 @@ def biv_kernel_integrals(bp: BivariateParams, F, order: int = DEFAULT_ORDER) -> 
     y_args = (np.arange(py.m + 1)[:, None] + rule2.nodes[None, :] ** py.gamma) / (py.m + 1.0)
     values = np.empty((px.m + 1, py.m + 1))
     for j1 in range(px.m + 1):
-        vals = eval_function2(F, x_args[j1][:, None, None], y_args[None, :, :])
+        vals = eval_function(F, x_args[j1][:, None, None], y_args[None, :, :])
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("bivariate kernel integrand produced non-finite values")
         values[j1] = np.einsum("a,abc,c->b", rule1.weights, vals, rule2.weights)
@@ -97,9 +86,7 @@ def apply_biv(bp: BivariateParams, F, z: float, y: float, order: int = DEFAULT_O
 def surface_values(bp: BivariateParams, F, zs, ys, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Operator values on the product grid zs x ys, shape (len(zs), len(ys))."""
     ki = biv_kernel_integrals(bp, F, order)
-    bz = np.array([basis_row(bp.px, float(z)).weights for z in zs])
-    by = np.array([basis_row(bp.py, float(y)).weights for y in ys])
-    return bz @ ki.values @ by.T
+    return basis_matrix(bp.px, zs) @ ki.values @ basis_matrix(bp.py, ys).T
 
 
 def biv_moments(bp: BivariateParams, z: float, y: float) -> BivMoments:
@@ -119,7 +106,7 @@ def _adaptive_grid_n(d: float, target: int) -> int:
 
 def _grid_values(F, grid_n: int) -> np.ndarray:
     u = np.linspace(0.0, 1.0, grid_n)
-    return eval_function2(F, u[:, None], u[None, :])
+    return eval_function(F, u[:, None], u[None, :])
 
 
 def partial_moduli(F, d1: float, d2: float, grid_n: int | None = None) -> tuple[float, float]:
@@ -189,12 +176,8 @@ def bound_partial(bp: BivariateParams, F, z: float, y: float, grid_n: int | None
 def surface_rows(bp: BivariateParams, F, zs, ys, order: int = DEFAULT_ORDER):
     """Row-major (z, y, exact, approx, abs_error) tuples over the grid."""
     approx = surface_values(bp, F, zs, ys, order)
-    rows = []
-    max_err = 0.0
-    for i, z in enumerate(zs):
-        for k, y in enumerate(ys):
-            exact = float(eval_function2(F, np.asarray(float(z)), np.asarray(float(y))))
-            err = abs(exact - float(approx[i, k]))
-            max_err = max(max_err, err)
-            rows.append((float(z), float(y), exact, float(approx[i, k]), err))
-    return rows, max_err
+    zv, yv = np.meshgrid(np.asarray(zs, dtype=float), np.asarray(ys, dtype=float), indexing="ij")
+    exact = eval_function(F, zv, yv)
+    err = np.abs(exact - approx)
+    rows = list(zip(*(a.ravel().tolist() for a in (zv, yv, exact, approx, err))))
+    return rows, float(np.max(err)) if rows else 0.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorParams, _check_point, basis_row
+from .basis import OperatorParams, _check_points, _row_blocks, basis_row
 from .errors import QuadratureError, UnsupportedOrderError
 from .exprlib import FunctionExpr, evaluate
 from .quadrature import adaptive_reference, gauss_jacobi_rule
@@ -40,12 +40,12 @@ class CentralMoments:
     xi2: float
 
 
-def eval_function(f, args: np.ndarray) -> np.ndarray:
-    vals = evaluate(f, args) if isinstance(f, FunctionExpr) else f(args)
-    vals = np.asarray(vals, dtype=float)
-    if vals.shape != args.shape:
-        vals = np.broadcast_to(vals, args.shape)
-    return vals
+def eval_function(f, *args) -> np.ndarray:
+    """An expression or callable at broadcastable arrays z (and y), as floats
+    of the broadcast shape, so a constant function gives a full array."""
+    vals = np.asarray(evaluate(f, *args) if isinstance(f, FunctionExpr) else f(*args), dtype=float)
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
 def _kernel_values(params: OperatorParams, f, order: int) -> np.ndarray:
@@ -70,11 +70,7 @@ def kernel_integrals(params: OperatorParams, f, order: int = DEFAULT_ORDER) -> K
     if params.gamma < 1.0:
         refined = _kernel_values(params, f, 2 * order)
         worst = int(np.argmax(np.abs(refined - values)))
-        arg = lambda t: (worst + t**params.gamma) / (params.m + 1.0)
-        if isinstance(f, FunctionExpr):
-            g = lambda t: evaluate(f, arg(t))
-        else:
-            g = lambda t: f(arg(t))
+        g = lambda t: eval_function(f, (worst + t**params.gamma) / (params.m + 1.0))
         reference = adaptive_reference(params.eta, g, 1e-10)
         if abs(refined[worst] - reference) > 1e-9:
             raise QuadratureError(
@@ -85,6 +81,16 @@ def kernel_integrals(params: OperatorParams, f, order: int = DEFAULT_ORDER) -> K
         values = refined
     values.setflags(write=False)
     return KernelIntegrals(params, values)
+
+
+def operator_values(ki: KernelIntegrals, zs) -> np.ndarray:
+    """Operator values at every point of zs: blocks of basis rows times the
+    kernel integrals, so memory stays bounded for long rows."""
+    zs = _check_points(zs)
+    out = np.empty(zs.size)
+    for block, rows in _row_blocks(ki.params, zs):
+        out[block] = rows @ ki.values
+    return out
 
 
 def apply_kernel(ki: KernelIntegrals, z: float) -> float:
@@ -98,8 +104,7 @@ def apply(params: OperatorParams, f, z: float, order: int = DEFAULT_ORDER) -> fl
 
 def apply_grid(params: OperatorParams, f, zs, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Operator values over a grid, reusing one set of kernel integrals."""
-    ki = kernel_integrals(params, f, order)
-    return np.array([apply_kernel(ki, z) for z in np.asarray(zs, dtype=float)])
+    return operator_values(kernel_integrals(params, f, order), zs)
 
 
 def _bracket(params: OperatorParams) -> float:
@@ -115,7 +120,7 @@ def _bracket(params: OperatorParams) -> float:
 
 def l_moments(params: OperatorParams, n: int, z: float) -> float:
     """Monomial images under the basis part alone (no Kantorovich shift)."""
-    _check_point(z)
+    _check_points(z)
     if n == 0:
         return 1.0
     if n == 1:
@@ -127,7 +132,7 @@ def l_moments(params: OperatorParams, n: int, z: float) -> float:
 
 def raw_moments(params: OperatorParams, z: float) -> MomentSet:
     """Closed-form operator images of e0, e1, e2."""
-    _check_point(z)
+    _check_points(z)
     m = params.m
     mp1 = m + 1.0
     c1 = moment_coeff(params.eta, params.gamma, 1)
@@ -144,7 +149,7 @@ def central_moments(params: OperatorParams, z: float) -> CentralMoments:
     ((z-c1)^2 + (c2-c1^2) + z(1-z)*bracket)/(m+1)^2, which is non-negative
     term by term (c2 >= c1^2 by the Cauchy-Schwarz inequality).
     """
-    _check_point(z)
+    _check_points(z)
     mp1 = params.m + 1.0
     c1 = moment_coeff(params.eta, params.gamma, 1)
     c2 = moment_coeff(params.eta, params.gamma, 2)

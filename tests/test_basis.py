@@ -1,10 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from fracbk import DomainError, OperatorParams, basis_row, basis_weight, bernstein_row
+from fracbk import (
+    DomainError,
+    KernelIntegrals,
+    OperatorParams,
+    basis_matrix,
+    basis_row,
+    basis_weight,
+    bernstein_row,
+    error_table,
+    operator_values,
+    parse_source,
+)
 from fracbk import basis
 
 
@@ -183,6 +195,11 @@ class TestBasisRow:
             row = basis_row(params, z)
             scalar = [basis_weight(params, j, z) for j in range(m + 1)]
             assert np.allclose(row.weights, scalar, atol=1e-13)
+            batched = basis_matrix(params, [0.0, z, 1.0])
+            assert np.allclose(batched[1], scalar, atol=1e-13)
+            assert np.allclose(batched[[0, 2]], [
+                [basis_weight(params, j, e) for j in range(m + 1)] for e in (0.0, 1.0)
+            ], atol=1e-13)
 
     def test_weight_index_out_of_range(self):
         params = make_params(4, 2, 0.5)
@@ -197,6 +214,21 @@ class TestBasisRow:
             basis_row(params, 1.5)
         with pytest.raises(DomainError):
             basis_weight(params, 0, -0.2)
+        for z in (float("nan"), 1.5, -0.2):
+            with pytest.raises(DomainError, match=r"z must lie in \[0, 1\], got"):
+                basis_row(params, z)
+            with pytest.raises(DomainError, match=r"z must lie in \[0, 1\], got"):
+                basis_weight(params, 0, z)
+            with pytest.raises(DomainError, match=f"got {z}$"):
+                basis_matrix(params, [0.0, 0.3, z, 1.0])
+        ki = KernelIntegrals(params, np.linspace(0.0, 1.0, 5))
+        f = parse_source("z^2")
+        with pytest.raises(DomainError, match="got nan$"):
+            operator_values(ki, np.array([0.1, np.nan, 0.9]))
+        with pytest.raises(DomainError, match="got nan$"):
+            error_table(params, f, [0.2, float("nan")])
+        with pytest.raises(DomainError, match="got 1.5$"):
+            error_table(params, f, np.array([[0.2], [1.5]]))
 
     def test_row_metadata(self):
         row = basis_row(make_params(7, 3, 0.4), 0.6)
@@ -230,3 +262,94 @@ def test_partition_and_nonnegativity(m):
                 w = basis_row(params, float(z)).weights
                 assert np.all(w >= -1e-15)
                 assert abs(np.sum(w) - 1.0) <= 1e-12
+            W = basis_matrix(params, zs)
+            assert W.shape == (zs.size, m + 1)
+            assert np.all(W >= -1e-15)
+            assert np.all(np.abs(W.sum(axis=1) - 1.0) <= 1e-12)
+
+
+# The one-point basis row as computed before basis_matrix existed: log z and
+# log1p(-z) from math, the blend assembled in place.  basis_matrix must give
+# these rows bit for bit.
+def _reference_bernstein_row(n, z):
+    if n == 0:
+        return np.ones(1)
+    if z == 0.0 or z == 1.0:
+        row = np.zeros(n + 1)
+        row[0 if z == 0.0 else n] = 1.0
+        return row
+    lf = basis._log_factorials(n)
+    j = np.arange(n + 1)
+    logc = lf[n] - lf[: n + 1] - lf[n::-1]
+    return np.exp(logc + j * math.log(z) + (n - j) * math.log1p(-z))
+
+
+def _reference_basis_row(params, z):
+    m, s, alpha = params.m, params.s, params.alpha
+    if m < s:
+        return _reference_bernstein_row(m, z)
+    weights = alpha * _reference_bernstein_row(m, z)
+    sub = _reference_bernstein_row(m - s, z)
+    weights[s:] += (1.0 - alpha) * z * sub
+    weights[: m - s + 1] += (1.0 - alpha) * (1.0 - z) * sub
+    return weights
+
+
+PARITY_POINTS = [0.0, 1.0, 1e-300, 1.0 - 1e-16, 1e-5, 0.1, 0.37, 0.5, 0.9, 0.999999]
+
+
+class TestBasisMatrix:
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 15, 40, 90, 250, 1000, 10**4, 10**5])
+    def test_bitwise_equal_to_reference_rows(self, m):
+        for s in (0, 1, 2, 3, 5, 9, 40, 300):
+            for alpha in (0.0, 0.35, 1.0):
+                params = make_params(m, s, alpha)
+                ref = np.array([_reference_basis_row(params, z) for z in PARITY_POINTS])
+                assert np.array_equal(basis_matrix(params, PARITY_POINTS), ref)
+                assert np.array_equal(basis_row(params, PARITY_POINTS[6]).weights, ref[6])
+        for z in PARITY_POINTS:
+            assert np.array_equal(bernstein_row(m, z), _reference_bernstein_row(m, z))
+
+    def test_bitwise_equal_on_many_points(self):
+        # numpy's vectorised logarithms differ from math's in the last bit
+        # at a small share of points, so a dense sample tells them apart.
+        rng = np.random.default_rng(7)
+        zs = np.concatenate((rng.uniform(0.0, 1.0, 2000), rng.uniform(0.0, 1e-3, 500), [0.0, 1.0]))
+        for m, s, alpha in ((40, 3, 0.35), (7, 0, 0.9), (5, 9, 0.5)):
+            params = make_params(m, s, alpha)
+            ref = np.array([_reference_basis_row(params, z) for z in zs.tolist()])
+            assert np.array_equal(basis_matrix(params, zs), ref)
+
+    def test_blocks_do_not_change_rows(self, monkeypatch):
+        zs = np.linspace(0.0, 1.0, 37)
+        params = make_params(12, 3, 0.4)
+        whole = basis_matrix(params, zs)
+        ki = KernelIntegrals(params, np.linspace(-1.0, 2.0, 13))
+        values = operator_values(ki, zs)
+        monkeypatch.setattr(basis, "_BLOCK_ELEMENTS", 40)  # three points per block
+        assert np.array_equal(basis_matrix(params, zs), whole)
+        assert np.allclose(operator_values(ki, zs), values, rtol=0.0, atol=1e-15)
+        assert np.allclose(values, whole @ ki.values, rtol=0.0, atol=1e-15)
+
+    def test_empty_and_scalar_points(self):
+        params = make_params(6, 2, 0.5)
+        assert basis_matrix(params, []).shape == (0, 7)
+        assert np.array_equal(basis_matrix(params, 0.3), basis_matrix(params, [0.3]))
+        assert operator_values(KernelIntegrals(params, np.ones(7)), []).shape == (0,)
+
+    def test_operator_values_memory_is_blocked(self):
+        # 51 points at m=1e5: the full basis matrix alone would take
+        # 51 * 100001 * 8 B = 40.8 MB; blocks keep the peak at a few MB.
+        params = OperatorParams(m=10**5, eta=2.0, gamma=4.0, alpha=0.9, s=3)
+        ki = KernelIntegrals(params, np.linspace(-1.0, 1.0, params.m + 1))
+        zs = np.linspace(0.0, 1.0, 51)
+        tracemalloc.start()
+        try:
+            values = operator_values(ki, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert values[0] == -1.0 and values[-1] == 1.0
+        assert np.allclose(values[[10, 25]], [basis_row(params, z).weights @ ki.values
+                                              for z in zs[[10, 25]]], rtol=0.0, atol=1e-14)

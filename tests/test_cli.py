@@ -89,6 +89,13 @@ class TestEval:
         assert code == 2
         assert "gamma must be positive and finite" in err
 
+    @pytest.mark.parametrize("z", ["nan", "-0.1", "0:1.5:4"])
+    def test_point_off_the_interval_is_usage_error(self, capsys, z):
+        code, out, err = run_cli(capsys, "eval", "--fn", "f1", "--z", z)
+        assert code == 2
+        assert out == ""
+        assert "z must lie in [0, 1]" in err
+
 
 class TestArgparseBehavior:
     def test_no_arguments_usage_error(self, capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,28 @@ class TestCsv:
         lines = text.split("\n")
         assert lines[0].startswith("# figure 3")
         assert any("f3" in l for l in lines[:5])
+
+    def test_footer_lines_follow_rows(self):
+        ds = Dataset("demo", ("first", "second"), ("a", "b"), ((1, 0.5), (2, "")), ("end=1",))
+        assert to_csv(ds) == "# first\n# second\na,b\n1,0.5\n2,\n# end=1\n"
+
+
+# The preset CSVs as the seed implementation wrote them.  Comment and header
+# lines must match byte for byte; numbers may move in their last bits only.
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
+PRESETS = [("table", k) for k in range(1, 8)] + [("figure", k) for k in range(1, 7)]
+
+
+@pytest.mark.parametrize("kind,number", PRESETS)
+def test_preset_matches_reference(kind, number):
+    build = table_dataset if kind == "table" else figure_dataset
+    got = to_csv(build(number)).splitlines()
+    ref = (REFERENCE_DIR / f"{kind}{number}.csv").read_text().splitlines()
+    assert len(got) == len(ref)
+    data_start = next(i for i, line in enumerate(ref) if not line.startswith("#")) + 1
+    assert got[:data_start] == ref[:data_start]
+    for got_line, ref_line in zip(got[data_start:], ref[data_start:]):
+        got_cells, ref_cells = got_line.split(","), ref_line.split(",")
+        assert len(got_cells) == len(ref_cells)
+        for g, r in zip(got_cells, ref_cells):
+            assert abs(float(g) - float(r)) <= 1e-12 + 1e-9 * abs(float(r)), (g, r)
