@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .quadrature import _check_eta
+from .errors import DomainError, check_int, check_points, check_real
 from .specfun import LOG_ZERO, log_binomial
 
 
@@ -31,19 +30,11 @@ class OperatorParams:
     s: int
 
     def __post_init__(self):
-        for name in ("m", "s"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise DomainError(f"{name} must be an int, got {value!r}")
-        if self.m < 1:
-            raise DomainError(f"degree m must be >= 1, got {self.m}")
-        _check_eta(self.eta)
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DomainError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.s < 0:
-            raise DomainError(f"s must be a non-negative integer, got {self.s}")
+        check_int("m", self.m, 1)
+        check_real("eta", self.eta)
+        check_real("gamma", self.gamma)
+        check_real("alpha", self.alpha, 0.0, 1.0, closed=True)
+        check_int("s", self.s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,16 +71,6 @@ def _log_factorials(n: int) -> np.ndarray:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _check_points(zs) -> np.ndarray:
-    """The points as a 1-D float array, rejecting NaN and points off [0, 1]."""
-    zs = np.asarray(zs, dtype=float).reshape(-1)
-    # min and max carry a NaN through, so this also rejects NaN
-    if zs.size and not (0.0 <= zs.min() and zs.max() <= 1.0):
-        bad = zs[~((zs >= 0.0) & (zs <= 1.0))]
-        raise DomainError(f"z must lie in [0, 1], got {float(bad[0])}")
-    return zs
-
-
 def _log_points(z: list):
     """Columns of log z and log1p(-z) at the checked points z, with 0.5
     standing in at 0 and 1, and (index, unit column) of each such endpoint.
@@ -115,9 +96,8 @@ def _bernstein_matrix(n: int, logs) -> np.ndarray:
 
 def bernstein_row(n: int, z: float) -> np.ndarray:
     """Classical Bernstein row of degree n at z, computed in log space."""
-    if n < 0:
-        raise DomainError(f"degree n must be >= 0, got {n}")
-    return _bernstein_matrix(n, _log_points(_check_points(z).tolist()))[0]
+    check_int("n", n)
+    return _bernstein_matrix(n, _log_points(check_points(z).tolist()))[0]
 
 
 def _row_blocks(params: OperatorParams, zs: np.ndarray):
@@ -147,7 +127,7 @@ def _row_blocks(params: OperatorParams, zs: np.ndarray):
 def basis_matrix(params: OperatorParams, zs) -> np.ndarray:
     """The basis rows at every point of zs, shape (len(zs), m+1), built in
     blocks of at most _BLOCK_ELEMENTS weights to bound the temporaries."""
-    zs = _check_points(zs)
+    zs = check_points(zs)
     out = np.empty((zs.size, params.m + 1))
     for block, rows in _row_blocks(params, zs):
         out[block] = rows
@@ -177,9 +157,9 @@ def basis_weight(params: OperatorParams, j: int, z: float) -> float:
     the two agree to rounding and cross-validate each other.
     """
     m, s, alpha = params.m, params.s, params.alpha
-    if not 0 <= j <= m:
+    if check_int("j", j) > m:
         raise DomainError(f"index j must lie in [0, {m}], got {j}")
-    _check_points(z)
+    check_points(z)
     if m < s:
         return _term(log_binomial(m, j), z, j, m - j)
     t1 = (1.0 - alpha) * _term(log_binomial(m - s, j - s), z, j - s + 1, m - j)

@@ -56,11 +56,8 @@ def _parse_int_list(spec: str) -> list[int]:
 
 def _params(args, suffix: str = "") -> OperatorParams:
     def pick(name):
-        if suffix:
-            override = getattr(args, name + suffix)
-            if override is not None:
-                return override
-        return getattr(args, name)
+        override = getattr(args, name + suffix)
+        return getattr(args, name) if override is None else override
 
     return OperatorParams(
         m=pick("m"), eta=pick("eta"), gamma=pick("gamma"),

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorParams, _check_points
+from .basis import OperatorParams
 from .dataset import Dataset, to_csv
-from .errors import DomainError, EvaluationError
+from .errors import EvaluationError, check_int, check_points, check_real
 from .operator_uni import DEFAULT_ORDER, apply_kernel, central_moments, eval_function, kernel_integrals
 
 DEFAULT_MODULUS_GRID = 4001
@@ -52,16 +52,6 @@ class ErrorTable:
         return to_csv(Dataset("error table", tuple(comments), columns, tuple(self.rows), footer))
 
 
-def _check_grid(grid_n: int) -> None:
-    if grid_n < 101:
-        raise DomainError(f"grid_n must be >= 101, got {grid_n}")
-
-
-def _check_delta(delta: float) -> None:
-    if delta < 0.0:
-        raise DomainError(f"delta must be non-negative, got {delta}")
-
-
 def _check_finite(values):
     # max() over differences would drop a NaN and report a modulus of 0.0
     if not np.all(np.isfinite(values)):
@@ -70,7 +60,7 @@ def _check_finite(values):
 
 
 def _shift_count(delta: float, grid_n: int) -> int:
-    return min(int(delta * (grid_n - 1) + _SHIFT_EPS), grid_n - 1)
+    return int(min(delta * (grid_n - 1) + _SHIFT_EPS, grid_n - 1))
 
 
 def _window_extremes(values: np.ndarray, width: int, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
@@ -109,16 +99,16 @@ def _window_range(values: np.ndarray, shifts: int, axis: int = -1) -> float:
 
 def modulus_continuity(f, delta: float, grid_n: int = DEFAULT_MODULUS_GRID) -> ModulusEstimate:
     """Grid estimate of sup |f(u+h) - f(u)| over 0 < h <= delta."""
-    _check_delta(delta)
-    _check_grid(grid_n)
+    check_real("delta", delta, closed=True)
+    check_int("grid_n", grid_n, 101)
     fs = eval_function(f, np.linspace(0.0, 1.0, grid_n))
     return ModulusEstimate(delta, _window_range(fs, _shift_count(delta, grid_n)), grid_n)
 
 
 def second_modulus(f, delta: float, grid_n: int = DEFAULT_MODULUS_GRID) -> ModulusEstimate:
     """Grid estimate of sup |f(u+2h) - 2f(u+h) + f(u)| over 0 < h <= delta."""
-    _check_delta(delta)
-    _check_grid(grid_n)
+    check_real("delta", delta, closed=True)
+    check_int("grid_n", grid_n, 101)
     fs = _check_finite(eval_function(f, np.linspace(0.0, 1.0, grid_n)))
     best = 0.0
     top = min(_shift_count(delta, grid_n), (grid_n - 1) // 2)
@@ -131,7 +121,7 @@ def _adaptive_grid_n(delta: float) -> int:
     """Grid size giving about _ADAPTIVE_TARGET shift steps within delta."""
     if delta <= 0.0:
         return DEFAULT_MODULUS_GRID
-    n = int(math.ceil(_ADAPTIVE_TARGET / delta)) + 1
+    n = int(math.ceil(min(_ADAPTIVE_TARGET / delta, _ADAPTIVE_CAP))) + 1
     return max(DEFAULT_MODULUS_GRID, min(n, _ADAPTIVE_CAP))
 
 
@@ -144,18 +134,17 @@ def bound_t2(params: OperatorParams, f, z: float, grid_n: int | None = None) -> 
 
 def bound_lipschitz(params: OperatorParams, M: float, kappa: float, z: float) -> float:
     """Error bound M * xi2^(kappa/2) for f in the Lipschitz class (M, kappa)."""
-    if M <= 0.0:
-        raise DomainError(f"M must be positive, got {M}")
-    if not 0.0 < kappa <= 1.0:
-        raise DomainError(f"kappa must lie in (0, 1], got {kappa}")
+    check_real("M", M)
+    check_real("kappa", kappa, high=1.0)
     return M * central_moments(params, z).xi2 ** (kappa / 2.0)
 
 
 def bound_kfunctional(params: OperatorParams, f, z: float, C: float, grid_n: int | None = None) -> float:
     """Error bound C*omega2(f; sqrt(xi2+zeta^2)/2) + omega(f; |zeta|).
 
-    The constant C is not determined by the theory and must be supplied.
+    The constant C >= 0 is not determined by the theory and must be supplied.
     """
+    check_real("C", C, closed=True)
     cm = central_moments(params, z)
     radius = 0.5 * math.sqrt(cm.xi2 + cm.zeta**2)
     n2 = grid_n if grid_n is not None else _adaptive_grid_n(radius)
@@ -172,7 +161,7 @@ def error_table(params: OperatorParams, f, z_values, order: int = DEFAULT_ORDER)
     benchmark's self-test (bench/tests) alters that function to prove that a
     wrong approximation on its bounds workload is caught.
     """
-    zs = _check_points(z_values).tolist()
+    zs = check_points(z_values).tolist()
     ki = kernel_integrals(params, f, order)
     exact = eval_function(f, np.array(zs)).tolist()
     approx = [apply_kernel(ki, z) for z in zs]
@@ -182,7 +171,7 @@ def error_table(params: OperatorParams, f, z_values, order: int = DEFAULT_ORDER)
 
 def max_error(params: OperatorParams, f, grid_n: int = 1001, order: int = DEFAULT_ORDER) -> float:
     """Maximum absolute error over a uniform grid on [0, 1]."""
-    _check_grid(grid_n)
+    check_int("grid_n", grid_n, 101)
     zs = np.linspace(0.0, 1.0, grid_n)
     table = error_table(params, f, zs, order)
     return table.max_error

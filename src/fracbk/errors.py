@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package and the argument checks."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class FracbkError(Exception):
@@ -33,3 +38,33 @@ class UnsupportedOrderError(FracbkError):
 class QuadratureError(FracbkError):
     """Quadrature construction or refinement failed (eigen-solve failure,
     refinement budget exceeded, non-finite integrand, cross-check mismatch)."""
+
+
+def check_int(name: str, value, low: float = 0):
+    """value if it is an int or numpy integer (never a bool) and >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def check_real(name: str, value, low: float = 0.0, high: float = math.inf, closed: bool = False):
+    """value if it is a finite real in (low, high], or [low, high] if closed."""
+    if not (isinstance(value, (float, numbers.Real)) and math.isfinite(value) and value <= high
+            and (low <= value if closed else low < value)):
+        bracket, sign = ("[", ">=") if closed else ("(", ">")
+        where = f"in {bracket}{low:g}, {high:g}]" if high < math.inf else f"{sign} {low:g}"
+        where = {"> 0": "positive", ">= 0": "non-negative"}.get(where, where)
+        raise DomainError(f"{name} must be {where} and finite, got {value}")
+    return value
+
+
+def check_points(zs) -> np.ndarray:
+    """The points as a 1-D float array, rejecting NaN and points off [0, 1]."""
+    zs = np.asarray(zs, dtype=float).reshape(-1)
+    # min and max carry a NaN through, so this also rejects NaN
+    if zs.size and not (0.0 <= zs.min() and zs.max() <= 1.0):
+        bad = zs[~((zs >= 0.0) & (zs <= 1.0))]
+        raise DomainError(f"z must lie in [0, 1], got {float(bad[0])}")
+    return zs

@@ -23,6 +23,9 @@ CONSTANT_NAMES = ("pi",)
 
 _OPERATOR_CHARS = "+-*/^"
 
+# Levels are parentheses, calls, unary minus, powers and +-*/ chain links
+_MAX_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class Token:
@@ -113,7 +116,8 @@ def tokenize(src: str) -> list[Token]:
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.pos = 0
+        self.pos = self.depth = 0
+        self.end = tokens[-1].position + len(tokens[-1].lexeme) if tokens else 0
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -121,10 +125,17 @@ class _Parser:
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            end = self.tokens[-1].position + len(self.tokens[-1].lexeme) if self.tokens else 0
-            raise ParseError("unexpected end of expression", end)
+            raise ParseError("unexpected end of expression", self.end)
         self.pos += 1
         return tok
+
+    def descend(self) -> None:
+        """One level deeper; ParseError at the next token past _MAX_DEPTH."""
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            tok = self.peek()
+            position = self.end if tok is None else tok.position
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", position)
 
     def expect(self, kind: str, lexeme: str) -> Token:
         tok = self.next()
@@ -137,24 +148,32 @@ class _Parser:
         return tok is not None and tok.kind == "operator" and tok.lexeme in lexemes
 
     def parse_expr(self) -> Node:
-        node = self.parse_term()
+        depth, node = self.depth, self.parse_term()
         while self.at_operator("+", "-"):
             op = self.next().lexeme
+            self.descend()
             node = BinOp(op, node, self.parse_term())
+        self.depth = depth
         return node
 
     def parse_term(self) -> Node:
-        node = self.parse_unary()
+        depth, node = self.depth, self.parse_unary()
         while self.at_operator("*", "/"):
             op = self.next().lexeme
+            self.descend()
             node = BinOp(op, node, self.parse_unary())
+        self.depth = depth
         return node
 
     def parse_unary(self) -> Node:
+        self.descend()
         if self.at_operator("-"):
             self.next()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+            node = Neg(self.parse_unary())
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self) -> Node:
         base = self.parse_atom()

@@ -15,15 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import OperatorParams, basis_matrix, basis_row
-from .error_analysis import (
-    _SHIFT_EPS,
-    _check_delta,
-    _check_grid,
-    _shift_count,
-    _window_extremes,
-    _window_range,
-)
-from .errors import QuadratureError
+from .error_analysis import _SHIFT_EPS, _shift_count, _window_extremes, _window_range
+from .errors import QuadratureError, check_int, check_real
 from .operator_uni import DEFAULT_ORDER, central_moments, eval_function, raw_moments
 from .quadrature import gauss_jacobi_rule
 
@@ -100,7 +93,7 @@ def biv_moments(bp: BivariateParams, z: float, y: float) -> BivMoments:
 def _adaptive_grid_n(d: float, target: int) -> int:
     if d <= 0.0:
         return _DEFAULT_BIV_GRID
-    n = int(math.ceil(target / d)) + 1
+    n = int(math.ceil(min(target / d, _BIV_GRID_CAP))) + 1
     return max(101, min(n, _BIV_GRID_CAP))
 
 
@@ -111,11 +104,11 @@ def _grid_values(F, grid_n: int) -> np.ndarray:
 
 def partial_moduli(F, d1: float, d2: float, grid_n: int | None = None) -> tuple[float, float]:
     """Grid estimates of the two partial moduli of continuity."""
-    _check_delta(d1)
-    _check_delta(d2)
+    check_real("d1", d1, closed=True)
+    check_real("d2", d2, closed=True)
     if grid_n is None:
-        grid_n = _adaptive_grid_n(max(min(d1, d2), 0.0) or max(d1, d2), _PARTIAL_TARGET)
-    _check_grid(grid_n)
+        grid_n = _adaptive_grid_n(min(d1, d2) or max(d1, d2), _PARTIAL_TARGET)
+    check_int("grid_n", grid_n, 101)
     G = _grid_values(F, grid_n)
     w1 = _window_range(G, _shift_count(d1, grid_n), axis=0)
     w2 = _window_range(G, _shift_count(d2, grid_n), axis=1)
@@ -131,11 +124,12 @@ def complete_modulus(F, d: float, grid_n: int | None = None) -> float:
     to that window's max or min.  With k = d*(grid_n-1) offsets per axis the
     cost is O(k * grid_n^2 * log k).
     """
-    _check_delta(d)
+    check_real("d", d, closed=True)
     if grid_n is None:
         grid_n = _adaptive_grid_n(d, _COMPLETE_TARGET)
-    _check_grid(grid_n)
+    check_int("grid_n", grid_n, 101)
     G = _grid_values(F, grid_n)
+    d = min(d, 2.0)  # a disc of radius 2 already covers the unit square
     h = 1.0 / (grid_n - 1)
     kmax = min(int(d / h + _SHIFT_EPS), grid_n - 1)
     limit = (d / h) ** 2 + _SHIFT_EPS

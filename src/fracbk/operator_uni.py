@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorParams, _check_points, _row_blocks, basis_row
-from .errors import QuadratureError, UnsupportedOrderError
+from .basis import OperatorParams, _row_blocks, basis_row
+from .errors import QuadratureError, UnsupportedOrderError, check_points
 from .exprlib import FunctionExpr, evaluate
 from .quadrature import adaptive_reference, gauss_jacobi_rule
 from .specfun import binomial, moment_coeff
@@ -86,7 +86,7 @@ def kernel_integrals(params: OperatorParams, f, order: int = DEFAULT_ORDER) -> K
 def operator_values(ki: KernelIntegrals, zs) -> np.ndarray:
     """Operator values at every point of zs: blocks of basis rows times the
     kernel integrals, so memory stays bounded for long rows."""
-    zs = _check_points(zs)
+    zs = check_points(zs)
     out = np.empty(zs.size)
     for block, rows in _row_blocks(ki.params, zs):
         out[block] = rows @ ki.values
@@ -120,7 +120,7 @@ def _bracket(params: OperatorParams) -> float:
 
 def l_moments(params: OperatorParams, n: int, z: float) -> float:
     """Monomial images under the basis part alone (no Kantorovich shift)."""
-    _check_points(z)
+    check_points(z)
     if n == 0:
         return 1.0
     if n == 1:
@@ -132,7 +132,7 @@ def l_moments(params: OperatorParams, n: int, z: float) -> float:
 
 def raw_moments(params: OperatorParams, z: float) -> MomentSet:
     """Closed-form operator images of e0, e1, e2."""
-    _check_points(z)
+    check_points(z)
     m = params.m
     mp1 = m + 1.0
     c1 = moment_coeff(params.eta, params.gamma, 1)
@@ -149,7 +149,7 @@ def central_moments(params: OperatorParams, z: float) -> CentralMoments:
     ((z-c1)^2 + (c2-c1^2) + z(1-z)*bracket)/(m+1)^2, which is non-negative
     term by term (c2 >= c1^2 by the Cauchy-Schwarz inequality).
     """
-    _check_points(z)
+    check_points(z)
     mp1 = params.m + 1.0
     c1 = moment_coeff(params.eta, params.gamma, 1)
     c2 = moment_coeff(params.eta, params.gamma, 2)

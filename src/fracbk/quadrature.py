@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import QuadratureError, check_int, check_real
 
 _MAX_DEPTH = 48
 
@@ -36,36 +36,26 @@ def _build_rule(eta: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     # Jacobi weight (1-x)^a (1+x)^b on [-1,1] with a = eta-1, b = 0; the
     # three-term recurrence coefficients below specialize to b = 0.
     a = eta - 1.0
-    if order == 1:
-        nodes = np.array([(-a / (a + 2.0) + 1.0) / 2.0])
-        weights = np.array([1.0])
-    else:
-        k = np.arange(1, order)
-        diag = np.concatenate(([-a / (a + 2.0)], -a * a / ((2 * k + a) * (2 * k + a + 2.0))))
-        off = np.sqrt(4 * k**2 * (k + a) ** 2 / ((2 * k + a) ** 2 * ((2 * k + a) ** 2 - 1.0)))
-        jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        try:
-            x, vectors = np.linalg.eigh(jacobi)
-        except np.linalg.LinAlgError as exc:
-            raise QuadratureError(f"eigen-solve failed for eta={eta}, order={order}") from exc
-        nodes = (x + 1.0) / 2.0
-        weights = vectors[0, :] ** 2
-        weights = weights / weights.sum()
+    k = np.arange(1, order)
+    diag = np.concatenate(([-a / (a + 2.0)], -a * a / ((2 * k + a) * (2 * k + a + 2.0))))
+    off = np.sqrt(4 * k**2 * (k + a) ** 2 / ((2 * k + a) ** 2 * ((2 * k + a) ** 2 - 1.0)))
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    try:
+        x, vectors = np.linalg.eigh(jacobi)
+    except np.linalg.LinAlgError as exc:
+        raise QuadratureError(f"eigen-solve failed for eta={eta}, order={order}") from exc
+    nodes = (x + 1.0) / 2.0
+    weights = vectors[0, :] ** 2
+    weights = weights / weights.sum()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
-def _check_eta(eta: float) -> None:
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise DomainError(f"eta must be positive and finite, got {eta}")
-
-
 def gauss_jacobi_rule(eta: float, order: int) -> QuadratureRule:
     """Gauss rule for eta*(1-t)^(eta-1) dt on [0,1], weights summing to 1."""
-    _check_eta(eta)
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
+    check_real("eta", eta)
+    check_int("order", order, 1)
     nodes, weights = _build_rule(float(eta), int(order))
     return QuadratureRule(eta, order, nodes, weights)
 
@@ -122,9 +112,8 @@ def adaptive_reference(eta: float, g, tol: float) -> float:
     turns the integral into int_0^1 g(1 - u^(1/eta)) du with a bounded
     integrand, which the subdivision then handles.
     """
-    _check_eta(eta)
-    if tol < 1e-13:
-        raise DomainError(f"tol must be >= 1e-13, got {tol}")
+    check_real("eta", eta)
+    check_real("tol", tol, 1e-13, closed=True)
 
     if eta >= 1.0:
         def h(t: float) -> float:

@@ -10,31 +10,27 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import check_int, check_real
 
 #: log of a binomial coefficient that is identically zero.
 LOG_ZERO = float("-inf")
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if x <= 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
+    """Natural log of the Gamma function for 0 < x <= 2.5e305 (lgamma overflows)."""
+    check_real("log_gamma argument", x, high=2.5e305)
     return math.lgamma(x)
 
 
 def beta(y: float, z: float) -> float:
     """Euler Beta function B(y, z) = Gamma(y)Gamma(z)/Gamma(y+z)."""
-    if y <= 0.0 or z <= 0.0:
-        raise DomainError(f"beta requires positive arguments, got ({y}, {z})")
     return math.exp(log_gamma(y) + log_gamma(z) - log_gamma(y + z))
 
 
 def log_binomial(n: int, k: int) -> float:
     """Log of C(n, k); returns LOG_ZERO (-inf) when k is outside [0, n]."""
-    if n < 0:
-        raise DomainError(f"log_binomial requires n >= 0, got {n}")
-    if k < 0 or k > n:
+    check_int("n", n)
+    if check_int("k", k, -math.inf) < 0 or k > n:
         return LOG_ZERO
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
@@ -51,8 +47,7 @@ def moment_coeff(eta: float, gamma: float, k: int) -> float:
     against the normalized kernel eta*(1-t)^(eta-1).  It equals 1 at k=0 and
     decreases strictly with k.
     """
-    if eta <= 0.0 or gamma <= 0.0:
-        raise DomainError(f"moment_coeff requires eta, gamma > 0, got ({eta}, {gamma})")
-    if k < 0:
-        raise DomainError(f"moment_coeff requires k >= 0, got {k}")
+    check_real("eta", eta)
+    check_real("gamma", gamma)
+    check_int("k", k)
     return math.exp(log_gamma(eta + 1.0) + log_gamma(gamma * k + 1.0) - log_gamma(eta + gamma * k + 1.0))

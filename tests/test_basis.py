@@ -52,6 +52,9 @@ class TestOperatorParams:
             {"eta": float("inf")},
             {"gamma": float("inf")},
             {"gamma": float("nan")},
+            {"alpha": float("nan")},
+            {"m": np.float64(5.0)},
+            {"s": np.bool_(True)},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -59,6 +62,12 @@ class TestOperatorParams:
         base.update(kwargs)
         with pytest.raises(DomainError):
             OperatorParams(**base)
+
+    def test_numpy_integers_accepted(self):
+        p = OperatorParams(m=np.int64(10), eta=2.0, gamma=3.0, alpha=0.5, s=np.int32(2))
+        plain = OperatorParams(m=10, eta=2.0, gamma=3.0, alpha=0.5, s=2)
+        assert p == plain
+        assert np.array_equal(basis_row(p, 0.3).weights, basis_row(plain, 0.3).weights)
 
 
 def _gammaln_row(n, z):
@@ -122,6 +131,12 @@ class TestLogFactorialRows:
 
 
 class TestBernsteinRow:
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_degree_not_an_int(self, n):
+        # 2.5 used to raise a raw IndexError and True a raw ValueError
+        with pytest.raises(DomainError, match="n must be an int"):
+            bernstein_row(n, 0.3)
+
     def test_degree_zero(self):
         assert np.allclose(bernstein_row(0, 0.37), [1.0])
 
@@ -200,6 +215,12 @@ class TestBasisRow:
             assert np.allclose(batched[[0, 2]], [
                 [basis_weight(params, j, e) for j in range(m + 1)] for e in (0.0, 1.0)
             ], atol=1e-13)
+
+    @pytest.mark.parametrize("j", [1.5, 1.0, True])
+    def test_weight_index_not_an_int(self, j):
+        # 1.5 used to give a weight of 0.182
+        with pytest.raises(DomainError, match="j must be an int"):
+            basis_weight(make_params(4, 2, 0.5), j, 0.3)
 
     def test_weight_index_out_of_range(self):
         params = make_params(4, 2, 0.5)

@@ -96,6 +96,16 @@ class TestEval:
         assert out == ""
         assert "z must lie in [0, 1]" in err
 
+    @pytest.mark.parametrize(
+        "fn", ["(" * 200 + "z" + ")" * 200, "-" * 1000 + "z", "z^" * 1000 + "z"],
+        ids=["parentheses", "unary-minus", "power-chain"],
+    )
+    def test_deep_nesting_is_usage_error(self, capsys, fn):
+        # these used to end in a RecursionError traceback, exit 1
+        code, out, err = run_cli(capsys, "eval", f"--fn={fn}", "--z", "0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("fracbk: error: expression nested deeper than 100 levels")
+
 
 class TestArgparseBehavior:
     def test_no_arguments_usage_error(self, capsys):
@@ -239,6 +249,24 @@ class TestBounds:
         code, _, err = run_cli(capsys, "bounds", "--fn", "f1", "--z", "0.5", "--M", "1")
         assert code == 2
         assert "together" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--M", "nan", "--kappa", "1"), "M must be positive and finite"),
+            (("--C", "-1"), "C must be non-negative and finite"),
+            (("--C", "nan"), "C must be non-negative and finite"),
+            (("--eta", "1e308", "--order", "1"), "log_gamma argument must be"),
+        ],
+    )
+    def test_nonsense_constant_is_usage_error(self, capsys, flags, message):
+        # the first three used to print nan or negative bounds with exit 0,
+        # the last an OverflowError traceback with exit 1
+        code, out, err = run_cli(capsys, "bounds", "--m", "10", "--fn", "f1",
+                                 "--z", "0:1:3", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"fracbk: error: {message}")
+        assert len(err.splitlines()) == 1
 
 
 class TestBivEval:

@@ -49,6 +49,25 @@ class TestModulusContinuity:
         with pytest.raises(DomainError):
             modulus_continuity(lambda u: u, 0.1, grid_n=50)
 
+    @pytest.mark.parametrize("modulus", [modulus_continuity, second_modulus])
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, modulus, delta):
+        # nan used to raise a raw ValueError and inf a raw OverflowError
+        with pytest.raises(DomainError, match="delta must be non-negative and finite"):
+            modulus(lambda u: u, delta)
+
+    @pytest.mark.parametrize("modulus", [modulus_continuity, second_modulus])
+    def test_grid_size_not_an_int(self, modulus):
+        # 200.5 used to raise a raw TypeError
+        with pytest.raises(DomainError, match="grid_n must be an int"):
+            modulus(lambda u: u, 0.1, grid_n=200.5)
+
+    @pytest.mark.parametrize("modulus", [modulus_continuity, second_modulus])
+    def test_huge_finite_radius_saturates(self, modulus):
+        # 1e307 * 2000 grid steps overflows to inf, which int() rejects
+        f = parse_source("(1-z)*cos(2*pi*z)")
+        assert modulus(f, 1e307, grid_n=2001).value == modulus(f, 1.0, grid_n=2001).value
+
     def test_grid_refinement_stable(self):
         f = parse_source("z*(z-4/7)*sin(pi*z)")
         coarse = modulus_continuity(f, 0.1, grid_n=4001).value
@@ -184,6 +203,13 @@ class TestBoundLipschitz:
         with pytest.raises(DomainError):
             bound_lipschitz(params, 1.0, 1.5, 0.5)
 
+    @pytest.mark.parametrize("M, kappa", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_constants_rejected(self, M, kappa):
+        # M = nan used to give a nan bound and M = inf an infinite one
+        params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=1.0, s=2)
+        with pytest.raises(DomainError):
+            bound_lipschitz(params, M, kappa, 0.5)
+
 
 class TestBoundKFunctional:
     def test_affine_reduces_to_first_modulus(self):
@@ -200,6 +226,20 @@ class TestBoundKFunctional:
             params = draw_params(rng, eta_range=(0.3, 5.0))
             z = float(rng.uniform(0.0, 1.0))
             assert bound_kfunctional(params, f, z, C=2.5) >= 0.0
+
+    @pytest.mark.parametrize("C", [-5.0, math.nan, math.inf])
+    def test_invalid_constant_rejected(self, C):
+        # C = -5 used to give a negative bound (-0.18) and C = nan a nan one
+        params = OperatorParams(m=10, eta=2.0, gamma=2.0, alpha=0.8, s=2)
+        with pytest.raises(DomainError, match="C must be non-negative and finite"):
+            bound_kfunctional(params, parse_source("sin(3*z)"), 0.5, C)
+
+    def test_zero_constant_is_first_modulus(self):
+        params = OperatorParams(m=10, eta=2.0, gamma=2.0, alpha=0.8, s=2)
+        f = parse_source("sin(3*z)")
+        zeta = central_moments(params, 0.5).zeta
+        bound = bound_kfunctional(params, f, 0.5, 0.0, grid_n=4001)
+        assert bound == modulus_continuity(f, abs(zeta), 4001).value
 
 
 class TestErrorTable:
@@ -277,3 +317,6 @@ class TestMaxError:
         params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=1.0, s=2)
         with pytest.raises(DomainError):
             max_error(params, lambda u: u, grid_n=10)
+        # a float grid size used to raise a raw TypeError
+        with pytest.raises(DomainError, match="grid_n must be an int"):
+            max_error(params, lambda u: u, grid_n=200.5)

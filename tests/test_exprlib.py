@@ -88,6 +88,35 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_source("sin z")
 
+    @pytest.mark.parametrize(
+        "source, position",
+        [
+            ("(" * 200 + "z" + ")" * 200, 100),
+            ("-" * 1000 + "z", 100),
+            ("z^" * 1000 + "z", 200),
+            ("sin(" * 150 + "z" + ")" * 150, 400),
+            ("z+" * 3000 + "z", 200),
+            ("z*" * 3000 + "z", 200),
+        ],
+        ids=["parentheses", "unary-minus", "power-chain", "calls", "sum-chain", "product-chain"],
+    )
+    def test_deep_nesting_rejected_at_the_offending_token(self, source, position):
+        # each of these used to overflow the stack with a RecursionError
+        with pytest.raises(ParseError, match="nested deeper than 100 levels") as excinfo:
+            parse_source(source)
+        assert excinfo.value.position == position
+
+    @pytest.mark.parametrize(
+        "source",
+        ["(" * 99 + "z" + ")" * 99, "-" * 99 + "z", "z^" * 99 + "z", "sin(" * 99 + "z" + ")" * 99,
+         "z+" * 99 + "z", "(" * 50 + "z" + ")" * 50 + "*z" * 49],
+    )
+    def test_nesting_up_to_the_limit_accepted(self, source):
+        expr = parse_source(source)
+        assert parse_source(to_source(expr)) == expr
+        assert free_variables(expr) == frozenset({"z"})
+        assert math.isfinite(evaluate(expr, 0.5))
+
 
 class TestEvaluate:
     def test_cubic_times_sine(self):

@@ -201,6 +201,21 @@ class TestPartialModuli:
         with pytest.raises(DomainError):
             partial_moduli(F, 0.1, 0.1, grid_n=5)
 
+    @pytest.mark.parametrize("d1, d2", [(math.nan, 0.1), (0.1, math.inf)])
+    def test_non_finite_radius_rejected(self, d1, d2):
+        # nan used to raise a raw ValueError and inf a raw OverflowError
+        with pytest.raises(DomainError, match="must be non-negative and finite"):
+            partial_moduli(parse_source("z*y"), d1, d2)
+
+    def test_grid_size_not_an_int(self):
+        with pytest.raises(DomainError, match="grid_n must be an int"):
+            partial_moduli(parse_source("z*y"), 0.1, 0.1, grid_n=200.5)
+
+    def test_huge_finite_radius_saturates(self):
+        F = parse_source("(y*z+2)*cos(2*pi*z)")
+        assert partial_moduli(F, 1e307, 1e307, grid_n=121) == partial_moduli(F, 1.0, 1.0, grid_n=121)
+        assert partial_moduli(F, 5e-324, 5e-324) == partial_moduli(F, 0.0, 0.0, grid_n=641)
+
 
 class TestCompleteModulus:
     def test_linear_in_z_capped_by_radius(self):
@@ -255,6 +270,24 @@ class TestCompleteModulus:
         F = lambda z, y: np.where(z < 0.5, z * y, bad)
         with pytest.raises(EvaluationError):
             complete_modulus(F, 0.1, grid_n=241)
+
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -0.1])
+    def test_invalid_radius_rejected(self, d):
+        # nan used to raise a raw ValueError and inf a raw OverflowError
+        with pytest.raises(DomainError, match="d must be non-negative and finite"):
+            complete_modulus(parse_source("z*y"), d)
+
+    def test_grid_size_not_an_int(self):
+        with pytest.raises(DomainError, match="grid_n must be an int"):
+            complete_modulus(parse_source("z*y"), 0.1, grid_n=200.5)
+
+    def test_huge_finite_radius_saturates(self):
+        # beyond sqrt(2) the disc holds every pair; 1e160 used to overflow
+        F = parse_source("(y*z+2)*cos(2*pi*z)")
+        full = complete_modulus(F, 1.5, grid_n=121)
+        assert complete_modulus(F, 1e160, grid_n=121) == full
+        assert complete_modulus(F, 1e300, grid_n=121) == full
+        assert complete_modulus(F, 5e-324) == complete_modulus(F, 0.0, grid_n=641)
 
 
 _PARITY_FUNCS = {

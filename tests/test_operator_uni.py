@@ -55,6 +55,11 @@ class TestKernelIntegrals:
         with pytest.raises(ValueError):
             ki.values[0] = 0.0
 
+    def test_order_not_an_int(self):
+        params = OperatorParams(m=4, eta=1.0, gamma=1.0, alpha=1.0, s=2)
+        with pytest.raises(DomainError, match="order must be an int"):
+            kernel_integrals(params, lambda t: t, order=2.5)
+
     def test_gamma_below_one_cross_checked(self):
         # gamma < 1 triggers the doubled-order path with an oracle check;
         # gamma = 0.8 converges within the 1e-9 agreement requirement.

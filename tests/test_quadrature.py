@@ -32,6 +32,25 @@ class TestRuleConstruction:
         with pytest.raises(DomainError):
             gauss_jacobi_rule(1.0, 0)
 
+    @pytest.mark.parametrize("order", [2.5, 2.0, True])
+    def test_order_not_an_int(self, order):
+        # 2.5 used to build an order-2 rule and True an order-1 rule
+        with pytest.raises(DomainError, match="order must be an int"):
+            gauss_jacobi_rule(2.0, order)
+
+    def test_numpy_integer_order_accepted(self):
+        rule = gauss_jacobi_rule(2.0, np.int64(8))
+        assert np.array_equal(rule.nodes, gauss_jacobi_rule(2.0, 8).nodes)
+
+    @pytest.mark.parametrize("eta", [0.25, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 3.7, 5.0])
+    def test_order_one_is_the_kernel_mean(self, eta):
+        # one node at the kernel mean 1/(eta+1), written as the Jacobi
+        # matrix entry, with weight 1, both bit for bit
+        a = eta - 1.0
+        rule = gauss_jacobi_rule(eta, 1)
+        assert rule.nodes.tolist() == [(-a / (a + 2.0) + 1.0) / 2.0]
+        assert rule.weights.tolist() == [1.0]
+
     @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0, 3.7])
     @pytest.mark.parametrize("order", [1, 2, 4, 16, 64])
     def test_weights_form_probability_measure(self, eta, order):
@@ -170,6 +189,12 @@ class TestAdaptiveReference:
     def test_invalid_eta(self):
         with pytest.raises(DomainError):
             adaptive_reference(0.0, lambda t: t, 1e-12)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # nan used to end in "refinement budget exceeded" (QuadratureError)
+        with pytest.raises(DomainError, match="tol must be"):
+            adaptive_reference(2.0, lambda t: t, tol)
 
     def test_budget_exceeded_on_noise(self):
         # A deterministic hash-valued integrand never smooths out, so the

@@ -29,6 +29,15 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             log_gamma(x)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, 1e308])
+    def test_non_finite_or_overflowing_rejected(self, x):
+        # nan used to return nan and 1e308 to raise a raw OverflowError
+        with pytest.raises(DomainError):
+            log_gamma(x)
+
+    def test_largest_argument(self):
+        assert math.isfinite(log_gamma(2.5e305))
+
 
 class TestBeta:
     def test_known_value(self):
@@ -50,6 +59,13 @@ class TestBeta:
             assert beta(a, b) == pytest.approx(expected, rel=1e-13)
 
 
+    @pytest.mark.parametrize("y, z", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0)])
+    def test_invalid_rejected(self, y, z):
+        # beta(inf, 1) used to return nan
+        with pytest.raises(DomainError):
+            beta(y, z)
+
+
 class TestBinomial:
     def test_small_coefficient(self):
         assert log_binomial(5, 2) == pytest.approx(math.log(10.0), rel=1e-14)
@@ -63,6 +79,11 @@ class TestBinomial:
     def test_negative_n_rejected(self):
         with pytest.raises(DomainError):
             log_binomial(-1, 0)
+
+    @pytest.mark.parametrize("n, k", [(5.5, 2), (5, 2.5), (True, 0), (5, 2.0)])
+    def test_non_integer_rejected(self, n, k):
+        with pytest.raises(DomainError, match="must be an int"):
+            binomial(n, k)
 
     def test_edges(self):
         assert log_binomial(7, 0) == pytest.approx(0.0, abs=1e-15)
@@ -89,6 +110,16 @@ class TestMomentCoeff:
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
             moment_coeff(2.0, 4.0, -1)
+
+    @pytest.mark.parametrize(
+        "eta, gamma, k",
+        [(math.nan, 1.0, 1), (1.0, math.inf, 1), (1e308, 1.0, 1), (1.0, 1e308, 2), (1.0, 1.0, 1.5)],
+    )
+    def test_invalid_rejected(self, eta, gamma, k):
+        # nan used to return nan, 1e308 to raise a raw OverflowError (and so
+        # to crash `fracbk bounds --eta 1e308`), and gamma*k = inf to give nan
+        with pytest.raises(DomainError):
+            moment_coeff(eta, gamma, k)
 
     def test_bounded_on_random_draws(self, rng):
         for _ in range(200):
