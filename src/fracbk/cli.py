@@ -115,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_operator_flags(p)
     p.add_argument("--fn", required=True)
     p.add_argument("--z", required=True, help="value or grid spec a:b:n")
-    p.add_argument("--grid", type=int, default=4001, help="modulus grid size")
+    p.add_argument("--grid", type=int, default=4001,
+                   help="cells of [0,1] the moduli are enclosed on (at most 65536)")
     p.add_argument("--M", type=float, default=None, help="Lipschitz constant")
     p.add_argument("--kappa", type=float, default=None, help="Lipschitz exponent in (0,1]")
     p.add_argument("--C", type=float, default=None, help="K-functional constant")

@@ -1,21 +1,27 @@
 """Empirical error measurement and numeric evaluation of the error bounds.
 
-Moduli of continuity are estimated on uniform grids, which gives a lower
-bound of the true modulus; the bound checks therefore carry a small
-explicit slack.  When no grid size is supplied the grid is sized adaptively
-so that the shift window contains a useful number of steps even for very
-small radii.
+The bounds are built from moduli of continuity.  For an expression the
+moduli are certified upper bounds: interval enclosures (exprlib.enclose) of
+f on the cells of [0, 1] give, for a run of cells, an interval holding every
+value f takes there, and any two points closer than delta lie in one run of
+ceil(delta/h) + 1 cells of width h.  The enclosures are built once per
+expression and cell count, kept in a small cache, and merged pairwise into
+coarser levels, so that a large radius reads a short array.  The second
+modulus is at most delta^2 * sup |f''| (a symbolic second derivative,
+enclosed on fewer cells) and at most twice the first modulus.
 
-The first modulus over k grid shifts is the largest max - min over windows
-of k+1 consecutive grid values, found by sparse-table doubling in
-O(n log k) for a grid of n points.  Floating-point subtraction is
-monotone, so this equals the largest |f[u+j] - f[u]|, j <= k, bit for bit.
-The second modulus is a loop over the k shifts, O(n k): its three-point
-difference is not a window range.
+For a plain callable, which has no expression tree, the moduli are grid
+estimates and approach the true modulus from below.  The first modulus over
+k grid shifts is the largest max - min over windows of k+1 consecutive grid
+values, found by sparse-table doubling in O(n log k); floating-point
+subtraction is monotone, so this equals the largest |f[u+j] - f[u]|,
+j <= k, bit for bit.  The second is a loop over the k shifts, O(n k).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,19 +30,30 @@ import numpy as np
 from .basis import OperatorParams
 from .dataset import Dataset, to_csv
 from .errors import EvaluationError, check_int, check_points, check_real
+from .exprlib import FunctionExpr, enclose, second_derivative
 from .operator_uni import DEFAULT_ORDER, apply_kernel, central_moments, eval_function, kernel_integrals
 
-DEFAULT_MODULUS_GRID = 4001
-_ADAPTIVE_TARGET = 32
-_ADAPTIVE_CAP = 1_000_001
+# Grid points of a callable's modulus estimate when no grid_n is given
+DEFAULT_MODULUS_GRID = 10_001
+# Enclosure cells of an expression on [0, 1]: the default and the most for
+# f, and the count for f''.  Powers of two make the cell ends i/n exact.
+_CELLS = 1 << 16
+_SECOND_CELLS = 1 << 12
+# A modulus reads the coarsest merged level on which its runs still span at
+# least this many cells, so a run is at most 2/_RUN_CELLS longer than delta.
+_RUN_CELLS = 128
 _SHIFT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
 class ModulusEstimate:
+    """A modulus value: certified (an upper bound, for an expression, on
+    grid_n cells) or an estimate from below (a callable on grid_n points)."""
+
     delta: float
     value: float
     grid_n: int
+    certified: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,26 +80,29 @@ def _shift_count(delta: float, grid_n: int) -> int:
     return int(min(delta * (grid_n - 1) + _SHIFT_EPS, grid_n - 1))
 
 
-def _window_extremes(values: np.ndarray, width: int, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Running max and min over every run of `width` consecutive entries
-    along `axis`, 1 <= width <= n; the axis shrinks to n - width + 1.
+def _window_max(values: np.ndarray, width: int, axis: int = -1) -> np.ndarray:
+    """Running max over every run of `width` consecutive entries along
+    `axis`, 1 <= width <= n; the axis shrinks to n - width + 1.
 
-    Sparse-table doubling: after j passes entry i holds the extremes of the
-    2**j entries from i on, and one overlapping pair of such spans covers
-    any width, so the cost is O(n log width).
+    Sparse-table doubling: after j passes entry i holds the max of the 2**j
+    entries from i on, and one overlapping pair of such spans covers any
+    width, so the cost is O(n log width).
     """
     a = np.moveaxis(values, axis, -1)
-    hi = lo = a
+    hi = a
     span = 1
     while 2 * span <= width:
         hi = np.maximum(hi[..., :-span], hi[..., span:])
-        lo = np.minimum(lo[..., :-span], lo[..., span:])
         span *= 2
     if span < width:
         count, rest = a.shape[-1] - width + 1, width - span
         hi = np.maximum(hi[..., :count], hi[..., rest : rest + count])
-        lo = np.minimum(lo[..., :count], lo[..., rest : rest + count])
-    return np.moveaxis(hi, -1, axis), np.moveaxis(lo, -1, axis)
+    return np.moveaxis(hi, -1, axis)
+
+
+def _window_extremes(values: np.ndarray, width: int, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Running max and min over every run of `width` entries along axis."""
+    return _window_max(values, width, axis), -_window_max(-values, width, axis)
 
 
 def _window_range(values: np.ndarray, shifts: int, axis: int = -1) -> float:
@@ -97,39 +117,133 @@ def _window_range(values: np.ndarray, shifts: int, axis: int = -1) -> float:
         return float(_check_finite(np.max(hi - lo)))
 
 
-def modulus_continuity(f, delta: float, grid_n: int = DEFAULT_MODULUS_GRID) -> ModulusEstimate:
-    """Grid estimate of sup |f(u+h) - f(u)| over 0 < h <= delta."""
-    check_real("delta", delta, closed=True)
-    check_int("grid_n", grid_n, 101)
-    fs = eval_function(f, np.linspace(0.0, 1.0, grid_n))
-    return ModulusEstimate(delta, _window_range(fs, _shift_count(delta, grid_n)), grid_n)
+def _check_enclosure(ends: np.ndarray, values: np.ndarray) -> None:
+    """f at the cell corners (one more per axis than cells): finite, as a
+    grid must be, and inside the enclosure of every cell it bounds."""
+    _check_finite(values)
+    for corner in itertools.product((slice(None, -1), slice(1, None)), repeat=values.ndim):
+        v = values[corner]
+        if not np.all((v <= ends[0]) & (-v <= ends[1])):
+            raise EvaluationError("an interval enclosure misses a value of the function")
 
 
-def second_modulus(f, delta: float, grid_n: int = DEFAULT_MODULUS_GRID) -> ModulusEstimate:
-    """Grid estimate of sup |f(u+2h) - 2f(u+h) + f(u)| over 0 < h <= delta."""
-    check_real("delta", delta, closed=True)
+def _run_range(ends: np.ndarray, width: float, delta: float, axes=(-1,)) -> float:
+    """Upper bound on |f(v) - f(u)| over points u, v closer than delta along
+    each of axes, from the enclosures ends = (hi, -lo) on cells at least
+    `width` wide (the last may be narrower): such points lie in one run of
+    ceil(delta/width) + 1 cells per axis, and max hi - min lo over that run
+    bounds the difference.
+    """
+    if delta == 0.0:
+        return 0.0
+    runs = math.ceil(min(delta, 2.0) / width * (1.0 + 2.0**-40)) + 1
+    for axis in axes:
+        ends = _window_max(ends, min(runs, ends.shape[axis]), axis)
+    value = float(np.max(ends[0] + ends[1]))
+    return math.inf if math.isnan(value) else math.nextafter(value, math.inf)
+
+
+def _cell_ends(f: FunctionExpr, *cells) -> np.ndarray:
+    """Read-only enclosures of f on the cells, as ends = (hi, -lo)."""
+    lo, hi = enclose(f, *cells)
+    ends = np.stack((hi, -lo))
+    ends.setflags(write=False)
+    return ends
+
+
+def _resolution(f, grid_n: int | None, defaults=(_CELLS, DEFAULT_MODULUS_GRID), most=_CELLS) -> int:
+    """grid_n as cells for an expression (at most `most`) or grid points for
+    a callable; when None, defaults[0] cells or defaults[1] points."""
+    expression = isinstance(f, FunctionExpr)
+    if grid_n is None:
+        return defaults[0] if expression else defaults[1]
     check_int("grid_n", grid_n, 101)
-    fs = _check_finite(eval_function(f, np.linspace(0.0, 1.0, grid_n)))
+    return min(grid_n, most) if expression else grid_n
+
+
+@functools.lru_cache(maxsize=8)
+def _levels(f: FunctionExpr, cells: int) -> tuple:
+    """(ends, width) of f on `cells` equal cells of [0, 1], checked against f
+    at the cell ends, then on pairwise merged cells (an odd last cell stays
+    alone) while at least 2*_RUN_CELLS remain."""
+    edges = np.linspace(0.0, 1.0, cells + 1)
+    ends = _cell_ends(f, (edges[:-1], edges[1:]))
+    _check_enclosure(ends, eval_function(f, edges))
+    levels = [(ends, float(np.min(np.diff(edges))))]
+    while ends.shape[-1] >= 2 * _RUN_CELLS:
+        if ends.shape[-1] % 2:
+            ends = np.concatenate((ends, ends[:, -1:]), axis=1)
+        ends = np.maximum(ends[:, ::2], ends[:, 1::2])
+        ends.setflags(write=False)
+        levels.append((ends, 2.0 * levels[-1][1]))
+    return tuple(levels)
+
+
+def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int) -> float:
+    levels = _levels(f, cells)
+    ends, width = next((lv for lv in reversed(levels) if delta >= _RUN_CELLS * lv[1]), levels[0])
+    return _run_range(ends, width, delta)
+
+
+@functools.lru_cache(maxsize=8)
+def _second_derivative_sup(f: FunctionExpr, cells: int) -> float:
+    """sup |f''| over [0, 1] from enclosures on `cells` cells; inf where the
+    expression has no second derivative or it is unbounded."""
+    d2 = second_derivative(f)
+    if d2 is None:
+        return math.inf
+    edges = np.linspace(0.0, 1.0, cells + 1)
+    lo, hi = enclose(d2, (edges[:-1], edges[1:]))
+    return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
+
+
+def modulus_continuity(f, delta: float, grid_n: int | None = None) -> ModulusEstimate:
+    """sup |f(u+h) - f(u)| over 0 < h <= delta.
+
+    Certified for an expression: an upper bound from enclosures on grid_n
+    cells (default and at most 65,536).  For a callable, an estimate from
+    below on a grid of grid_n points (default 10,001).
+    """
+    check_real("delta", delta, closed=True)
+    n = _resolution(f, grid_n)
+    if isinstance(f, FunctionExpr):
+        return ModulusEstimate(delta, _enclosed_modulus(f, delta, n), n, True)
+    fs = eval_function(f, np.linspace(0.0, 1.0, n))
+    return ModulusEstimate(delta, _window_range(fs, _shift_count(delta, n)), n, False)
+
+
+def second_modulus(f, delta: float, grid_n: int | None = None) -> ModulusEstimate:
+    """sup |f(u+2h) - 2f(u+h) + f(u)| over 0 < h <= delta.
+
+    Certified for an expression: the smaller of delta^2 * sup |f''| and
+    twice the first modulus, with delta at most 1/2.  For a callable, a
+    grid estimate from below as in modulus_continuity.
+    """
+    check_real("delta", delta, closed=True)
+    n = _resolution(f, grid_n)
+    if isinstance(f, FunctionExpr):
+        d = min(delta, 0.5)  # u and u + 2h both lie in [0, 1]
+        if d == 0.0:
+            return ModulusEstimate(delta, 0.0, n, True)
+        s = _second_derivative_sup(f, min(n, _SECOND_CELLS))
+        # d*(d*s) is inf for s = inf at any d > 0; 4 ulps cover its two
+        # roundings, an underflow to 0 included
+        t = d * (d * s)
+        curvature = t + 4.0 * math.ulp(t) if s else 0.0
+        return ModulusEstimate(delta, min(curvature, 2.0 * _enclosed_modulus(f, d, n)), n, True)
+    fs = _check_finite(eval_function(f, np.linspace(0.0, 1.0, n)))
     best = 0.0
-    top = min(_shift_count(delta, grid_n), (grid_n - 1) // 2)
+    top = min(_shift_count(delta, n), (n - 1) // 2)
     for k in range(1, top + 1):
         best = max(best, float(np.max(np.abs(fs[2 * k :] - 2.0 * fs[k:-k] + fs[: -2 * k]))))
-    return ModulusEstimate(delta, best, grid_n)
-
-
-def _adaptive_grid_n(delta: float) -> int:
-    """Grid size giving about _ADAPTIVE_TARGET shift steps within delta."""
-    if delta <= 0.0:
-        return DEFAULT_MODULUS_GRID
-    n = int(math.ceil(min(_ADAPTIVE_TARGET / delta, _ADAPTIVE_CAP))) + 1
-    return max(DEFAULT_MODULUS_GRID, min(n, _ADAPTIVE_CAP))
+    return ModulusEstimate(delta, best, n, False)
 
 
 def bound_t2(params: OperatorParams, f, z: float, grid_n: int | None = None) -> float:
-    """Error bound 2*omega(f; sqrt(xi2))."""
+    """Error bound 2*omega(f; sqrt(xi2)); guaranteed for an expression, an
+    estimate for a callable (see modulus_continuity)."""
     delta = math.sqrt(central_moments(params, z).xi2)
-    n = grid_n if grid_n is not None else _adaptive_grid_n(delta)
-    return 2.0 * modulus_continuity(f, delta, n).value
+    return 2.0 * modulus_continuity(f, delta, grid_n).value
 
 
 def bound_lipschitz(params: OperatorParams, M: float, kappa: float, z: float) -> float:
@@ -147,11 +261,8 @@ def bound_kfunctional(params: OperatorParams, f, z: float, C: float, grid_n: int
     check_real("C", C, closed=True)
     cm = central_moments(params, z)
     radius = 0.5 * math.sqrt(cm.xi2 + cm.zeta**2)
-    n2 = grid_n if grid_n is not None else _adaptive_grid_n(radius)
-    n1 = grid_n if grid_n is not None else _adaptive_grid_n(abs(cm.zeta))
-    w2 = second_modulus(f, radius, n2).value
-    w1 = modulus_continuity(f, abs(cm.zeta), n1).value
-    return C * w2 + w1
+    w2 = second_modulus(f, radius, grid_n).value if C else 0.0  # 0 * inf is NaN
+    return C * w2 + modulus_continuity(f, abs(cm.zeta), grid_n).value
 
 
 def error_table(params: OperatorParams, f, z_values, order: int = DEFAULT_ORDER) -> ErrorTable:

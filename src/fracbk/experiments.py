@@ -13,7 +13,7 @@ from .basis import OperatorParams, basis_matrix
 from .corpus import BUILTINS, UNIVARIATE, get_function
 from .dataset import Dataset, to_csv
 from .error_analysis import error_table
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .operator_biv import BivariateParams, biv_kernel_integrals
 from .operator_uni import DEFAULT_ORDER, eval_function, kernel_integrals, operator_values
 
@@ -142,8 +142,8 @@ def _preset(kind: str, which: int, count: int, order: int, build) -> Dataset:
 
 
 def table_dataset(which: int, order: int = DEFAULT_ORDER) -> Dataset:
-    return _table4(order) if which == 4 else _preset("table", which, 7, order, _table)
+    return _table4(order) if check_int("which", which) == 4 else _preset("table", which, 7, order, _table)
 
 
 def figure_dataset(which: int, order: int = DEFAULT_ORDER) -> Dataset:
-    return _preset("figure", which, 6, order, _figure)
+    return _preset("figure", check_int("which", which), 6, order, _figure)

@@ -4,7 +4,9 @@ Expressions describe real-valued test functions of one variable ``z`` or two
 variables ``z`` and ``y``.  Supported syntax: numbers, the constant ``pi``,
 the operators ``+ - * / ^`` (with ``^`` binding tightest and associating to
 the right), unary minus, parentheses, and the calls ``sin``, ``cos``,
-``exp``, ``sqrt`` and ``abs``.  Evaluation accepts scalars or numpy arrays.
+``exp``, ``sqrt`` and ``abs``.  Evaluation accepts scalars or numpy arrays;
+enclose bounds an expression over cells (interval arithmetic), and
+second_derivative differentiates it symbolically.
 """
 
 from __future__ import annotations
@@ -283,6 +285,201 @@ def evaluate(expr: FunctionExpr, z, y=None):
     except (ZeroDivisionError, FloatingPointError, OverflowError, ValueError) as exc:
         raise EvaluationError(f"evaluation failed: {exc}") from exc
     return float(out) if scalar else out
+
+
+# Interval evaluation (Moore, Kearfott & Cloud 2009).  An interval is a pair
+# (lo, hi) of broadcastable float arrays.  Each rounded operation widens its
+# result outward, one unit in the last place for the correctly rounded
+# arithmetic and sqrt and a few for numpy's exp, sin, cos and power.  A NaN
+# end (inf - inf, 0 * inf) makes the interval unbounded.
+
+def _outward(lo, hi, ulps: int = 1):
+    step = ulps * 2.0**-52
+    lo = lo - (np.abs(lo) * step + ulps * 5e-324)
+    hi = hi + (np.abs(hi) * step + ulps * 5e-324)
+    return np.fmax(lo, -math.inf), np.fmin(hi, math.inf)
+
+
+def _unbounded_where(mask, lo, hi):
+    return np.where(mask, -math.inf, lo), np.where(mask, math.inf, hi)
+
+
+def _corners(op, a, b, ulps: int = 1):
+    """Hull of op over the four end pairs: exact for a monotone op."""
+    c = (op(a[0], b[0]), op(a[0], b[1]), op(a[1], b[0]), op(a[1], b[1]))
+    lo = np.minimum(np.minimum(c[0], c[1]), np.minimum(c[2], c[3]))
+    hi = np.maximum(np.maximum(c[0], c[1]), np.maximum(c[2], c[3]))
+    return _outward(lo, hi, ulps)
+
+
+def _hits(lo, hi, phase: float):
+    """Whether phase + 2*pi*k lies in [lo, hi] for some integer k; errs
+    towards True, which only loosens the enclosure."""
+    t_lo, t_hi = (lo - phase) / (2.0 * math.pi), (hi - phase) / (2.0 * math.pi)
+    slack = 1e-7 + 1e-12 * np.maximum(np.abs(t_lo), np.abs(t_hi))
+    return np.floor(t_hi + slack) >= t_lo - slack
+
+
+def _trig(func, a, peak: float):
+    """sin or cos: the end values, raised to 1 (lowered to -1) where the cell
+    holds a maximum at peak (a minimum at peak + pi) modulo 2*pi."""
+    u, v = func(a[0]), func(a[1])
+    lo = np.where(_hits(a[0], a[1], peak + math.pi), -1.0, np.minimum(u, v))
+    hi = np.where(_hits(a[0], a[1], peak), 1.0, np.maximum(u, v))
+    lo, hi = _outward(lo, hi, 4)
+    return np.maximum(lo, -1.0), np.minimum(hi, 1.0)
+
+
+def _constant(node: Node):
+    """The float value of a subtree without variables, else None."""
+    if free_variables(FunctionExpr(node)):
+        return None
+    try:
+        return float(_eval_node(node, None, None))
+    except (ArithmeticError, TypeError, ValueError):  # e.g. 1/0 or a complex power
+        return math.nan
+
+
+def _power(base, exponent: Node, cells):
+    c = _constant(exponent)
+    lo, hi = base
+    if c is not None and math.isfinite(c) and c == math.floor(c):  # an integer power, any base sign
+        out = _corners(np.power, base, (c, c), 4)
+        if c > 0 and c % 2 == 0:  # even: the minimum 0 where the base holds 0
+            out = (np.where((lo < 0.0) & (hi > 0.0), 0.0, out[0]), out[1])
+        return _unbounded_where(c < 0 and (lo <= 0.0) & (hi >= 0.0), *out)
+    # a real power needs a base >= 0; x^y is monotone in each argument
+    e = (c, c) if c is not None else _interval(exponent, cells)
+    return _unbounded_where(lo < 0.0, *_corners(np.power, (np.fmax(lo, 0.0), hi), e, 4))
+
+
+def _interval(node: Node, cells):
+    if isinstance(node, (Num, Const)):
+        value = node.value if isinstance(node, Num) else math.pi
+        return value, value
+    if isinstance(node, Var):
+        if node.name == "y" and len(cells) < 2:
+            raise EvaluationError("expression uses 'y' but no y cells were supplied")
+        return cells[0] if node.name == "z" else cells[1]
+    if isinstance(node, Neg):
+        lo, hi = _interval(node.operand, cells)
+        return -hi, -lo
+    if isinstance(node, BinOp):
+        a = _interval(node.left, cells)
+        if node.op == "^":
+            return _power(a, node.right, cells)
+        b = _interval(node.right, cells)
+        if node.op == "+":
+            return _outward(a[0] + b[0], a[1] + b[1])
+        if node.op == "-":
+            return _outward(a[0] - b[1], a[1] - b[0])
+        if node.op == "*":
+            return _corners(np.multiply, a, b)
+        return _unbounded_where((b[0] <= 0.0) & (b[1] >= 0.0), *_corners(np.divide, a, b))
+    lo, hi = _interval(node.arg, cells)
+    if node.func == "sin":
+        return _trig(np.sin, (lo, hi), 0.5 * math.pi)
+    if node.func == "cos":
+        return _trig(np.cos, (lo, hi), 0.0)
+    if node.func == "exp":
+        return _outward(np.exp(lo), np.exp(hi), 4)
+    if node.func == "sqrt":
+        return _unbounded_where(lo < 0.0, *_outward(np.sqrt(np.fmax(lo, 0.0)), np.sqrt(hi)))
+    return np.where(lo >= 0.0, lo, np.where(hi <= 0.0, -hi, 0.0)), np.maximum(-lo, hi)
+
+
+def enclose(expr: FunctionExpr, z_cells, y_cells=None) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (lo, hi) with lo <= f(z, y) <= hi for every point of each cell.
+
+    z_cells and y_cells are pairs (lo, hi) of broadcastable arrays of cell
+    ends, as evaluate takes points.  Where the expression is undefined or
+    unbounded on a cell (a divisor interval holding 0, the root or real
+    power of a base below 0) that cell's enclosure is (-inf, inf).
+    """
+    cells = (z_cells,) if y_cells is None else (z_cells, y_cells)
+    shape = np.broadcast_shapes(*(np.shape(end) for cell in cells for end in cell))
+    with np.errstate(all="ignore"):
+        lo, hi = _interval(expr.root, cells)
+    return np.broadcast_to(lo, shape).astype(float), np.broadcast_to(hi, shape).astype(float)
+
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
+_MAX_DERIVATIVE_NODES = 2000
+
+
+def _add(a: Node, b: Node) -> Node:
+    return b if a == _ZERO else a if b == _ZERO else BinOp("+", a, b)
+
+
+def _neg(a: Node) -> Node:
+    return _ZERO if a == _ZERO else Neg(a)
+
+
+def _sub(a: Node, b: Node) -> Node:
+    return _neg(b) if a == _ZERO else a if b == _ZERO else BinOp("-", a, b)
+
+
+def _mul(a: Node, b: Node) -> Node:
+    if a == _ZERO or b == _ZERO:
+        return _ZERO
+    return b if a == _ONE else a if b == _ONE else BinOp("*", a, b)
+
+
+def _derivative(node: Node, var: str) -> Node | None:
+    """d node / d var by the sum, product, quotient, power and chain rules;
+    exactly _ZERO for a subtree without var, None where no rule applies
+    (abs of a varying argument, a varying exponent)."""
+    if isinstance(node, (Num, Const)):
+        return _ZERO
+    if isinstance(node, Var):
+        return _ONE if node.name == var else _ZERO
+    if isinstance(node, Neg):
+        d = _derivative(node.operand, var)
+        return None if d is None else _neg(d)
+    if isinstance(node, Call):
+        d = _derivative(node.arg, var)
+        if d is None or d == _ZERO:
+            return d
+        outer = {"sin": Call("cos", node.arg), "cos": Neg(Call("sin", node.arg)), "exp": node,
+                 "sqrt": BinOp("/", Num(0.5), node)}.get(node.func)
+        return None if outer is None else _mul(outer, d)
+    a, b = node.left, node.right
+    da, db = _derivative(a, var), _derivative(b, var)
+    if da is None or db is None:
+        return None
+    if node.op == "+":
+        return _add(da, db)
+    if node.op == "-":
+        return _sub(da, db)
+    if node.op == "*":
+        return _add(_mul(da, b), _mul(a, db))
+    if node.op == "/":
+        return _mul(_sub(_mul(da, b), _mul(a, db)), BinOp("^", b, Num(-2.0)))
+    if db != _ZERO:
+        return None
+    lowered = Num(b.value - 1.0) if isinstance(b, Num) else BinOp("-", b, _ONE)
+    return _mul(_mul(b, BinOp("^", a, lowered)), da)
+
+
+def _size_at_most(node: Node, limit: int) -> bool:
+    """Whether the tree, shared subtrees counted each time, has <= limit nodes."""
+    stack = [node]
+    for _ in range(limit):
+        if not stack:
+            return True
+        node = stack.pop()
+        stack.extend(getattr(node, name) for name in ("operand", "left", "right", "arg")
+                     if hasattr(node, name))
+    return not stack
+
+
+def second_derivative(expr: FunctionExpr, var: str = "z") -> FunctionExpr | None:
+    """The symbolic second derivative in var; None where no rule applies or
+    it has more than _MAX_DERIVATIVE_NODES nodes (deep nesting grows it
+    fast, and evaluating it would cost more than it saves)."""
+    d = _derivative(expr.root, var)
+    d2 = None if d is None else _derivative(d, var)
+    return FunctionExpr(d2) if d2 is not None and _size_at_most(d2, _MAX_DERIVATIVE_NODES) else None
 
 
 # Printer precedence levels; the grammar places unary minus between the

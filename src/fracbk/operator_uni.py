@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorParams, _row_blocks, basis_row
+from .basis import _BLOCK_ELEMENTS, OperatorParams, _row_blocks, basis_row
 from .errors import QuadratureError, UnsupportedOrderError, check_points
 from .exprlib import FunctionExpr, evaluate
 from .quadrature import adaptive_reference, gauss_jacobi_rule
@@ -49,14 +49,19 @@ def eval_function(f, *args) -> np.ndarray:
 
 
 def _kernel_values(params: OperatorParams, f, order: int) -> np.ndarray:
+    """The m+1 rule sums, with the integrand evaluated on blocks of rows of
+    at most _BLOCK_ELEMENTS values, as the basis rows are."""
     rule = gauss_jacobi_rule(params.eta, order)
     tg = rule.nodes**params.gamma
-    j = np.arange(params.m + 1)
-    args = (j[:, None] + tg[None, :]) / (params.m + 1.0)
-    vals = eval_function(f, args)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("kernel integrand produced non-finite values")
-    return vals @ rule.weights
+    out = np.empty(params.m + 1)
+    step = max(1, _BLOCK_ELEMENTS // order)
+    for start in range(0, params.m + 1, step):
+        j = np.arange(start, min(start + step, params.m + 1))
+        vals = eval_function(f, (j[:, None] + tg[None, :]) / (params.m + 1.0))
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureError("kernel integrand produced non-finite values")
+        out[start : start + step] = vals @ rule.weights
+    return out
 
 
 def kernel_integrals(params: OperatorParams, f, order: int = DEFAULT_ORDER) -> KernelIntegrals:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fracbk import OperatorParams
 
@@ -21,4 +22,17 @@ def draw_params(rng, m_max=150, eta_range=(0.0, 5.0), gamma_range=(1.0, 5.0), s_
         gamma=float(rng.uniform(*gamma_range)),
         alpha=float(rng.uniform(0.0, 1.0)),
         s=int(rng.integers(0, s_max + 1)),
+    )
+
+
+def expression_texts(max_leaves=8):
+    """Depth-limited expression texts in z over every operator and call."""
+    return st.recursive(
+        st.sampled_from(["z", "pi", "0.5", "2", "3", "0"]),
+        lambda sub: st.one_of(
+            st.builds("({}{}{})".format, sub, st.sampled_from("+-*/^"), sub),
+            st.builds("{}({})".format, st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]), sub),
+            st.builds("-{}".format, sub),
+        ),
+        max_leaves=max_leaves,
     )

@@ -245,6 +245,18 @@ class TestBounds:
         assert rows[0][4] != ""
         assert float(rows[0][4]) >= 0.0
 
+    def test_bound_t2_dominates_at_the_endpoints_for_large_m(self, capsys):
+        # with grid moduli this printed bound_t2=0.0 at z=0 and z=1, where
+        # the actual errors are 4.0e-12 and 1.26e-5
+        code, out, _ = run_cli(capsys, "bounds", "--m", "100000", "--eta", "2", "--gamma", "4",
+                               "--alpha", "0.9", "--s", "3", "--fn", "f1", "--z", "0:1:3")
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert [float(r[0]) for r in rows] == [0.0, 0.5, 1.0]
+        for row in rows:
+            actual, t2 = float(row[1]), float(row[2])
+            assert 0.0 < actual <= t2
+
     def test_lipschitz_flags_must_pair(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--fn", "f1", "--z", "0.5", "--M", "1")
         assert code == 2

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbk import (
     DomainError,
@@ -13,13 +15,17 @@ from fracbk import (
     bound_t2,
     central_moments,
     error_table,
+    evaluate,
+    get_function,
+    kernel_integrals,
+    apply_kernel,
     max_error,
     modulus_continuity,
     parse_source,
     second_modulus,
 )
 
-from conftest import draw_params
+from conftest import draw_params, expression_texts
 from fracbk.error_analysis import _shift_count
 
 
@@ -70,11 +76,13 @@ class TestModulusContinuity:
 
     def test_grid_refinement_stable(self):
         f = parse_source("z*(z-4/7)*sin(pi*z)")
-        coarse = modulus_continuity(f, 0.1, grid_n=4001).value
-        fine = modulus_continuity(f, 0.1, grid_n=8001).value
+        coarse = modulus_continuity(f, 0.1, grid_n=4096).value
+        fine = modulus_continuity(f, 0.1, grid_n=8192).value
         assert fine == pytest.approx(coarse, rel=1e-3)
-        # the grid estimate approaches the modulus from below
-        assert fine >= coarse - 1e-12
+        # halved cells nest in the coarse ones, so the certified value
+        # approaches the modulus from above, and a grid estimate from below
+        assert fine <= coarse
+        assert modulus_continuity(lambda u: evaluate(f, u), 0.1, grid_n=100_001).value <= fine
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_grid_value_rejected(self, bad):
@@ -173,6 +181,98 @@ class TestBoundT2:
             cm = central_moments(params, z)
             actual = abs(cm.zeta)  # operator error for f = e1
             assert bound_t2(params, lambda u: u, z) + 1e-9 >= actual
+
+
+class TestCertifiedModuli:
+    """For an expression the moduli are upper bounds: at least a fine grid
+    estimate, and close to it on smooth functions."""
+
+    @pytest.mark.parametrize("src", ["z*(z-4/7)*sin(pi*z)", "(1-z)*cos(2*pi*z)", "abs(z-0.37)",
+                                     "sqrt(z)", "exp(-3*z)/(1+z^2)"])
+    @pytest.mark.parametrize("delta", [1e-6, 3e-3, 0.05, 0.4])
+    def test_between_a_grid_estimate_and_a_little_above(self, src, delta):
+        f = parse_source(src)
+        grid = lambda d: modulus_continuity(lambda u: evaluate(f, u), d, grid_n=200_001).value
+        est = modulus_continuity(f, delta)
+        assert est.certified and est.grid_n == 65536
+        # a run of cells reaches at most two cells beyond delta
+        assert grid(delta) <= est.value <= 1.02 * grid(delta + 2.5 / 65536)
+
+    def test_second_modulus_of_a_quadratic(self):
+        # |(u+2h)^2 - 2(u+h)^2 + u^2| = 2h^2 = delta^2 * sup|f''| at h = delta
+        assert second_modulus(parse_source("z^2"), 0.25).value == pytest.approx(0.125, rel=1e-12)
+        assert second_modulus(parse_source("z^2"), 0.25).value >= 0.125
+
+    def test_second_modulus_without_a_second_derivative(self):
+        # abs has no rule, so omega2 <= 2*omega: here 2*0.1 for slope 1, and
+        # the runs span delta plus at most 2 cells of width delta/128
+        value = second_modulus(parse_source("abs(z-0.5)"), 0.1).value
+        assert 0.2 <= value <= 2.0 * (0.1 + 2.0 * 0.1 / 128)
+
+    @pytest.mark.parametrize("src", ["sqrt(z)", "z^2"])
+    def test_second_modulus_at_an_underflowing_radius(self, src):
+        # delta^2 underflows to 0, and sup|f''| of sqrt(z) is inf: 0 * inf was NaN
+        value = second_modulus(parse_source(src), 1e-180).value
+        assert 0.0 < value < 0.02
+
+    def test_unbounded_enclosure_reads_inf(self):
+        # 1/(3z-1) is finite at every cell end but unbounded between them
+        f = parse_source("1/(3*z-1)")
+        assert modulus_continuity(f, 0.1).value == math.inf
+        assert second_modulus(f, 0.1).value == math.inf
+
+    def test_non_finite_value_at_a_cell_end_rejected(self):
+        with pytest.raises(EvaluationError):
+            modulus_continuity(parse_source("1/(z-0.5)"), 0.1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(expression_texts(max_leaves=6), st.floats(0.0, 0.6))
+def test_certified_moduli_at_least_a_grid_estimate(src, delta):
+    f = parse_source(src)
+    grid = lambda u: evaluate(f, u)
+    try:
+        w1 = modulus_continuity(grid, delta, grid_n=4097).value
+        w2 = second_modulus(grid, delta, grid_n=4097).value
+        c1 = modulus_continuity(f, delta, grid_n=4096).value
+        c2 = second_modulus(f, delta, grid_n=4096).value
+        size = float(np.max(np.abs(grid(np.linspace(0.0, 1.0, 4097)))))
+    except EvaluationError:  # f undefined or not finite at a grid point
+        return
+    assert c1 >= w1, src
+    # the grid's second differences carry rounding noise that f'' does not
+    assert c2 >= w2 - 1e-12 * (1.0 + size), src
+
+
+class TestCertifiedBounds:
+    """Cases where the grid moduli gave bound_t2 = 0.0 below the error."""
+
+    @pytest.mark.parametrize("p, fn", [
+        ((100_000, 2.0, 4.0, 0.9, 3), "f1"),
+        # a request of the benchmark's bounds workload, seed 1
+        ((38747, 5.0, 4.712237935953571, 0.7822168916578188, 0), "f2"),
+    ])
+    def test_endpoints_at_large_degree(self, p, fn):
+        params, f = OperatorParams(*p), get_function(fn)
+        ki = kernel_integrals(params, f)
+        for z in (0.0, 1.0):
+            actual = abs(apply_kernel(ki, z) - evaluate(f, z))
+            assert actual > 0.0
+            # the library default and the CLI's --grid default
+            assert bound_t2(params, f, z) >= actual
+            assert bound_t2(params, f, z, grid_n=4001) >= actual
+
+    def test_dominate_over_random_parameters(self, rng):
+        sources = ["f1", "f2", "f3", "f4", "abs(z-0.37)", "sqrt(z)", "exp(z)*sin(5*z)"]
+        for _ in range(30):
+            p = draw_params(rng, eta_range=(0.3, 5.0))
+            params = OperatorParams(int(10 ** rng.uniform(0.0, 4.3)), p.eta, p.gamma, p.alpha, p.s)
+            f = get_function(sources[int(rng.integers(len(sources)))])
+            ki = kernel_integrals(params, f)
+            for z in (0.0, float(rng.uniform()), 1.0):
+                actual = abs(apply_kernel(ki, z) - evaluate(f, z))
+                assert bound_t2(params, f, z) >= actual
+                assert bound_kfunctional(params, f, z, C=1.0) >= 0.0
 
 
 class TestBoundLipschitz:

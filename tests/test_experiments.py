@@ -57,6 +57,12 @@ class TestTableShapes:
         with pytest.raises(DomainError):
             table_dataset(8)
 
+    @pytest.mark.parametrize("which", [2.0, True, 4.0])
+    def test_non_integer_number_rejected(self, which):
+        # 2.0 used to return table 2 and True table 1
+        with pytest.raises(DomainError, match="which must be an int"):
+            table_dataset(which)
+
 
 class TestTableSpotValues:
     def test_degree_sweep_midpoint(self):
@@ -97,6 +103,12 @@ class TestFigureShapes:
             figure_dataset(0)
         with pytest.raises(DomainError):
             figure_dataset(7)
+
+    @pytest.mark.parametrize("which", [3.0, True])
+    def test_non_integer_number_rejected(self, which):
+        # 3.0 used to return figure 3
+        with pytest.raises(DomainError, match="which must be an int"):
+            figure_dataset(which)
 
 
 class TestFigureContent:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbk import (
     EvaluationError,
@@ -13,6 +15,9 @@ from fracbk import (
     to_source,
     tokenize,
 )
+from fracbk.exprlib import _eval_node, enclose, second_derivative
+
+from conftest import expression_texts
 
 
 class TestTokenize:
@@ -222,3 +227,89 @@ def test_free_variables():
     assert free_variables(parse_source("sin(pi*z)")) == frozenset({"z"})
     assert free_variables(parse_source("z*y+1")) == frozenset({"z", "y"})
     assert free_variables(parse_source("pi+1")) == frozenset()
+
+
+def _random_cells(rng, n, low=-3.0, high=3.0):
+    a, b = rng.uniform(low, high, n), rng.uniform(low, high, n) * rng.uniform(0.0, 1.0, n) ** 4
+    return np.minimum(a, a + b), np.maximum(a, a + b)
+
+
+class TestEnclose:
+    def test_affine_is_exact_up_to_rounding(self):
+        lo, hi = enclose(parse_source("2*z+1"), (np.array([0.0, 0.5]), np.array([0.5, 1.0])))
+        assert lo == pytest.approx([1.0, 2.0], abs=1e-14) and hi == pytest.approx([2.0, 3.0], abs=1e-14)
+        assert np.all(lo <= [1.0, 2.0]) and np.all(hi >= [2.0, 3.0])
+
+    def test_even_power_of_a_cell_holding_zero_starts_at_zero(self):
+        lo, hi = enclose(parse_source("(z-0.5)^2"), (np.array([0.25]), np.array([1.0])))
+        assert lo[0] == 0.0 and 0.25 <= hi[0] < 0.25 + 1e-15
+
+    def test_sin_and_cos_reach_their_extremes_inside_a_cell(self):
+        cells = (np.array([1.0, 3.0]), np.array([2.0, 3.5]))
+        lo, hi = enclose(parse_source("sin(z)"), cells)
+        assert hi[0] == 1.0 and lo[0] == pytest.approx(math.sin(1.0), abs=1e-15)
+        assert lo[1] == pytest.approx(math.sin(3.5), abs=1e-15) and hi[1] == pytest.approx(math.sin(3.0))
+        lo, hi = enclose(parse_source("cos(z)"), cells)
+        assert lo[1] == -1.0 and hi[1] == pytest.approx(math.cos(3.5), abs=1e-15)
+
+    @pytest.mark.parametrize("src", ["1/(z-0.3)", "sqrt(z-0.3)", "(z-0.3)^0.5", "z^-1"])
+    def test_singular_or_undefined_cells_are_unbounded(self, src):
+        lo, hi = enclose(parse_source(src), (np.array([0.0, 0.9]), np.array([0.5, 1.0])))
+        assert lo[0] == -math.inf and hi[0] == math.inf
+        assert np.isfinite(lo[1]) and np.isfinite(hi[1])
+
+    def test_two_variables_broadcast(self):
+        u = np.linspace(0.0, 1.0, 5)
+        lo, hi = enclose(parse_source("z*y"), (u[:-1, None], u[1:, None]), (u[None, :-1], u[None, 1:]))
+        assert lo.shape == hi.shape == (4, 4)
+        assert np.all(lo <= np.outer(u[:-1], u[:-1])) and np.all(hi >= np.outer(u[1:], u[1:]))
+
+    def test_y_without_y_cells_rejected(self):
+        with pytest.raises(EvaluationError):
+            enclose(parse_source("z+y"), (np.zeros(1), np.ones(1)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(expression_texts(), st.integers(0, 2**32 - 1))
+def test_enclosure_holds_every_sampled_point(src, seed):
+    """Points sampled inside each cell, ends included, evaluate inside its
+    [lo, hi] wherever the expression is defined."""
+    expr = parse_source(src)
+    rng = np.random.default_rng(seed)
+    cell_lo, cell_hi = cells = _random_cells(rng, 64)
+    lo, hi = enclose(expr, cells)
+    for t in (0.0, 1.0, *rng.uniform(0.0, 1.0, 6)):
+        points = np.clip(cell_lo + t * (cell_hi - cell_lo), cell_lo, cell_hi)
+        with np.errstate(all="ignore"):
+            try:
+                values = np.broadcast_to(_eval_node(expr.root, points, None), points.shape)
+            except (ArithmeticError, TypeError):  # e.g. 1/0 in Python floats
+                return
+        if np.iscomplexobj(values):  # a constant subtree such as (0-2)^0.5
+            return
+        outside = ~np.isnan(values) & ((values < lo) | (values > hi))
+        assert not np.any(outside), (src, points[outside], values[outside])
+
+
+class TestSecondDerivative:
+    @pytest.mark.parametrize("src, expected", [
+        ("z^3", lambda z: 6.0 * z),
+        ("sin(2*z)", lambda z: -4.0 * np.sin(2.0 * z)),
+        ("exp(z)/(z+1)", lambda z: np.exp(z) * (z * z + 1.0) / (z + 1.0) ** 3),
+        ("sqrt(z+1)", lambda z: -0.25 * (z + 1.0) ** -1.5),
+        ("z*(z-4/7)*sin(pi*z)", lambda z: (2.0 * np.sin(np.pi * z)
+                                          + 2.0 * np.pi * (2.0 * z - 4.0 / 7.0) * np.cos(np.pi * z)
+                                          - np.pi**2 * z * (z - 4.0 / 7.0) * np.sin(np.pi * z))),
+        ("2^z", None),
+        ("abs(z-0.3)", None),
+    ])
+    def test_matches_closed_form(self, src, expected):
+        d2 = second_derivative(parse_source(src))
+        if expected is None:
+            assert d2 is None
+            return
+        z = np.linspace(0.05, 0.95, 19)
+        assert evaluate(d2, z) == pytest.approx(expected(z), rel=1e-12, abs=1e-12)
+
+    def test_constant_subtrees_vanish(self):
+        assert to_source(second_derivative(parse_source("abs(-2)*z + 3"))) == "0.0"

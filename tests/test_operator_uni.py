@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from fracbk import (
+    DEFAULT_ORDER,
     DomainError,
     OperatorParams,
     UnsupportedOrderError,
@@ -13,6 +14,7 @@ from fracbk import (
     apply_kernel,
     central_moments,
     evaluate,
+    gauss_jacobi_rule,
     kernel_integrals,
     l_moments,
     moment_coeff,
@@ -48,6 +50,16 @@ class TestKernelIntegrals:
         ki_expr = kernel_integrals(params, parse_source("z^2"))
         ki_call = kernel_integrals(params, lambda t: t**2)
         assert np.allclose(ki_expr.values, ki_call.values, atol=1e-15)
+
+    @pytest.mark.parametrize("m", [2_000, 10_000, 100_000])
+    def test_row_blocks_match_one_shot(self, m):
+        # the integrand is evaluated a block of rows at a time
+        params = OperatorParams(m=m, eta=2.0, gamma=4.0, alpha=0.9, s=3)
+        f = parse_source("z*(z-2/5)*(z-7/8)")
+        rule = gauss_jacobi_rule(2.0, DEFAULT_ORDER)
+        args = (np.arange(m + 1)[:, None] + rule.nodes[None, :] ** 4.0) / (m + 1.0)
+        one_shot = evaluate(f, args) @ rule.weights
+        assert np.max(np.abs(kernel_integrals(params, f).values - one_shot)) <= 1e-15
 
     def test_values_read_only(self):
         params = OperatorParams(m=4, eta=1.0, gamma=1.0, alpha=1.0, s=2)
