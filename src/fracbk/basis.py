@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_int, check_points, check_real
-from .specfun import LOG_ZERO, log_binomial
+from .errors import check_int, check_points, check_real
 
 
 @dataclass(frozen=True)
@@ -137,32 +136,3 @@ def basis_matrix(params: OperatorParams, zs) -> np.ndarray:
 def basis_row(params: OperatorParams, z: float) -> BasisRow:
     """All m+1 basis weights at z; one row of basis_matrix."""
     return BasisRow(params.m, z, basis_matrix(params, [z])[0])
-
-
-def _term(log_coeff: float, z: float, a: int, b: int) -> float:
-    """exp(log_coeff) * z^a * (1-z)^b with 0^0 = 1 at the endpoints."""
-    if log_coeff == LOG_ZERO:
-        return 0.0
-    if z == 0.0:
-        return math.exp(log_coeff) if a == 0 else 0.0
-    if z == 1.0:
-        return math.exp(log_coeff) if b == 0 else 0.0
-    return math.exp(log_coeff + a * math.log(z) + b * math.log1p(-z))
-
-
-def basis_weight(params: OperatorParams, j: int, z: float) -> float:
-    """Single basis weight, evaluated directly from the three-term formula.
-
-    Kept separate from basis_row as an independent scalar implementation;
-    the two agree to rounding and cross-validate each other.
-    """
-    m, s, alpha = params.m, params.s, params.alpha
-    if check_int("j", j) > m:
-        raise DomainError(f"index j must lie in [0, {m}], got {j}")
-    check_points(z)
-    if m < s:
-        return _term(log_binomial(m, j), z, j, m - j)
-    t1 = (1.0 - alpha) * _term(log_binomial(m - s, j - s), z, j - s + 1, m - j)
-    t2 = (1.0 - alpha) * _term(log_binomial(m - s, j), z, j, m - s - j + 1)
-    t3 = alpha * _term(log_binomial(m, j), z, j, m - j)
-    return t1 + t2 + t3

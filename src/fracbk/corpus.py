@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .errors import DomainError
 from .exprlib import FunctionExpr, free_variables, parse_source
 
 UNIVARIATE = ("f1", "f2", "f3", "f4")
@@ -27,9 +26,3 @@ def get_function(name_or_expr: str) -> FunctionExpr:
 
 def is_bivariate(expr: FunctionExpr) -> bool:
     return "y" in free_variables(expr)
-
-
-def describe(name: str) -> str:
-    if name not in BUILTINS:
-        raise DomainError(f"unknown built-in function {name!r}")
-    return BUILTINS[name]

@@ -36,8 +36,8 @@ class UnsupportedOrderError(FracbkError):
 
 
 class QuadratureError(FracbkError):
-    """Quadrature construction or refinement failed (eigen-solve failure,
-    refinement budget exceeded, non-finite integrand, cross-check mismatch)."""
+    """Quadrature failed: the eigen-solve of a rule did not converge, or an
+    integrand produced non-finite values."""
 
 
 def check_int(name: str, value, low: float = 0):

@@ -265,24 +265,28 @@ def _eval_node(node: Node, z, y):
             return a * b
         if node.op == "/":
             return a / b
-        return a ** b
+        # a numpy base, so a power of a negative constant is NaN (or raises
+        # under evaluate's errstate), never a Python complex
+        return np.float64(a) ** b if isinstance(a, float) else a ** b
     return _CALLS[node.func](_eval_node(node.arg, z, y))
 
 
 def evaluate(expr: FunctionExpr, z, y=None):
     """Evaluate the expression at scalar or array arguments.
 
-    Scalars are routed through numpy float64 arithmetic so that invalid
-    operations (division by zero, fractional powers of negatives) raise
-    EvaluationError instead of producing complex values or infinities.
+    Scalars and the bases of powers are routed through numpy float64
+    arithmetic so that invalid operations (division by zero, fractional
+    powers of negatives) raise EvaluationError instead of producing complex
+    values or infinities.  An overflow gives inf without a warning; the
+    callers reject non-finite values.
     """
     scalar = np.isscalar(z) and (y is None or np.isscalar(y))
     zz = np.float64(z) if np.isscalar(z) else z
     yy = np.float64(y) if (y is not None and np.isscalar(y)) else y
     try:
-        with np.errstate(divide="raise", invalid="raise"):
+        with np.errstate(divide="raise", over="ignore", invalid="raise"):
             out = _eval_node(expr.root, zz, yy)
-    except (ZeroDivisionError, FloatingPointError, OverflowError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise EvaluationError(f"evaluation failed: {exc}") from exc
     return float(out) if scalar else out
 
@@ -335,8 +339,9 @@ def _constant(node: Node):
     if free_variables(FunctionExpr(node)):
         return None
     try:
-        return float(_eval_node(node, None, None))
-    except (ArithmeticError, TypeError, ValueError):  # e.g. 1/0 or a complex power
+        with np.errstate(divide="raise", invalid="raise"):
+            return float(_eval_node(node, None, None))
+    except (ArithmeticError, ValueError):  # e.g. 1/0 or a power of a negative
         return math.nan
 
 

@@ -33,7 +33,7 @@ from .error_analysis import (
 from .errors import QuadratureError, check_real
 from .exprlib import FunctionExpr
 from .operator_uni import DEFAULT_ORDER, central_moments, eval_function, raw_moments
-from .quadrature import gauss_jacobi_rule
+from .quadrature import _kernel_rule
 
 # Cells (an expression) or grid points (a callable) per axis when no grid_n
 # is given; an expression gets at most _MAX_CELLS cells per axis.
@@ -66,16 +66,16 @@ class BivMoments:
 def biv_kernel_integrals(bp: BivariateParams, F, order: int = DEFAULT_ORDER) -> BivKernelIntegrals:
     """The (m1+1) x (m2+1) matrix of tensor kernel integrals of F."""
     px, py = bp.px, bp.py
-    rule1 = gauss_jacobi_rule(px.eta, order)
-    rule2 = gauss_jacobi_rule(py.eta, order)
-    x_args = (np.arange(px.m + 1)[:, None] + rule1.nodes[None, :] ** px.gamma) / (px.m + 1.0)
-    y_args = (np.arange(py.m + 1)[:, None] + rule2.nodes[None, :] ** py.gamma) / (py.m + 1.0)
+    tg1, w1 = _kernel_rule(px.eta, px.gamma, order)
+    tg2, w2 = _kernel_rule(py.eta, py.gamma, order)
+    x_args = (np.arange(px.m + 1)[:, None] + tg1[None, :]) / (px.m + 1.0)
+    y_args = (np.arange(py.m + 1)[:, None] + tg2[None, :]) / (py.m + 1.0)
     values = np.empty((px.m + 1, py.m + 1))
     for j1 in range(px.m + 1):
         vals = eval_function(F, x_args[j1][:, None, None], y_args[None, :, :])
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("bivariate kernel integrand produced non-finite values")
-        values[j1] = np.einsum("a,abc,c->b", rule1.weights, vals, rule2.weights)
+        values[j1] = np.einsum("a,abc,c->b", w1, vals, w2)
     values.setflags(write=False)
     return BivKernelIntegrals(bp, values)
 

@@ -15,7 +15,7 @@ import numpy as np
 from .basis import _BLOCK_ELEMENTS, OperatorParams, _row_blocks, basis_row
 from .errors import QuadratureError, UnsupportedOrderError, check_points
 from .exprlib import FunctionExpr, evaluate
-from .quadrature import adaptive_reference, gauss_jacobi_rule
+from .quadrature import _kernel_rule
 from .specfun import binomial, moment_coeff
 
 DEFAULT_ORDER = 64
@@ -48,42 +48,20 @@ def eval_function(f, *args) -> np.ndarray:
     return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
-def _kernel_values(params: OperatorParams, f, order: int) -> np.ndarray:
-    """The m+1 rule sums, with the integrand evaluated on blocks of rows of
-    at most _BLOCK_ELEMENTS values, as the basis rows are."""
-    rule = gauss_jacobi_rule(params.eta, order)
-    tg = rule.nodes**params.gamma
-    out = np.empty(params.m + 1)
+def kernel_integrals(params: OperatorParams, f, order: int = DEFAULT_ORDER) -> KernelIntegrals:
+    """The m+1 kernel integrals of f, independent of the evaluation point:
+    sums over the order nodes of the kernel rule (graded at t=0 for a
+    non-integer gamma, see quadrature), with the integrand evaluated on
+    blocks of rows of at most _BLOCK_ELEMENTS values, as the basis rows are."""
+    tg, weights = _kernel_rule(params.eta, params.gamma, order)
+    values = np.empty(params.m + 1)
     step = max(1, _BLOCK_ELEMENTS // order)
     for start in range(0, params.m + 1, step):
         j = np.arange(start, min(start + step, params.m + 1))
         vals = eval_function(f, (j[:, None] + tg[None, :]) / (params.m + 1.0))
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("kernel integrand produced non-finite values")
-        out[start : start + step] = vals @ rule.weights
-    return out
-
-
-def kernel_integrals(params: OperatorParams, f, order: int = DEFAULT_ORDER) -> KernelIntegrals:
-    """The m+1 kernel integrals of f, independent of the evaluation point.
-
-    For gamma < 1 the integrand has an unbounded derivative at t=0, so the
-    order is doubled and the worst-disagreeing entry is cross-checked against
-    the adaptive oracle; a disagreement beyond 1e-9 raises QuadratureError.
-    """
-    values = _kernel_values(params, f, order)
-    if params.gamma < 1.0:
-        refined = _kernel_values(params, f, 2 * order)
-        worst = int(np.argmax(np.abs(refined - values)))
-        g = lambda t: eval_function(f, (worst + t**params.gamma) / (params.m + 1.0))
-        reference = adaptive_reference(params.eta, g, 1e-10)
-        if abs(refined[worst] - reference) > 1e-9:
-            raise QuadratureError(
-                f"quadrature cross-check failed for gamma={params.gamma} < 1: "
-                f"entry j={worst} differs from the adaptive reference by "
-                f"{abs(refined[worst] - reference):.3e}"
-            )
-        values = refined
+        values[start : start + step] = vals @ weights
     values.setflags(write=False)
     return KernelIntegrals(params, values)
 

@@ -1,13 +1,19 @@
 """Quadrature for the normalized fractional kernel eta*(1-t)^(eta-1) on [0,1].
 
-The main tool is a Gauss-Jacobi rule built with the Golub-Welsch algorithm:
-the nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of
-the weight (1-t)^(eta-1), and the weights are the squared first components
-of its eigenvectors.  The matrix is solved densely with numpy.linalg.eigh;
-rules are cached, so the O(order^3) solve runs once per (eta, order).  The
-eta prefactor is folded into the weights so they sum to one, which makes the
-rule a discrete probability measure.  An adaptive Simpson integrator serves
-as a slow, independent validation oracle.
+The tool is a Gauss-Jacobi rule built with the Golub-Welsch algorithm
+(Golub & Welsch 1969): the nodes are the eigenvalues of the symmetric
+tridiagonal Jacobi matrix of the weight, and the weights are the squared
+first components of its eigenvectors.  The matrix is solved densely with
+numpy.linalg.eigh; rules are cached, so the O(order^3) solve runs once per
+(eta, order, p).  The eta prefactor is folded into the weights so they sum
+to one, which makes the rule a discrete probability measure.
+
+The operator's kernel integrals take f((j + t^gamma)/(m+1)) against the
+kernel.  For a non-integer gamma, t^gamma is not smooth at t=0 and a plain
+Gauss rule converges only algebraically, so the kernel rule is graded
+there: with t = u^p the kernel becomes the Jacobi weight
+(1-u)^(eta-1) u^(p-1) times the smooth factor (1+u+...+u^(p-1))^(eta-1),
+and the argument u^(p*gamma) is smooth enough for fast convergence.
 """
 
 from __future__ import annotations
@@ -20,8 +26,6 @@ import numpy as np
 
 from .errors import QuadratureError, check_int, check_real
 
-_MAX_DEPTH = 48
-
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
@@ -32,13 +36,15 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=256)
-def _build_rule(eta: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    # Jacobi weight (1-x)^a (1+x)^b on [-1,1] with a = eta-1, b = 0; the
-    # three-term recurrence coefficients below specialize to b = 0.
-    a = eta - 1.0
+def _build_rule(eta: float, order: int, p: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t = u^p and weights, summing to 1, for eta*(1-t)^(eta-1) dt,
+    from the Gauss rule of the Jacobi weight (1-x)^a (1+x)^b on [-1,1] with
+    a = eta-1, b = p-1 (Gautschi 2004, the general three-term recurrence)."""
+    a, b = eta - 1.0, p - 1.0
     k = np.arange(1, order)
-    diag = np.concatenate(([-a / (a + 2.0)], -a * a / ((2 * k + a) * (2 * k + a + 2.0))))
-    off = np.sqrt(4 * k**2 * (k + a) ** 2 / ((2 * k + a) ** 2 * ((2 * k + a) ** 2 - 1.0)))
+    s = 2 * k + a + b
+    diag = np.concatenate(([(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))))
+    off = np.sqrt(4 * k * (k + b) * ((k + a) * (k + a + b)) / (s**2 * (s**2 - 1.0)))
     jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     try:
         x, vectors = np.linalg.eigh(jacobi)
@@ -46,17 +52,30 @@ def _build_rule(eta: float, order: int) -> tuple[np.ndarray, np.ndarray]:
         raise QuadratureError(f"eigen-solve failed for eta={eta}, order={order}") from exc
     nodes = (x + 1.0) / 2.0
     weights = vectors[0, :] ** 2
+    if p > 1:
+        weights = weights * np.sum(nodes[:, None] ** np.arange(p), axis=1) ** a
+        nodes = nodes**p
     weights = weights / weights.sum()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
+def _kernel_rule(eta: float, gamma: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points t^gamma and weights of the kernel rule: the plain Gauss rule
+    for an integer gamma, else the rule graded with p = ceil(8/(gamma+1))."""
+    check_int("order", order, 1)
+    p = 1 if float(gamma).is_integer() else math.ceil(8.0 / (gamma + 1.0))
+    nodes, weights = _build_rule(float(eta), int(order), p)
+    return nodes**gamma, weights
+
+
 def gauss_jacobi_rule(eta: float, order: int) -> QuadratureRule:
     """Gauss rule for eta*(1-t)^(eta-1) dt on [0,1], weights summing to 1."""
     check_real("eta", eta)
     check_int("order", order, 1)
-    nodes, weights = _build_rule(float(eta), int(order))
+    # p given explicitly: the same cache entry as _kernel_rule's at p = 1
+    nodes, weights = _build_rule(float(eta), int(order), 1)
     return QuadratureRule(eta, order, nodes, weights)
 
 
@@ -77,57 +96,3 @@ def integrate(rule: QuadratureRule, g) -> float:
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("integrand produced non-finite values")
     return float(rule.weights @ vals)
-
-
-def _simpson(h, a: float, fa: float, fm: float, fb: float, b: float) -> float:
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _refine(h, a, b, fa, fm, fb, whole, tol, depth):
-    if depth <= 0:
-        raise QuadratureError("adaptive refinement budget exceeded; tolerance unreachable")
-    mid = 0.5 * (a + b)
-    flm = h(0.5 * (a + mid))
-    frm = h(0.5 * (mid + b))
-    left = _simpson(h, a, fa, flm, fm, mid)
-    right = _simpson(h, mid, fm, frm, fb, b)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    return _refine(h, a, mid, fa, flm, fm, left, 0.5 * tol, depth - 1) + _refine(
-        h, mid, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
-
-
-def _adaptive_simpson(h, tol: float) -> float:
-    fa, fm, fb = h(0.0), h(0.5), h(1.0)
-    whole = _simpson(h, 0.0, fa, fm, fb, 1.0)
-    return _refine(h, 0.0, 1.0, fa, fm, fb, whole, tol, _MAX_DEPTH)
-
-
-def adaptive_reference(eta: float, g, tol: float) -> float:
-    """Slow adaptive-Simpson evaluation of the kernel integral, for validation.
-
-    For eta < 1 the kernel is singular at t=1; the substitution u = (1-t)^eta
-    turns the integral into int_0^1 g(1 - u^(1/eta)) du with a bounded
-    integrand, which the subdivision then handles.
-    """
-    check_real("eta", eta)
-    check_real("tol", tol, 1e-13, closed=True)
-
-    if eta >= 1.0:
-        def h(t: float) -> float:
-            v = eta * (1.0 - t) ** (eta - 1.0) * float(g(t))
-            if not math.isfinite(v):
-                raise QuadratureError(f"integrand not finite at t={t}")
-            return v
-    else:
-        inv = 1.0 / eta
-
-        def h(u: float) -> float:
-            v = float(g(1.0 - u**inv))
-            if not math.isfinite(v):
-                raise QuadratureError(f"integrand not finite at u={u}")
-            return v
-
-    return _adaptive_simpson(h, tol)

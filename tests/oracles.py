@@ -1,0 +1,93 @@
+"""Slow, independent implementations that the tests check the library against.
+
+adaptive_reference integrates against the fractional kernel by adaptive
+Simpson subdivision, and basis_weight evaluates one basis weight from the
+three-term formula; neither shares code with the batched library paths.
+"""
+
+import math
+
+from fracbk.errors import DomainError, QuadratureError, check_int, check_points, check_real
+from fracbk.specfun import LOG_ZERO, log_binomial
+
+_MAX_DEPTH = 48
+
+
+def _simpson(h, a: float, fa: float, fm: float, fb: float, b: float) -> float:
+    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def _refine(h, a, b, fa, fm, fb, whole, tol, depth):
+    if depth <= 0:
+        raise QuadratureError("adaptive refinement budget exceeded; tolerance unreachable")
+    mid = 0.5 * (a + b)
+    flm = h(0.5 * (a + mid))
+    frm = h(0.5 * (mid + b))
+    left = _simpson(h, a, fa, flm, fm, mid)
+    right = _simpson(h, mid, fm, frm, fb, b)
+    err = left + right - whole
+    if abs(err) <= 15.0 * tol:
+        return left + right + err / 15.0
+    return _refine(h, a, mid, fa, flm, fm, left, 0.5 * tol, depth - 1) + _refine(
+        h, mid, b, fm, frm, fb, right, 0.5 * tol, depth - 1
+    )
+
+
+def _adaptive_simpson(h, tol: float) -> float:
+    fa, fm, fb = h(0.0), h(0.5), h(1.0)
+    whole = _simpson(h, 0.0, fa, fm, fb, 1.0)
+    return _refine(h, 0.0, 1.0, fa, fm, fb, whole, tol, _MAX_DEPTH)
+
+
+def adaptive_reference(eta: float, g, tol: float) -> float:
+    """Slow adaptive-Simpson evaluation of the kernel integral, for validation.
+
+    For eta < 1 the kernel is singular at t=1; the substitution u = (1-t)^eta
+    turns the integral into int_0^1 g(1 - u^(1/eta)) du with a bounded
+    integrand, which the subdivision then handles.
+    """
+    check_real("eta", eta)
+    check_real("tol", tol, 1e-13, closed=True)
+
+    if eta >= 1.0:
+        def h(t: float) -> float:
+            v = eta * (1.0 - t) ** (eta - 1.0) * float(g(t))
+            if not math.isfinite(v):
+                raise QuadratureError(f"integrand not finite at t={t}")
+            return v
+    else:
+        inv = 1.0 / eta
+
+        def h(u: float) -> float:
+            v = float(g(1.0 - u**inv))
+            if not math.isfinite(v):
+                raise QuadratureError(f"integrand not finite at u={u}")
+            return v
+
+    return _adaptive_simpson(h, tol)
+
+
+def _term(log_coeff: float, z: float, a: int, b: int) -> float:
+    """exp(log_coeff) * z^a * (1-z)^b with 0^0 = 1 at the endpoints."""
+    if log_coeff == LOG_ZERO:
+        return 0.0
+    if z == 0.0:
+        return math.exp(log_coeff) if a == 0 else 0.0
+    if z == 1.0:
+        return math.exp(log_coeff) if b == 0 else 0.0
+    return math.exp(log_coeff + a * math.log(z) + b * math.log1p(-z))
+
+
+def basis_weight(params, j: int, z: float) -> float:
+    """Single basis weight, evaluated directly from the three-term formula,
+    as an independent scalar check on basis_row and basis_matrix."""
+    m, s, alpha = params.m, params.s, params.alpha
+    if check_int("j", j) > m:
+        raise DomainError(f"index j must lie in [0, {m}], got {j}")
+    check_points(z)
+    if m < s:
+        return _term(log_binomial(m, j), z, j, m - j)
+    t1 = (1.0 - alpha) * _term(log_binomial(m - s, j - s), z, j - s + 1, m - j)
+    t2 = (1.0 - alpha) * _term(log_binomial(m - s, j), z, j, m - s - j + 1)
+    t3 = alpha * _term(log_binomial(m, j), z, j, m - j)
+    return t1 + t2 + t3

@@ -11,13 +11,14 @@ from fracbk import (
     OperatorParams,
     basis_matrix,
     basis_row,
-    basis_weight,
     bernstein_row,
     error_table,
     operator_values,
     parse_source,
 )
 from fracbk import basis
+
+from oracles import basis_weight
 
 
 def make_params(m, s, alpha, eta=1.0, gamma=1.0):

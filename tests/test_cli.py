@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,29 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--fn", "1/z", "--z", "0:1:3")
         assert code == 3
         assert "numeric failure" in err
+
+    def test_gamma_below_one_matches_closed_form(self, capsys):
+        # this used to exit 3: order 128 missed a 1e-9 cross-check
+        code, out, _ = run_cli(capsys, "eval", "--fn", "z^2", "--z", "0.5", "--m", "10",
+                               "--eta", "2", "--gamma", "0.7")
+        assert code == 0
+        _, rows = csv_rows(out)
+        params = fracbk.OperatorParams(m=10, eta=2.0, gamma=0.7, alpha=1.0, s=2)
+        assert float(rows[0][2]) == pytest.approx(fracbk.raw_moments(params, 0.5).e2, abs=1e-14)
+
+    @pytest.mark.parametrize("command, fn", [
+        ("eval", "(0-2)^0.5"), ("bounds", "z+(0-2)^0.5"), ("eval", "10^400*z"),
+    ])
+    def test_undefined_constant_is_numeric_exit(self, capsys, command, fn):
+        # the first used to end in a TypeError traceback (a complex constant),
+        # the second in exit 0 after a ComplexWarning, the third in a
+        # RuntimeWarning before the error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, f"--fn={fn}", "--z", "0.5", "--m", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith("fracbk: numeric failure: ")
+        assert len(err.splitlines()) == 1
 
     def test_invalid_params_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "--fn", "f1", "--z", "0.5", "--alpha", "2.0")

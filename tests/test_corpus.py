@@ -5,13 +5,11 @@ from fracbk import (
     BIVARIATE,
     BUILTINS,
     UNIVARIATE,
-    DomainError,
     ParseError,
     evaluate,
     get_function,
     is_bivariate,
 )
-from fracbk.corpus import describe
 
 CLOSURES_UNI = {
     "f1": lambda z: z * (z - 4.0 / 7.0) * np.sin(np.pi * z),
@@ -72,14 +70,3 @@ def test_is_bivariate():
     assert is_bivariate(get_function("z*y"))
     assert not is_bivariate(get_function("f2"))
     assert not is_bivariate(get_function("sin(pi*z)"))
-
-
-def test_describe_known_names():
-    for name, source in BUILTINS.items():
-        text = describe(name)
-        assert source in text or name in text
-
-
-def test_describe_unknown_name():
-    with pytest.raises(DomainError):
-        describe("f9")

@@ -6,12 +6,14 @@ from numpy.polynomial.legendre import leggauss
 
 from fracbk import (
     DEFAULT_ORDER,
+    BivariateParams,
     DomainError,
     OperatorParams,
     UnsupportedOrderError,
     apply,
     apply_grid,
     apply_kernel,
+    biv_kernel_integrals,
     central_moments,
     evaluate,
     gauss_jacobi_rule,
@@ -72,22 +74,29 @@ class TestKernelIntegrals:
         with pytest.raises(DomainError, match="order must be an int"):
             kernel_integrals(params, lambda t: t, order=2.5)
 
-    def test_gamma_below_one_cross_checked(self):
-        # gamma < 1 triggers the doubled-order path with an oracle check;
-        # gamma = 0.8 converges within the 1e-9 agreement requirement.
-        params = OperatorParams(m=8, eta=1.5, gamma=0.8, alpha=0.7, s=2)
-        ki = kernel_integrals(params, lambda t: np.sin(np.pi * t))
-        assert np.all(np.isfinite(ki.values))
-        assert ki.values.shape == (9,)
+    @pytest.mark.parametrize("eta", [0.25, 0.5, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.6, 0.7, 1.3, 1.5, 2.3, 4.7])
+    def test_non_integer_gamma_matches_closed_form(self, gamma, eta):
+        # the kernel integral of z^n at row j is
+        # sum_k C(n,k) j^(n-k) c_k / (m+1)^n with the kernel moments c_k;
+        # t^gamma is singular at t=0 here, which the graded rule absorbs.
+        # The error is relative to the largest entry: the j=0 entries,
+        # c_n/(m+1)^n, are small, and the rounding of the rule's weights
+        # alone moves them by up to about 1e-14 of themselves.
+        def closed_form(p, n):
+            j = np.arange(p.m + 1.0)
+            return sum(math.comb(n, k) * j ** (n - k) * moment_coeff(eta, gamma, k)
+                       for k in range(n + 1)) / (p.m + 1.0) ** n
 
-    def test_gamma_far_below_one_fails_loudly(self):
-        # At the default order the t^0.6 singularity leaves ~8e-9 of
-        # quadrature error, beyond the 1e-9 cross-check allowance.
-        from fracbk import QuadratureError
+        def assert_close(got, expected):
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
-        params = OperatorParams(m=8, eta=1.5, gamma=0.6, alpha=0.7, s=2)
-        with pytest.raises(QuadratureError):
-            kernel_integrals(params, lambda t: np.sin(np.pi * t))
+        px = OperatorParams(m=7, eta=eta, gamma=gamma, alpha=0.7, s=2)
+        py = OperatorParams(m=4, eta=eta, gamma=gamma, alpha=0.3, s=3)
+        for n in (1, 2, 3):
+            assert_close(kernel_integrals(px, parse_source(f"z^{n}")).values, closed_form(px, n))
+            biv = biv_kernel_integrals(BivariateParams(px, py), parse_source(f"z^{n}*y^{n}"))
+            assert_close(biv.values, np.outer(closed_form(px, n), closed_form(py, n)))
 
 
 class TestApply:

@@ -8,12 +8,13 @@ from scipy.special import roots_jacobi
 from fracbk import (
     DomainError,
     QuadratureError,
-    adaptive_reference,
     gauss_jacobi_rule,
     integrate,
     moment_coeff,
 )
-from fracbk.quadrature import _build_rule
+from fracbk.quadrature import _build_rule, _kernel_rule
+
+from oracles import adaptive_reference
 
 
 class TestRuleConstruction:
@@ -92,7 +93,28 @@ def _tridiagonal_rule(eta, order):
     return (x + 1.0) / 2.0, weights / weights.sum()
 
 
+def _b0_rule(eta, order):
+    """The Golub-Welsch rule for b = 0 as the recurrence was first written,
+    before the general (a, b) form, solved with the same dense eigh."""
+    a = eta - 1.0
+    k = np.arange(1, order)
+    diag = np.concatenate(([-a / (a + 2.0)], -a * a / ((2 * k + a) * (2 * k + a + 2.0))))
+    off = np.sqrt(4 * k**2 * (k + a) ** 2 / ((2 * k + a) ** 2 * ((2 * k + a) ** 2 - 1.0)))
+    x, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    weights = vectors[0, :] ** 2
+    return (x + 1.0) / 2.0, weights / weights.sum()
+
+
 class TestDenseEigensolver:
+    @pytest.mark.parametrize("eta", [0.25, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.7, 5.0, 8.0])
+    @pytest.mark.parametrize("order", [1, 2, 3, 8, 12, 16, 64, 128, 256])
+    def test_general_recurrence_at_b0_is_bitwise_the_b0_rule(self, eta, order):
+        # the paper's presets (integer gamma) use p = 1, so they must not move
+        nodes, weights = _build_rule(eta, order)
+        ref_nodes, ref_weights = _b0_rule(eta, order)
+        assert nodes.tolist() == ref_nodes.tolist()
+        assert weights.tolist() == ref_weights.tolist()
+
     @pytest.mark.parametrize("eta", [0.25, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
     @pytest.mark.parametrize("order", [1, 2, 8, 12, 64, 128, 256, 512])
     def test_matches_tridiagonal_reference(self, eta, order):
@@ -115,6 +137,53 @@ class TestDenseEigensolver:
             gauss_jacobi_rule(eta, 8)
         with pytest.raises(DomainError):
             adaptive_reference(eta, lambda t: t, 1e-12)
+
+
+class TestKernelRule:
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 4.0])
+    def test_integer_gamma_is_the_gauss_rule(self, gamma):
+        rule = gauss_jacobi_rule(2.5, 64)
+        points, weights = _kernel_rule(2.5, gamma, 64)
+        assert points.tolist() == (rule.nodes**gamma).tolist()
+        assert weights is rule.weights
+
+    @pytest.mark.parametrize("eta", [0.25, 2.5])
+    @pytest.mark.parametrize("p", [2, 5, 8])
+    def test_graded_rule_matches_scipy(self, eta, p):
+        # scipy's Gauss-Jacobi rule for b = p-1, mapped to u in [0,1], with
+        # t = u^p and the factor (1+u+...+u^(p-1))^(eta-1) in the weights
+        x, w = roots_jacobi(32, eta - 1.0, p - 1.0)
+        u = (x + 1.0) / 2.0
+        w = w * np.polynomial.polynomial.polyval(u, np.ones(p)) ** (eta - 1.0)
+        nodes, weights = _build_rule(eta, 32, p)
+        np.testing.assert_allclose(nodes, u**p, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(weights, w / w.sum(), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.25, 1.0, 5.0])
+    @pytest.mark.parametrize("gamma", [0.3, 0.7, 1.5, 2.3, 6.5])
+    @pytest.mark.parametrize("order", [1, 8, 64, 256])
+    def test_graded_rule_is_a_probability_measure(self, eta, gamma, order):
+        points, weights = _kernel_rule(eta, gamma, order)
+        assert np.sum(weights) == pytest.approx(1.0, abs=1e-14)
+        assert np.all(weights > 0.0)
+        assert np.all((points > 0.0) & (points < 1.0))
+        assert np.all(np.diff(points) > 0.0)
+
+    @pytest.mark.parametrize("eta", [0.5, 2.0])
+    @pytest.mark.parametrize("gamma", [0.3, 1.3])
+    def test_graded_rule_integrates_powers_of_t(self, eta, gamma):
+        # t^k = u^(pk) is a polynomial in u, but the weights carry the
+        # factor (1+u+...+u^(p-1))^(eta-1), so the rule is not exact; its
+        # error at order 32 still sits at rounding level
+        points, weights = _kernel_rule(eta, gamma, 32)
+        t = points ** (1.0 / gamma)
+        for k in range(8):
+            assert weights @ t**k == pytest.approx(moment_coeff(eta, 1.0, k), rel=1e-14)
+
+    @pytest.mark.parametrize("order", [0, 2.5, True])
+    def test_order_checked(self, order):
+        with pytest.raises(DomainError, match="order must be"):
+            _kernel_rule(2.0, 0.5, order)
 
 
 class TestExactness:
