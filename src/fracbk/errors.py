@@ -36,16 +36,19 @@ class UnsupportedOrderError(FracbkError):
 
 
 class QuadratureError(FracbkError):
-    """Quadrature failed: the eigen-solve of a rule did not converge, or an
-    integrand produced non-finite values."""
+    """Quadrature failed: a rule's Jacobi matrix was not finite (eta below
+    about 1e-16) or its eigen-solve did not converge, or an integrand
+    produced non-finite values."""
 
 
-def check_int(name: str, value, low: float = 0):
-    """value if it is an int or numpy integer (never a bool) and >= low."""
+def check_int(name: str, value, low: float = 0, high: float = math.inf):
+    """value if it is an int or numpy integer (never a bool) in [low, high]."""
     if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
         raise DomainError(f"{name} must be an int, got {value!r}")
     if value < low:
         raise DomainError(f"{name} must be >= {low}, got {value}")
+    if value > high:
+        raise DomainError(f"{name} must be <= {high}, got {value}")
     return value
 
 

@@ -1,17 +1,20 @@
 """Tokenizer, parser and evaluator for small arithmetic expressions.
 
 Expressions describe real-valued test functions of one variable ``z`` or two
-variables ``z`` and ``y``.  Supported syntax: numbers, the constant ``pi``,
-the operators ``+ - * / ^`` (with ``^`` binding tightest and associating to
-the right), unary minus, parentheses, and the calls ``sin``, ``cos``,
-``exp``, ``sqrt`` and ``abs``.  Evaluation accepts scalars or numpy arrays;
+variables ``z`` and ``y``.  Supported syntax: numbers in ASCII digits
+(``1``, ``2.5``, ``.5``), the constant ``pi``, the operators ``+ - * / ^``
+(with ``^`` binding tightest and associating to the right), unary minus,
+parentheses, and the calls ``sin``, ``cos``, ``exp``, ``sqrt`` and
+``abs``.  Evaluation accepts scalars or numpy arrays;
 enclose bounds an expression over cells (interval arithmetic), and
 second_derivative differentiates it symbolically.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -23,7 +26,18 @@ FUNCTION_NAMES = ("sin", "cos", "exp", "sqrt", "abs")
 VARIABLE_NAMES = ("z", "y")
 CONSTANT_NAMES = ("pi",)
 
-_OPERATOR_CHARS = "+-*/^"
+# Binding strength of each binary operator, for the parser and the printer.
+# Unary minus binds between * / and ^ (as -z^2 is -(z^2)), atoms tightest.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_PREC_NEG = 3
+_PREC_ATOM = 9
+
+# ASCII digits and letters only: str.isdigit also holds for digits that
+# float() rejects (superscripts) or reads as another number (Arabic-Indic)
+_TOKEN = re.compile(rf"""
+    (?P<number>[0-9]+\.?[0-9]*|\.[0-9]+) | (?P<identifier>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<operator>[{re.escape("".join(_PREC))}]) | (?P<paren>[()]) | (?P<comma>,)
+  | (?P<space>\s+) | (?P<other>.)""", re.VERBOSE | re.DOTALL)
 
 # Levels are parentheses, calls, unary minus, powers and +-*/ chain links
 _MAX_DEPTH = 100
@@ -81,37 +95,12 @@ def tokenize(src: str) -> list[Token]:
     if not src or not src.strip():
         raise ParseError("empty expression", 0)
     tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-            start = i
-            while i < n and src[i].isdigit():
-                i += 1
-            if i < n and src[i] == ".":
-                i += 1
-                while i < n and src[i].isdigit():
-                    i += 1
-            tokens.append(Token("number", src[start:i], start))
-        elif c.isalpha() or c == "_":
-            start = i
-            while i < n and (src[i].isalnum() or src[i] == "_"):
-                i += 1
-            tokens.append(Token("identifier", src[start:i], start))
-        elif c in _OPERATOR_CHARS:
-            tokens.append(Token("operator", c, i))
-            i += 1
-        elif c in "()":
-            tokens.append(Token("paren", c, i))
-            i += 1
-        elif c == ",":
-            tokens.append(Token("comma", c, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
+    for match in _TOKEN.finditer(src):
+        kind, lexeme = match.lastgroup, match.group()
+        if kind == "other":
+            raise ParseError(f"unexpected character {lexeme!r}", match.start())
+        if kind != "space":
+            tokens.append(Token(kind, lexeme, match.start()))
     return tokens
 
 
@@ -145,25 +134,20 @@ class _Parser:
             raise ParseError(f"expected {lexeme!r}, found {tok.lexeme!r}", tok.position)
         return tok
 
-    def at_operator(self, *lexemes: str) -> bool:
+    def at_operator(self, lexeme: str) -> bool:
         tok = self.peek()
-        return tok is not None and tok.kind == "operator" and tok.lexeme in lexemes
+        return tok is not None and tok.kind == "operator" and tok.lexeme == lexeme
 
-    def parse_expr(self) -> Node:
-        depth, node = self.depth, self.parse_term()
-        while self.at_operator("+", "-"):
-            op = self.next().lexeme
+    def parse_chain(self, prec: int = 1) -> Node:
+        """Operators of precedence prec, left to right, between chains of
+        the next level up; above * and / the operands are unary terms."""
+        if prec == _PREC_NEG:
+            return self.parse_unary()
+        depth, node = self.depth, self.parse_chain(prec + 1)
+        while (tok := self.peek()) and tok.kind == "operator" and _PREC[tok.lexeme] == prec:
+            self.next()
             self.descend()
-            node = BinOp(op, node, self.parse_term())
-        self.depth = depth
-        return node
-
-    def parse_term(self) -> Node:
-        depth, node = self.depth, self.parse_unary()
-        while self.at_operator("*", "/"):
-            op = self.next().lexeme
-            self.descend()
-            node = BinOp(op, node, self.parse_unary())
+            node = BinOp(tok.lexeme, node, self.parse_chain(prec + 1))
         self.depth = depth
         return node
 
@@ -192,7 +176,7 @@ class _Parser:
             name = tok.lexeme
             if name in FUNCTION_NAMES:
                 self.expect("paren", "(")
-                arg = self.parse_expr()
+                arg = self.parse_chain()
                 self.expect("paren", ")")
                 return Call(name, arg)
             if name in VARIABLE_NAMES:
@@ -201,7 +185,7 @@ class _Parser:
                 return Const(name)
             raise ParseError(f"unknown identifier {name!r}", tok.position)
         if tok.kind == "paren" and tok.lexeme == "(":
-            node = self.parse_expr()
+            node = self.parse_chain()
             self.expect("paren", ")")
             return node
         raise ParseError(f"unexpected token {tok.lexeme!r}", tok.position)
@@ -209,7 +193,7 @@ class _Parser:
 
 def parse(tokens: list[Token]) -> FunctionExpr:
     parser = _Parser(tokens)
-    root = parser.parse_expr()
+    root = parser.parse_chain()
     tok = parser.peek()
     if tok is not None:
         raise ParseError(f"unexpected token {tok.lexeme!r} after expression", tok.position)
@@ -220,22 +204,22 @@ def parse_source(src: str) -> FunctionExpr:
     return parse(tokenize(src))
 
 
-def free_variables(expr: FunctionExpr) -> frozenset[str]:
-    names: set[str] = set()
-
-    def walk(node: Node) -> None:
-        if isinstance(node, Var):
-            names.add(node.name)
+def _walk(node: Node):
+    """Every node of the tree, a shared subtree once per occurrence."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, BinOp):
+            stack += (node.left, node.right)
         elif isinstance(node, Neg):
-            walk(node.operand)
-        elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
+            stack.append(node.operand)
         elif isinstance(node, Call):
-            walk(node.arg)
+            stack.append(node.arg)
 
-    walk(expr.root)
-    return frozenset(names)
+
+def free_variables(expr: FunctionExpr) -> frozenset[str]:
+    return frozenset(node.name for node in _walk(expr.root) if isinstance(node, Var))
 
 
 _CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
@@ -468,14 +452,7 @@ def _derivative(node: Node, var: str) -> Node | None:
 
 def _size_at_most(node: Node, limit: int) -> bool:
     """Whether the tree, shared subtrees counted each time, has <= limit nodes."""
-    stack = [node]
-    for _ in range(limit):
-        if not stack:
-            return True
-        node = stack.pop()
-        stack.extend(getattr(node, name) for name in ("operand", "left", "right", "arg")
-                     if hasattr(node, name))
-    return not stack
+    return next(itertools.islice(_walk(node), limit, None), None) is None
 
 
 def second_derivative(expr: FunctionExpr, var: str = "z") -> FunctionExpr | None:
@@ -487,25 +464,16 @@ def second_derivative(expr: FunctionExpr, var: str = "z") -> FunctionExpr | None
     return FunctionExpr(d2) if d2 is not None and _size_at_most(d2, _MAX_DERIVATIVE_NODES) else None
 
 
-# Printer precedence levels; the grammar places unary minus between the
-# multiplicative and power levels.
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 9
-
-
 def _prec(node: Node) -> int:
     if isinstance(node, BinOp):
-        if node.op in "+-":
-            return _PREC_ADD
-        if node.op in "*/":
-            return _PREC_MUL
-        return _PREC_POW
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    return _PREC_ATOM
+        return _PREC[node.op]
+    return _PREC_NEG if isinstance(node, Neg) else _PREC_ATOM
+
+
+def _operand(node: Node, least: int) -> str:
+    """node printed, in parentheses if it binds looser than least."""
+    text = _print(node)
+    return f"({text})" if _prec(node) < least else text
 
 
 def _print(node: Node) -> str:
@@ -516,27 +484,12 @@ def _print(node: Node) -> str:
     if isinstance(node, Call):
         return f"{node.func}({_print(node.arg)})"
     if isinstance(node, Neg):
-        inner = _print(node.operand)
-        if not isinstance(node.operand, Neg) and _prec(node.operand) < _PREC_POW:
-            inner = f"({inner})"
-        return f"-{inner}"
-    assert isinstance(node, BinOp)
-    if node.op == "^":
-        left = _print(node.left)
-        if _prec(node.left) <= _PREC_POW:
-            left = f"({left})"
-        right = _print(node.right)
-        if _prec(node.right) < _PREC_NEG:
-            right = f"({right})"
-        return f"{left}^{right}"
-    prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
-    left = _print(node.left)
-    if _prec(node.left) < prec:
-        left = f"({left})"
-    right = _print(node.right)
-    if _prec(node.right) <= prec:
-        right = f"({right})"
-    return f"{left}{node.op}{right}"
+        return f"-{_operand(node.operand, _PREC_NEG)}"
+    # the operands as the parser reads them: ^ takes an atom and a unary
+    # term, a chain operator its own level and the next level up
+    prec = _PREC[node.op]
+    left, right = (_PREC_ATOM, _PREC_NEG) if node.op == "^" else (prec, prec + 1)
+    return f"{_operand(node.left, left)}{node.op}{_operand(node.right, right)}"
 
 
 def to_source(expr: FunctionExpr) -> str:

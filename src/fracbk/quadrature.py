@@ -27,6 +27,10 @@ import numpy as np
 from .errors import QuadratureError, check_int, check_real
 
 
+# a rule solves a dense order x order matrix: 128 MB at this bound
+_MAX_ORDER = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     eta: float
@@ -43,8 +47,12 @@ def _build_rule(eta: float, order: int, p: int = 1) -> tuple[np.ndarray, np.ndar
     a, b = eta - 1.0, p - 1.0
     k = np.arange(1, order)
     s = 2 * k + a + b
-    diag = np.concatenate(([(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))))
-    off = np.sqrt(4 * k * (k + b) * ((k + a) * (k + a + b)) / (s**2 * (s**2 - 1.0)))
+    # at eta below ~1e-16, eta - 1 rounds to -1 and s**2 - 1 (or k + a) to 0
+    with np.errstate(all="ignore"):
+        diag = np.concatenate(([(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))))
+        off = np.sqrt(4 * k * (k + b) * ((k + a) * (k + a + b)) / (s**2 * (s**2 - 1.0)))
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise QuadratureError(f"Jacobi matrix not finite for eta={eta}, order={order}")
     jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     try:
         x, vectors = np.linalg.eigh(jacobi)
@@ -64,7 +72,7 @@ def _build_rule(eta: float, order: int, p: int = 1) -> tuple[np.ndarray, np.ndar
 def _kernel_rule(eta: float, gamma: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Points t^gamma and weights of the kernel rule: the plain Gauss rule
     for an integer gamma, else the rule graded with p = ceil(8/(gamma+1))."""
-    check_int("order", order, 1)
+    check_int("order", order, 1, _MAX_ORDER)
     p = 1 if float(gamma).is_integer() else math.ceil(8.0 / (gamma + 1.0))
     nodes, weights = _build_rule(float(eta), int(order), p)
     return nodes**gamma, weights
@@ -73,7 +81,7 @@ def _kernel_rule(eta: float, gamma: float, order: int) -> tuple[np.ndarray, np.n
 def gauss_jacobi_rule(eta: float, order: int) -> QuadratureRule:
     """Gauss rule for eta*(1-t)^(eta-1) dt on [0,1], weights summing to 1."""
     check_real("eta", eta)
-    check_int("order", order, 1)
+    check_int("order", order, 1, _MAX_ORDER)
     # p given explicitly: the same cache entry as _kernel_rule's at p = 1
     nodes, weights = _build_rule(float(eta), int(order), 1)
     return QuadratureRule(eta, order, nodes, weights)

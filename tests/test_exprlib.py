@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from fracbk import (
     EvaluationError,
+    FunctionExpr,
     ParseError,
     evaluate,
     free_variables,
-    parse,
     parse_source,
     to_source,
-    tokenize,
 )
-from fracbk.exprlib import _eval_node, enclose, second_derivative
+from fracbk.exprlib import _eval_node, enclose, parse, second_derivative, tokenize
 
 from conftest import expression_texts
 
@@ -51,6 +50,14 @@ class TestTokenize:
     def test_number_forms(self):
         kinds = {t.lexeme for t in tokenize("1 2.5 .5 22")}
         assert kinds == {"1", "2.5", ".5", "22"}
+
+    @pytest.mark.parametrize("source, position", [("2*\u00b2", 2), ("z+\u0663", 2), ("\uff11", 0), ("z\u00e9", 1)])
+    def test_non_ascii_digits_and_letters_rejected(self, source, position):
+        # str.isdigit holds for all three digits: the superscript used to
+        # crash float() and the other two were read as 3 and 1
+        with pytest.raises(ParseError, match="unexpected character") as excinfo:
+            tokenize(source)
+        assert excinfo.value.position == position
 
 
 class TestParse:
@@ -202,6 +209,16 @@ ROUND_TRIP_SOURCES = [
     "z^(y+1)",
     "-(-z)",
 ]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet=list("0123456789.+-*/^(),_ \tzypisncoexqrtab") + ["\u00b2", "\u0663", "\uff11", "\u00e9"]))
+def test_parse_source_returns_a_tree_or_raises_parse_error(source):
+    try:
+        expr = parse_source(source)
+    except ParseError:
+        return
+    assert isinstance(expr, FunctionExpr)
 
 
 @pytest.mark.parametrize("source", ROUND_TRIP_SOURCES)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fracbk import (
     gauss_jacobi_rule,
     integrate,
     moment_coeff,
+    quadrature,
 )
 from fracbk.quadrature import _build_rule, _kernel_rule
 
@@ -38,6 +40,13 @@ class TestRuleConstruction:
         # 2.5 used to build an order-2 rule and True an order-1 rule
         with pytest.raises(DomainError, match="order must be an int"):
             gauss_jacobi_rule(2.0, order)
+
+    def test_order_above_the_bound_rejected_before_the_build(self, monkeypatch):
+        # a dense order x order solve: order 32768 would ask for 8 GiB
+        monkeypatch.setattr(quadrature, "_build_rule", None)
+        for build in (lambda: gauss_jacobi_rule(2.0, 4097), lambda: _kernel_rule(2.0, 0.5, 4097)):
+            with pytest.raises(DomainError, match="order must be <= 4096, got 4097"):
+                build()
 
     def test_numpy_integer_order_accepted(self):
         rule = gauss_jacobi_rule(2.0, np.int64(8))
@@ -130,6 +139,16 @@ class TestDenseEigensolver:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(QuadratureError):
             _build_rule.__wrapped__(2.0, 8)
+
+    @pytest.mark.parametrize("eta", [1e-16, 1e-300])
+    @pytest.mark.parametrize("order", [8, 16, 32, 64])
+    def test_tiny_eta_is_quadrature_error(self, eta, order):
+        # eta - 1 rounds to -1, and the recurrence divides 0 by 0: this used
+        # to solve a matrix holding NaN or inf after a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="not finite"):
+                gauss_jacobi_rule(eta, order)
 
     @pytest.mark.parametrize("eta", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_eta_rejected(self, eta):
