@@ -1,21 +1,30 @@
-"""Empirical error measurement and numeric evaluation of the error bounds.
+"""Empirical error measurement, the moduli of continuity, and numeric
+evaluation of the error bounds.
 
-The bounds are built from moduli of continuity.  For an expression the
-moduli are certified upper bounds: interval enclosures (exprlib.enclose) of
-f on the cells of [0, 1] give, for a run of cells, an interval holding every
-value f takes there, and any two points closer than delta lie in one run of
-ceil(delta/h) + 1 cells of width h.  The enclosures are built once per
-expression and cell count, kept in a small cache, and merged pairwise into
-coarser levels, so that a large radius reads a short array.  The second
-modulus is at most delta^2 * sup |f''| (a symbolic second derivative,
-enclosed on fewer cells) and at most twice the first modulus.
+The bounds are built from moduli of continuity: omega and omega_2 of f(z)
+on [0, 1], and the partial and complete moduli of F(z, y) on [0, 1]^2.  All
+four run through one engine.  For an expression they are certified upper
+bounds: interval enclosures (exprlib.enclose) of f on equal cells per axis
+give, for a run of cells, an interval holding every value f takes there,
+and any two points closer than delta along an axis lie in one run of
+ceil(delta/h) + 1 cells of width h along it (a square of such runs for the
+complete modulus).  The enclosures are built once per expression, cell
+count and number of axes, checked against f at the cell corners, and kept
+in a small cache; on one axis they are also merged pairwise into coarser
+levels, so that a large radius reads a short array.  The two-axis moduli
+evaluate F at the cell corners and check them once more on every call, so
+that a traced run counts those evaluations.  The second modulus is at most
+delta^2 * sup |f''| (a symbolic second derivative, enclosed on fewer cells)
+and at most twice the first modulus.
 
 For a plain callable, which has no expression tree, the moduli are grid
 estimates and approach the true modulus from below.  The first modulus over
 k grid shifts is the largest max - min over windows of k+1 consecutive grid
 values, found by sparse-table doubling in O(n log k); floating-point
 subtraction is monotone, so this equals the largest |f[u+j] - f[u]|,
-j <= k, bit for bit.  The second is a loop over the k shifts, O(n k).
+j <= k, bit for bit.  The partial moduli are the same along one axis of a
+grid, the complete modulus takes the window extremes one row offset at a
+time, and the second modulus is a loop over the k shifts, O(n k).
 """
 
 from __future__ import annotations
@@ -33,11 +42,12 @@ from .errors import EvaluationError, check_int, check_points, check_real
 from .exprlib import FunctionExpr, enclose, second_derivative
 from .operator_uni import DEFAULT_ORDER, apply_kernel, central_moments, eval_function, kernel_integrals
 
-# Grid points of a callable's modulus estimate when no grid_n is given
-DEFAULT_MODULUS_GRID = 10_001
-# Enclosure cells of an expression on [0, 1]: the default and the most for
-# f, and the count for f''.  Powers of two make the cell ends i/n exact.
-_CELLS = 1 << 16
+# Per axis, for the moduli on one axis and on two: an expression's
+# enclosure cells by default and at most, and a callable's grid points by
+# default.  The default cell counts are powers of two, so the cell ends i/n
+# are exact.
+_RESOLUTION = {1: (1 << 16, 1 << 16, 10_001), 2: (256, 320, 256)}
+# Enclosure cells of f'' on [0, 1]
 _SECOND_CELLS = 1 << 12
 # A modulus reads the coarsest merged level on which its runs still span at
 # least this many cells, so a run is at most 2/_RUN_CELLS longer than delta.
@@ -117,17 +127,28 @@ def _window_range(values: np.ndarray, shifts: int, axis: int = -1) -> float:
         return float(_check_finite(np.max(hi - lo)))
 
 
-def _check_enclosure(ends: np.ndarray, values: np.ndarray) -> None:
-    """f at the cell corners (one more per axis than cells): finite, as a
-    grid must be, and inside the enclosure of every cell it bounds."""
-    _check_finite(values)
+def _on_axis(u: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    return u.reshape([-1 if i == axis else 1 for i in range(ndim)])
+
+
+def _grid(f, n: int, ndim: int) -> np.ndarray:
+    """f on n equally spaced points per axis of [0, 1]^ndim, axis i holding
+    the i-th variable (z, then y)."""
+    u = np.linspace(0.0, 1.0, n)
+    return eval_function(f, *(_on_axis(u, i, ndim) for i in range(ndim)))
+
+
+def _check_corners(f: FunctionExpr, ends: np.ndarray) -> None:
+    """f at the corners of the cells of ends = (hi, -lo): finite, as a grid
+    must be, and inside the enclosure of every cell it bounds."""
+    values = _check_finite(_grid(f, ends.shape[-1] + 1, ends.ndim - 1))
     for corner in itertools.product((slice(None, -1), slice(1, None)), repeat=values.ndim):
         v = values[corner]
         if not np.all((v <= ends[0]) & (-v <= ends[1])):
             raise EvaluationError("an interval enclosure misses a value of the function")
 
 
-def _run_range(ends: np.ndarray, width: float, delta: float, axes=(-1,)) -> float:
+def _run_range(ends: np.ndarray, width: float, delta: float, axes) -> float:
     """Upper bound on |f(v) - f(u)| over points u, v closer than delta along
     each of axes, from the enclosures ends = (hi, -lo) on cells at least
     `width` wide (the last may be narrower): such points lie in one run of
@@ -143,34 +164,30 @@ def _run_range(ends: np.ndarray, width: float, delta: float, axes=(-1,)) -> floa
     return math.inf if math.isnan(value) else math.nextafter(value, math.inf)
 
 
-def _cell_ends(f: FunctionExpr, *cells) -> np.ndarray:
-    """Read-only enclosures of f on the cells, as ends = (hi, -lo)."""
-    lo, hi = enclose(f, *cells)
-    ends = np.stack((hi, -lo))
-    ends.setflags(write=False)
-    return ends
-
-
-def _resolution(f, grid_n: int | None, defaults=(_CELLS, DEFAULT_MODULUS_GRID), most=_CELLS) -> int:
-    """grid_n as cells for an expression (at most `most`) or grid points for
-    a callable; when None, defaults[0] cells or defaults[1] points."""
+def _resolution(f, grid_n: int | None, ndim: int) -> int:
+    """grid_n per axis as enclosure cells for an expression or grid points
+    for a callable, with the defaults and the cap of _RESOLUTION[ndim]."""
+    cells, most, points = _RESOLUTION[ndim]
     expression = isinstance(f, FunctionExpr)
     if grid_n is None:
-        return defaults[0] if expression else defaults[1]
+        return cells if expression else points
     check_int("grid_n", grid_n, 101)
     return min(grid_n, most) if expression else grid_n
 
 
 @functools.lru_cache(maxsize=8)
-def _levels(f: FunctionExpr, cells: int) -> tuple:
-    """(ends, width) of f on `cells` equal cells of [0, 1], checked against f
-    at the cell ends, then on pairwise merged cells (an odd last cell stays
-    alone) while at least 2*_RUN_CELLS remain."""
-    edges = np.linspace(0.0, 1.0, cells + 1)
-    ends = _cell_ends(f, (edges[:-1], edges[1:]))
-    _check_enclosure(ends, eval_function(f, edges))
-    levels = [(ends, float(np.min(np.diff(edges))))]
-    while ends.shape[-1] >= 2 * _RUN_CELLS:
+def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
+    """(ends, width): read-only enclosures ends = (hi, -lo) of f on `cells`
+    equal cells per axis of [0, 1]^ndim, checked against f at the cell
+    corners, then, on one axis, on pairwise merged cells (an odd last cell
+    stays alone) while at least 2*_RUN_CELLS remain."""
+    u = np.linspace(0.0, 1.0, cells + 1)
+    lo, hi = enclose(f, *((_on_axis(u[:-1], i, ndim), _on_axis(u[1:], i, ndim)) for i in range(ndim)))
+    ends = np.stack((hi, -lo))
+    ends.setflags(write=False)
+    _check_corners(f, ends)
+    levels = [(ends, float(np.min(np.diff(u))))]
+    while ndim == 1 and ends.shape[-1] >= 2 * _RUN_CELLS:
         if ends.shape[-1] % 2:
             ends = np.concatenate((ends, ends[:, -1:]), axis=1)
         ends = np.maximum(ends[:, ::2], ends[:, 1::2])
@@ -179,10 +196,12 @@ def _levels(f: FunctionExpr, cells: int) -> tuple:
     return tuple(levels)
 
 
-def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int) -> float:
-    levels = _levels(f, cells)
+def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes) -> float:
+    """The run range along axes on the coarsest level whose runs still span
+    _RUN_CELLS cells at delta (or the finest)."""
+    levels = _levels(f, cells, ndim)
     ends, width = next((lv for lv in reversed(levels) if delta >= _RUN_CELLS * lv[1]), levels[0])
-    return _run_range(ends, width, delta)
+    return _run_range(ends, width, delta, axes)
 
 
 @functools.lru_cache(maxsize=8)
@@ -205,11 +224,10 @@ def modulus_continuity(f, delta: float, grid_n: int | None = None) -> ModulusEst
     below on a grid of grid_n points (default 10,001).
     """
     check_real("delta", delta, closed=True)
-    n = _resolution(f, grid_n)
+    n = _resolution(f, grid_n, 1)
     if isinstance(f, FunctionExpr):
-        return ModulusEstimate(delta, _enclosed_modulus(f, delta, n), n, True)
-    fs = eval_function(f, np.linspace(0.0, 1.0, n))
-    return ModulusEstimate(delta, _window_range(fs, _shift_count(delta, n)), n, False)
+        return ModulusEstimate(delta, _enclosed_modulus(f, delta, n, 1, (-1,)), n, True)
+    return ModulusEstimate(delta, _window_range(_grid(f, n, 1), _shift_count(delta, n)), n, False)
 
 
 def second_modulus(f, delta: float, grid_n: int | None = None) -> ModulusEstimate:
@@ -220,7 +238,7 @@ def second_modulus(f, delta: float, grid_n: int | None = None) -> ModulusEstimat
     grid estimate from below as in modulus_continuity.
     """
     check_real("delta", delta, closed=True)
-    n = _resolution(f, grid_n)
+    n = _resolution(f, grid_n, 1)
     if isinstance(f, FunctionExpr):
         d = min(delta, 0.5)  # u and u + 2h both lie in [0, 1]
         if d == 0.0:
@@ -230,13 +248,70 @@ def second_modulus(f, delta: float, grid_n: int | None = None) -> ModulusEstimat
         # roundings, an underflow to 0 included
         t = d * (d * s)
         curvature = t + 4.0 * math.ulp(t) if s else 0.0
-        return ModulusEstimate(delta, min(curvature, 2.0 * _enclosed_modulus(f, d, n)), n, True)
-    fs = _check_finite(eval_function(f, np.linspace(0.0, 1.0, n)))
+        return ModulusEstimate(delta, min(curvature, 2.0 * _enclosed_modulus(f, d, n, 1, (-1,))), n, True)
+    fs = _check_finite(_grid(f, n, 1))
     best = 0.0
     top = min(_shift_count(delta, n), (n - 1) // 2)
     for k in range(1, top + 1):
         best = max(best, float(np.max(np.abs(fs[2 * k :] - 2.0 * fs[k:-k] + fs[: -2 * k]))))
     return ModulusEstimate(delta, best, n, False)
+
+
+def partial_moduli(F, d1: float, d2: float, grid_n: int | None = None) -> tuple[float, float]:
+    """The partial moduli of continuity of F(z, y) in z (radius d1) and in y
+    (radius d2): certified for an expression on grid_n cells per axis
+    (default 256, at most 320), grid estimates from below for a callable on
+    grid_n points per axis (default 256)."""
+    check_real("d1", d1, closed=True)
+    check_real("d2", d2, closed=True)
+    n = _resolution(F, grid_n, 2)
+    if isinstance(F, FunctionExpr):
+        _check_corners(F, _levels(F, n, 2)[0][0])  # every call: see the module docstring
+        return _enclosed_modulus(F, d1, n, 2, (-2,)), _enclosed_modulus(F, d2, n, 2, (-1,))
+    G = _grid(F, n, 2)
+    return _window_range(G, _shift_count(d1, n), axis=0), _window_range(G, _shift_count(d2, n), axis=1)
+
+
+def complete_modulus(F, d: float, grid_n: int | None = None) -> float:
+    """sup |F(v) - F(u)| over pairs with |v-u| <= d.
+
+    Certified for an expression: such a pair lies in a square of k+1 by k+1
+    cells, k = ceil(d/h), so the largest max hi - min lo over those squares
+    bounds it.  For a callable, a grid estimate from below (grid sizes as in
+    partial_moduli): the grid offsets (a, b) inside the disc are taken one
+    row offset a at a time; the partners F[u+a, v+b], |b| <= B(a), of each
+    grid point form a window of 2*B(a)+1 columns, and the term is the
+    point's largest distance to that window's max or min.  With k =
+    d*(grid_n-1) offsets per axis the cost is O(k * grid_n^2 * log k).
+    """
+    check_real("d", d, closed=True)
+    grid_n = _resolution(F, grid_n, 2)
+    if isinstance(F, FunctionExpr):
+        _check_corners(F, _levels(F, grid_n, 2)[0][0])  # every call: see the module docstring
+        return _enclosed_modulus(F, d, grid_n, 2, (-2, -1))
+    G = _grid(F, grid_n, 2)
+    d = min(d, 2.0)  # a disc of radius 2 already covers the unit square
+    h = 1.0 / (grid_n - 1)
+    kmax = min(int(d / h + _SHIFT_EPS), grid_n - 1)
+    limit = (d / h) ** 2 + _SHIFT_EPS
+    best = 0.0
+    b = kmax  # the half-width B(a) only shrinks as a grows
+    for a in range(0, kmax + 1):
+        while b >= 0 and a * a + b * b > limit:
+            b -= 1
+        if b < 0:
+            break
+        if a == 0:
+            # offsets (0, b) and (0, -b) pair the same points; this term
+            # also rejects a grid with non-finite values
+            best = _window_range(G, b, axis=1)
+            continue
+        # edge padding repeats a border column the clipped window holds anyway
+        partners = np.pad(G[a:], ((0, 0), (b, b)), mode="edge")
+        hi, lo = _window_extremes(partners, 2 * b + 1, axis=1)
+        base = G[: grid_n - a]
+        best = max(best, float(np.max(hi - base)), float(np.max(base - lo)))
+    return best
 
 
 def bound_t2(params: OperatorParams, f, z: float, grid_n: int | None = None) -> float:

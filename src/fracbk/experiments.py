@@ -1,8 +1,9 @@
 """Preset experiment datasets: error tables 1-7 and figure datasets 1-6.
 
-Each preset carries its full parameter set and emits a deterministic CSV
-through dataset.to_csv.  Every preset but table 4 is one row of PRESETS: a
-sweep of one parameter over which the operator is evaluated at fixed points.
+Each preset emits a deterministic CSV through dataset.to_csv.  Every
+preset but table 4 is one row of PRESETS, stored as data: the fixed
+operator parameters, stated once, and a sweep of the remaining one over
+which the operator is evaluated at fixed points.
 """
 
 from __future__ import annotations
@@ -19,36 +20,34 @@ from .operator_uni import DEFAULT_ORDER, eval_function, kernel_integrals, operat
 
 NINE_POINTS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
-# (function, base parameters, sweep name, sweep values, params factory) of
-# the bivariate presets, each shown both as a table and as a figure
-_G1 = ("g1", "eta=2 gamma=3 alpha=0.9 s=2 (both axes)", "m", (10, 30, 90),
-       lambda m: OperatorParams(m, 2.0, 3.0, 0.9, 2))
-_G2 = ("g2", "m=15 eta=2 gamma=2 s=2 (both axes)", "alpha", (0.1, 0.5, 0.9),
-       lambda a: OperatorParams(15, 2.0, 2.0, a, 2))
-_G3 = ("g3", "m=15 eta=3 gamma=2 alpha=0.8 (both axes)", "s", (9, 6, 3),
-       lambda s: OperatorParams(15, 3.0, 2.0, 0.8, s))
+# (function, fixed parameters, swept parameter, its values) of the
+# bivariate presets, each shown both as a table and as a figure; the
+# parameters hold on both axes
+_G1 = ("g1", dict(eta=2.0, gamma=3.0, alpha=0.9, s=2), "m", (10, 30, 90))
+_G2 = ("g2", dict(m=15, eta=2.0, gamma=2.0, s=2), "alpha", (0.1, 0.5, 0.9))
+_G3 = ("g3", dict(m=15, eta=3.0, gamma=2.0, alpha=0.8), "s", (9, 6, 3))
 
-# (kind, number, function, base parameters, sweep name, sweep values, params factory)
+# (kind, number, function, fixed parameters, swept parameter, its values)
 PRESETS = (
-    ("table", 1, "f1", "eta=2 gamma=4 alpha=0.9 s=3", "m", (40, 100, 250),
-     lambda m: OperatorParams(m, 2.0, 4.0, 0.9, 3)),
-    ("table", 2, "f2", "m=90 eta=3 gamma=2 s=3", "alpha", (0.35, 0.65, 0.95),
-     lambda a: OperatorParams(90, 3.0, 2.0, a, 3)),
-    ("table", 3, "f3", "m=70 eta=3 gamma=2 alpha=0.75", "s", (8, 5, 2),
-     lambda s: OperatorParams(70, 3.0, 2.0, 0.75, s)),
+    ("table", 1, "f1", dict(eta=2.0, gamma=4.0, alpha=0.9, s=3), "m", (40, 100, 250)),
+    ("table", 2, "f2", dict(m=90, eta=3.0, gamma=2.0, s=3), "alpha", (0.35, 0.65, 0.95)),
+    ("table", 3, "f3", dict(m=70, eta=3.0, gamma=2.0, alpha=0.75), "s", (8, 5, 2)),
     ("table", 5, *_G1),
     ("table", 6, *_G2),
     ("table", 7, *_G3),
-    ("figure", 1, "f1", "eta=3 gamma=3 alpha=0.9 s=4", "m", (20, 30, 70),
-     lambda m: OperatorParams(m, 3.0, 3.0, 0.9, 4)),
-    ("figure", 2, "f2", "m=10 eta=2 gamma=3 s=4", "alpha", (0.35, 0.65, 0.95),
-     lambda a: OperatorParams(10, 2.0, 3.0, a, 4)),
-    ("figure", 3, "f3", "m=10 eta=3 gamma=2 alpha=0.75", "s", (2, 5, 8),
-     lambda s: OperatorParams(10, 3.0, 2.0, 0.75, s)),
+    ("figure", 1, "f1", dict(eta=3.0, gamma=3.0, alpha=0.9, s=4), "m", (20, 30, 70)),
+    ("figure", 2, "f2", dict(m=10, eta=2.0, gamma=3.0, s=4), "alpha", (0.35, 0.65, 0.95)),
+    ("figure", 3, "f3", dict(m=10, eta=3.0, gamma=2.0, alpha=0.75), "s", (2, 5, 8)),
     ("figure", 4, *_G1),
     ("figure", 5, *_G2),
     ("figure", 6, *_G3),
 )
+
+
+def _sweep(spec) -> list:
+    """The OperatorParams at each swept value."""
+    base, name, values = spec[3:]
+    return [OperatorParams(**base, **{name: v}) for v in values]
 
 
 def _operator(fn, order, contract):
@@ -65,8 +64,10 @@ def _operator(fn, order, contract):
 def _dataset(spec, order, coords, data, prefix, extra=()) -> Dataset:
     """Columns z (and y), the extra data columns, then one per sweep value,
     named prefix + parameter initial + value."""
-    kind, number, fn, base, sweep_name, sweep, _ = spec
-    meta = (f"{kind} {number}", f"function {fn} = {BUILTINS[fn]}", base,
+    kind, number, fn, base, sweep_name, sweep = spec
+    fixed = " ".join(f"{k}={v:g}" for k, v in base.items())
+    meta = (f"{kind} {number}", f"function {fn} = {BUILTINS[fn]}",
+            fixed if fn in UNIVARIATE else f"{fixed} (both axes)",
             f"{sweep_name} values: {', '.join(str(v) for v in sweep)}", f"order={order}")
     columns = ("z", "y")[: len(coords)] + extra
     columns += tuple(f"{prefix}{sweep_name[0]}{str(v).replace('.', '')}" for v in sweep)
@@ -80,7 +81,7 @@ def _table(spec, order) -> Dataset:
     coords = (u,) if spec[2] in UNIVARIATE else (u, u)
     exact = eval_function(get_function(spec[2]), *coords)
     values = _operator(spec[2], order, lambda B, V: np.einsum("ij,jk,ik->i", B, V, B))
-    errors = [np.abs(exact - values(p, u)) for p in map(spec[6], spec[5])]
+    errors = [np.abs(exact - values(p, u)) for p in _sweep(spec)]
     return _dataset(spec, order, coords, errors, "err_")
 
 
@@ -91,7 +92,7 @@ def _figure(spec, order) -> Dataset:
     coords = (u,) if spec[2] in UNIVARIATE else tuple(np.meshgrid(u, u, indexing="ij"))
     phi = eval_function(get_function(spec[2]), *coords)
     values = _operator(spec[2], order, lambda B, V: B @ V @ B.T)
-    ops = [values(p, u) for p in map(spec[6], spec[5])]
+    ops = [values(p, u) for p in _sweep(spec)]
     return _dataset(spec, order, coords, [phi, *ops], "op_", ("phi",))
 
 

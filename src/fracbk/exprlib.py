@@ -2,12 +2,12 @@
 
 Expressions describe real-valued test functions of one variable ``z`` or two
 variables ``z`` and ``y``.  Supported syntax: numbers in ASCII digits
-(``1``, ``2.5``, ``.5``), the constant ``pi``, the operators ``+ - * / ^``
-(with ``^`` binding tightest and associating to the right), unary minus,
-parentheses, and the calls ``sin``, ``cos``, ``exp``, ``sqrt`` and
-``abs``.  Evaluation accepts scalars or numpy arrays;
-enclose bounds an expression over cells (interval arithmetic), and
-second_derivative differentiates it symbolically.
+(``1``, ``2.5``, ``.5``; one that overflows a float is an error), the
+constant ``pi``, the operators ``+ - * / ^`` (with ``^`` binding tightest
+and associating to the right), unary minus, parentheses, and the calls
+``sin``, ``cos``, ``exp``, ``sqrt`` and ``abs``.  Evaluation accepts
+scalars or numpy arrays; enclose bounds an expression over cells (interval
+arithmetic), and second_derivative differentiates it symbolically.
 """
 
 from __future__ import annotations
@@ -171,7 +171,10 @@ class _Parser:
     def parse_atom(self) -> Node:
         tok = self.next()
         if tok.kind == "number":
-            return Num(float(tok.lexeme))
+            value = float(tok.lexeme)
+            if math.isinf(value):
+                raise ParseError(f"number {tok.lexeme[:20]}... is too large", tok.position)
+            return Num(value)
         if tok.kind == "identifier":
             name = tok.lexeme
             if name in FUNCTION_NAMES:
@@ -478,7 +481,8 @@ def _operand(node: Node, least: int) -> str:
 
 def _print(node: Node) -> str:
     if isinstance(node, Num):
-        return repr(node.value)
+        # positional, because the grammar has no exponent notation
+        return np.format_float_positional(node.value, trim="0")
     if isinstance(node, (Var, Const)):
         return node.name
     if isinstance(node, Call):

@@ -100,14 +100,16 @@ class TestEval:
     @pytest.mark.parametrize("flags, code", [
         pytest.param(("--fn", "2*\u00b2"), 2, id="superscript-digit"),
         pytest.param(("--fn", "z+\u0663"), 2, id="arabic-indic-digit"),
+        pytest.param(("--fn", "1" + "0" * 400 + "*z"), 2, id="overflowing-literal"),
         pytest.param(("--fn", "f1", "--order", "4097"), 2, id="order-4097"),
         *(pytest.param(("--fn", "f1", "--eta", eta, "--order", order), 3, id=f"eta-{eta}-order-{order}")
           for eta in ("1e-16", "1e-300") for order in ("8", "16", "32", "64")),
     ])
     def test_one_error_line(self, capsys, flags, code):
         # a superscript digit used to end in a ValueError traceback, and an
-        # Arabic-Indic one was read as 3; eta=1e-300 used to exit 0 at order
-        # 32 and 64 after a RuntimeWarning, and the others with 3 lines
+        # Arabic-Indic one was read as 3, a 400-digit literal as inf (exit
+        # 3); eta=1e-300 used to exit 0 at order 32 and 64 after a
+        # RuntimeWarning, and the others with 3 lines
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got, out, err = run_cli(capsys, "eval", *flags, "--z", "0.5", "--m", "3")

@@ -72,6 +72,12 @@ class TestParse:
     def test_unary_minus_binds_below_power(self):
         assert evaluate(parse_source("-2^2"), 0.0) == pytest.approx(-4.0)
 
+    def test_literal_overflowing_a_float_rejected(self):
+        # it used to parse to inf, and fracbk eval exited 3 on a non-finite kernel
+        with pytest.raises(ParseError, match="too large") as excinfo:
+            parse_source("z+1" + "0" * 400)
+        assert excinfo.value.position == 2
+
     def test_parse_accepts_token_sequence(self):
         expr = parse(tokenize("z*(1-z)"))
         assert evaluate(expr, 0.25) == pytest.approx(0.1875)
@@ -208,6 +214,10 @@ ROUND_TRIP_SOURCES = [
     "z/(2/y)",
     "z^(y+1)",
     "-(-z)",
+    # numbers print positionally, since the grammar has no exponent notation
+    "0.00001*z",
+    "9999999999999999+z",
+    "1" + "0" * 300 + "*z",
 ]
 
 

@@ -19,6 +19,7 @@ from fracbk import (
     complete_modulus,
     evaluate,
     get_function,
+    modulus_continuity,
     parse_source,
     partial_moduli,
     raw_moments,
@@ -354,6 +355,38 @@ class TestModuliParity:
         n = grid_n if grid_n is not None else 256
         expected = _offset_loop_complete(_parity_grid(name, n), d)
         assert complete_modulus(_PARITY_FUNCS[name], d, grid_n) == expected
+
+
+_Z_ONLY = ("f1", "f2", "f3", "f4", "abs(z-0.37)", "sqrt(z)")
+_RADII = (0.0, 0.003, 0.05, 0.2, 0.5, 0.9, 1.0, 2.0)
+
+
+class TestOneEngine:
+    """The moduli on one axis and on two share one engine: for a function of
+    z alone, the partial modulus in z is the univariate modulus."""
+
+    @pytest.mark.parametrize("source", _Z_ONLY)
+    @pytest.mark.parametrize("n", [101, 128, 200, 255])
+    def test_partial_in_z_is_the_univariate_modulus(self, source, n):
+        f = get_function(source)
+        for d in _RADII:
+            assert partial_moduli(f, d, 0.0, n)[0] == modulus_continuity(f, d, n).value, d
+
+    @pytest.mark.parametrize("source", _Z_ONLY)
+    @pytest.mark.parametrize("n", [256, 300, 320])
+    def test_merged_levels_only_loosen_the_univariate_modulus(self, source, n):
+        # from 256 cells on, a large radius reads merged cells on one axis
+        f = get_function(source)
+        for d in _RADII:
+            assert modulus_continuity(f, d, n).value >= partial_moduli(f, d, 0.0, n)[0], d
+
+    @pytest.mark.parametrize("n", [101, 256, 257, 501])
+    def test_callable_grids_agree(self, n):
+        def f(z, *y):
+            return np.abs(np.sin(5.0 * z) - 0.3)
+
+        for d in _RADII:
+            assert partial_moduli(f, d, 0.0, n)[0] == modulus_continuity(f, d, n).value, d
 
 
 class TestBivariateBounds:
