@@ -29,7 +29,7 @@ class OperatorParams:
     s: int
 
     def __post_init__(self):
-        check_int("m", self.m, 1)
+        check_int("m", self.m, 1, 2**53 - 1)  # m + 1.0 is exact
         check_real("eta", self.eta)
         check_real("gamma", self.gamma)
         check_real("alpha", self.alpha, 0.0, 1.0, closed=True)

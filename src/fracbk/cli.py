@@ -233,8 +233,8 @@ def main(argv=None) -> int:
     except (ParseError, DomainError) as exc:
         print(f"fracbk: error: {exc}", file=sys.stderr)
         return 2
-    except FracbkError as exc:
-        print(f"fracbk: numeric failure: {exc}", file=sys.stderr)
+    except (FracbkError, MemoryError) as exc:
+        print(f"fracbk: numeric failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     return 0
 

@@ -2,29 +2,32 @@
 evaluation of the error bounds.
 
 The bounds are built from moduli of continuity: omega and omega_2 of f(z)
-on [0, 1], and the partial and complete moduli of F(z, y) on [0, 1]^2.  All
-four run through one engine.  For an expression they are certified upper
-bounds: interval enclosures (exprlib.enclose) of f on equal cells per axis
-give, for a run of cells, an interval holding every value f takes there,
-and any two points closer than delta along an axis lie in one run of
-ceil(delta/h) + 1 cells of width h along it (a square of such runs for the
-complete modulus).  The enclosures are built once per expression, cell
+on [0, 1], and the partial and complete moduli of F(z, y) on [0, 1]^2.
+All but omega_2 run through one window engine, _run_range: the largest
+max hi - min lo over runs of k entries along some axes of ends = (hi, -lo),
+by sparse-table doubling in O(n log k).
+
+For an expression these are certified upper bounds: interval enclosures
+(exprlib.enclose) of f on equal cells per axis give, for a run of cells,
+an interval holding every value f takes there, and any two points closer
+than delta along an axis lie in one run of ceil(delta/h) + 1 cells of
+width h along it.  The enclosures are built once per expression, cell
 count and number of axes, checked against f at the cell corners, and kept
 in a small cache; on one axis they are also merged pairwise into coarser
 levels, so that a large radius reads a short array.  The two-axis moduli
 evaluate F at the cell corners and check them once more on every call, so
-that a traced run counts those evaluations.  The second modulus is at most
-delta^2 * sup |f''| (a symbolic second derivative, enclosed on fewer cells)
-and at most twice the first modulus.
+that a traced run counts those evaluations.  omega_2 is at most delta^2 *
+sup |f''| (a symbolic second derivative, enclosed on fewer cells) and at
+most twice omega.
 
 For a plain callable, which has no expression tree, the moduli are grid
-estimates and approach the true modulus from below.  The first modulus over
-k grid shifts is the largest max - min over windows of k+1 consecutive grid
-values, found by sparse-table doubling in O(n log k); floating-point
-subtraction is monotone, so this equals the largest |f[u+j] - f[u]|,
-j <= k, bit for bit.  The partial moduli are the same along one axis of a
-grid, the complete modulus takes the window extremes one row offset at a
-time, and the second modulus is a loop over the k shifts, O(n k).
+estimates from below: the grid values enter the engine as zero-width
+enclosures, and differ from enclosures only in the run count (k+1 points
+for k grid shifts) and in raising on a non-finite value where an
+enclosure reads inf.  Subtraction is monotone, so the largest max - min
+over runs of k+1 values equals the largest |f[u+j] - f[u]|, j <= k, bit
+for bit.  The complete modulus takes the runs in its disc one row offset
+at a time; omega_2 is a loop over the k shifts, O(n k).
 """
 
 from __future__ import annotations
@@ -110,23 +113,6 @@ def _window_max(values: np.ndarray, width: int, axis: int = -1) -> np.ndarray:
     return np.moveaxis(hi, -1, axis)
 
 
-def _window_extremes(values: np.ndarray, width: int, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Running max and min over every run of `width` entries along axis."""
-    return _window_max(values, width, axis), -_window_max(-values, width, axis)
-
-
-def _window_range(values: np.ndarray, shifts: int, axis: int = -1) -> float:
-    """max |values[u+k] - values[u]| over 0 <= k <= shifts along axis.
-
-    Every entry lies in some window, and max, min and subtraction carry NaN
-    and inf through (inf - inf is NaN), so a non-finite entry anywhere
-    gives a non-finite range, which raises EvaluationError.
-    """
-    hi, lo = _window_extremes(values, shifts + 1, axis)
-    with np.errstate(invalid="ignore"):
-        return float(_check_finite(np.max(hi - lo)))
-
-
 def _on_axis(u: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return u.reshape([-1 if i == axis else 1 for i in range(ndim)])
 
@@ -148,20 +134,14 @@ def _check_corners(f: FunctionExpr, ends: np.ndarray) -> None:
             raise EvaluationError("an interval enclosure misses a value of the function")
 
 
-def _run_range(ends: np.ndarray, width: float, delta: float, axes) -> float:
-    """Upper bound on |f(v) - f(u)| over points u, v closer than delta along
-    each of axes, from the enclosures ends = (hi, -lo) on cells at least
-    `width` wide (the last may be narrower): such points lie in one run of
-    ceil(delta/width) + 1 cells per axis, and max hi - min lo over that run
-    bounds the difference.
-    """
-    if delta == 0.0:
-        return 0.0
-    runs = math.ceil(min(delta, 2.0) / width * (1.0 + 2.0**-40)) + 1
+def _run_range(ends: np.ndarray, runs: int, axes) -> float:
+    """max hi - min lo over every run of `runs` entries (at most the whole
+    axis) along each of the negative axes of ends = (hi, -lo).  Max, min
+    and addition carry NaN and inf through (inf - inf is NaN)."""
     for axis in axes:
         ends = _window_max(ends, min(runs, ends.shape[axis]), axis)
-    value = float(np.max(ends[0] + ends[1]))
-    return math.inf if math.isnan(value) else math.nextafter(value, math.inf)
+    with np.errstate(invalid="ignore"):
+        return float(np.max(ends[0] + ends[1]))
 
 
 def _resolution(f, grid_n: int | None, ndim: int) -> int:
@@ -197,11 +177,17 @@ def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
 
 
 def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes) -> float:
-    """The run range along axes on the coarsest level whose runs still span
-    _RUN_CELLS cells at delta (or the finest)."""
+    """Upper bound on |f(v) - f(u)| over points u, v closer than delta along
+    each of axes, on the coarsest level whose runs still span _RUN_CELLS
+    cells at delta (or the finest): on cells at least `width` wide (the
+    last may be narrower) such points lie in one run of ceil(delta/width)
+    + 1 cells per axis, and the run range bounds the difference."""
     levels = _levels(f, cells, ndim)
+    if delta == 0.0:
+        return 0.0
     ends, width = next((lv for lv in reversed(levels) if delta >= _RUN_CELLS * lv[1]), levels[0])
-    return _run_range(ends, width, delta, axes)
+    value = _run_range(ends, math.ceil(min(delta, 2.0) / width * (1.0 + 2.0**-40)) + 1, axes)
+    return math.inf if math.isnan(value) else math.nextafter(value, math.inf)
 
 
 @functools.lru_cache(maxsize=8)
@@ -227,7 +213,9 @@ def modulus_continuity(f, delta: float, grid_n: int | None = None) -> ModulusEst
     n = _resolution(f, grid_n, 1)
     if isinstance(f, FunctionExpr):
         return ModulusEstimate(delta, _enclosed_modulus(f, delta, n, 1, (-1,)), n, True)
-    return ModulusEstimate(delta, _window_range(_grid(f, n, 1), _shift_count(delta, n)), n, False)
+    G = _grid(f, n, 1)
+    value = _run_range(np.stack((G, -G)), _shift_count(delta, n) + 1, (-1,))
+    return ModulusEstimate(delta, _check_finite(value), n, False)
 
 
 def second_modulus(f, delta: float, grid_n: int | None = None) -> ModulusEstimate:
@@ -268,8 +256,9 @@ def partial_moduli(F, d1: float, d2: float, grid_n: int | None = None) -> tuple[
     if isinstance(F, FunctionExpr):
         _check_corners(F, _levels(F, n, 2)[0][0])  # every call: see the module docstring
         return _enclosed_modulus(F, d1, n, 2, (-2,)), _enclosed_modulus(F, d2, n, 2, (-1,))
-    G = _grid(F, n, 2)
-    return _window_range(G, _shift_count(d1, n), axis=0), _window_range(G, _shift_count(d2, n), axis=1)
+    ends = np.stack((G := _grid(F, n, 2), -G))
+    return tuple(_check_finite(_run_range(ends, _shift_count(d, n) + 1, (axis,)))
+                 for d, axis in ((d1, -2), (d2, -1)))
 
 
 def complete_modulus(F, d: float, grid_n: int | None = None) -> float:
@@ -289,7 +278,7 @@ def complete_modulus(F, d: float, grid_n: int | None = None) -> float:
     if isinstance(F, FunctionExpr):
         _check_corners(F, _levels(F, grid_n, 2)[0][0])  # every call: see the module docstring
         return _enclosed_modulus(F, d, grid_n, 2, (-2, -1))
-    G = _grid(F, grid_n, 2)
+    ends = np.stack((G := _grid(F, grid_n, 2), -G))
     d = min(d, 2.0)  # a disc of radius 2 already covers the unit square
     h = 1.0 / (grid_n - 1)
     kmax = min(int(d / h + _SHIFT_EPS), grid_n - 1)
@@ -304,13 +293,11 @@ def complete_modulus(F, d: float, grid_n: int | None = None) -> float:
         if a == 0:
             # offsets (0, b) and (0, -b) pair the same points; this term
             # also rejects a grid with non-finite values
-            best = _window_range(G, b, axis=1)
+            best = _check_finite(_run_range(ends, b + 1, (-1,)))
             continue
         # edge padding repeats a border column the clipped window holds anyway
-        partners = np.pad(G[a:], ((0, 0), (b, b)), mode="edge")
-        hi, lo = _window_extremes(partners, 2 * b + 1, axis=1)
-        base = G[: grid_n - a]
-        best = max(best, float(np.max(hi - base)), float(np.max(base - lo)))
+        partners = np.pad(ends[:, a:], ((0, 0), (0, 0), (b, b)), mode="edge")
+        best = max(best, float(np.max(_window_max(partners, 2 * b + 1) - ends[:, : grid_n - a])))
     return best
 
 

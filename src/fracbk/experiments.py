@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import OperatorParams, basis_matrix
+from .basis import OperatorParams
 from .corpus import BUILTINS, UNIVARIATE, get_function
 from .dataset import Dataset, to_csv
 from .error_analysis import error_table
 from .errors import DomainError, check_int
-from .operator_biv import BivariateParams, biv_kernel_integrals
-from .operator_uni import DEFAULT_ORDER, eval_function, kernel_integrals, operator_values
+from .operator_biv import BivariateParams, surface_values
+from .operator_uni import DEFAULT_ORDER, apply_grid, eval_function
 
 NINE_POINTS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -50,15 +50,13 @@ def _sweep(spec) -> list:
     return [OperatorParams(**base, **{name: v}) for v in values]
 
 
-def _operator(fn, order, contract):
-    """values(p, u): the operator with parameters p at the points u or, for
-    a function of z and y, contract(B, V) of the basis matrix B at u and the
-    kernel matrix V, with p on both axes."""
+def _values(fn, p, u, order) -> np.ndarray:
+    """The operator with parameters p at the points u or, for a function of
+    z and y, with p on both axes on the product grid u x u."""
     f = get_function(fn)
     if fn in UNIVARIATE:
-        return lambda p, u: operator_values(kernel_integrals(p, f, order), u)
-    kernel = lambda p: biv_kernel_integrals(BivariateParams(p, p), f, order).values
-    return lambda p, u: contract(basis_matrix(p, u), kernel(p))
+        return apply_grid(p, f, u, order)
+    return surface_values(BivariateParams(p, p), f, u, u, order)
 
 
 def _dataset(spec, order, coords, data, prefix, extra=()) -> Dataset:
@@ -80,8 +78,8 @@ def _table(spec, order) -> Dataset:
     u = np.array(NINE_POINTS)
     coords = (u,) if spec[2] in UNIVARIATE else (u, u)
     exact = eval_function(get_function(spec[2]), *coords)
-    values = _operator(spec[2], order, lambda B, V: np.einsum("ij,jk,ik->i", B, V, B))
-    errors = [np.abs(exact - values(p, u)) for p in _sweep(spec)]
+    ops = (_values(spec[2], p, u, order) for p in _sweep(spec))
+    errors = [np.abs(exact - (v if v.ndim == 1 else v.diagonal())) for v in ops]
     return _dataset(spec, order, coords, errors, "err_")
 
 
@@ -91,8 +89,7 @@ def _figure(spec, order) -> Dataset:
     u = np.linspace(0.0, 1.0, 201 if spec[2] in UNIVARIATE else 41)
     coords = (u,) if spec[2] in UNIVARIATE else tuple(np.meshgrid(u, u, indexing="ij"))
     phi = eval_function(get_function(spec[2]), *coords)
-    values = _operator(spec[2], order, lambda B, V: B @ V @ B.T)
-    ops = [values(p, u) for p in _sweep(spec)]
+    ops = [_values(spec[2], p, u, order) for p in _sweep(spec)]
     return _dataset(spec, order, coords, [phi, *ops], "op_", ("phi",))
 
 

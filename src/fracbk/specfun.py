@@ -1,9 +1,9 @@
 """Gamma, Beta and binomial primitives plus the Gamma-ratio moment
 coefficients used by the closed-form operator moments.
 
-Everything is computed in log space so that degrees up to 10^4 stay inside
-double range.  Out-of-range binomial coefficients are represented by the
-value -inf, whose exponential is an exact zero.
+Gamma, Beta and the moments are computed in log space so that degrees up
+to 10^4 stay inside double range.  binomial is the exact integer rounded
+once to a float, and outside 0 <= k <= n an exact zero (log_binomial -inf).
 """
 
 from __future__ import annotations
@@ -36,8 +36,17 @@ def log_binomial(n: int, k: int) -> float:
 
 
 def binomial(n: int, k: int) -> float:
-    """C(n, k) as a float, exactly zero outside 0 <= k <= n."""
-    return math.exp(log_binomial(n, k))
+    """C(n, k) as a float: math.comb rounded once, inf above the float
+    range, exactly zero outside 0 <= k <= n."""
+    if log_binomial(n, k) == LOG_ZERO:
+        return 0.0
+    j = min(k, n - k)
+    if j and j * (math.log(n) - math.log(j)) > 710.0:  # C(n, j) >= (n/j)^j > e^710
+        return math.inf
+    try:
+        return float(math.comb(n, j))
+    except OverflowError:
+        return math.inf
 
 
 def moment_coeff(eta: float, gamma: float, k: int) -> float:

@@ -55,6 +55,7 @@ class TestOperatorParams:
             {"gamma": float("nan")},
             {"alpha": float("nan")},
             {"m": np.float64(5.0)},
+            {"m": 2**53},  # m + 1.0 would round
             {"s": np.bool_(True)},
         ],
     )
@@ -63,6 +64,9 @@ class TestOperatorParams:
         base.update(kwargs)
         with pytest.raises(DomainError):
             OperatorParams(**base)
+
+    def test_largest_exact_degree_accepted(self):
+        assert OperatorParams(m=2**53 - 1, eta=1.0, gamma=1.0, alpha=0.5, s=2).m + 1.0 == 2.0**53
 
     def test_numpy_integers_accepted(self):
         p = OperatorParams(m=np.int64(10), eta=2.0, gamma=3.0, alpha=0.5, s=np.int32(2))

@@ -375,20 +375,53 @@ if loaded:
 """
 
 
-def _run_fresh(body):
+def _run_fresh(*args, **kwargs):
     src = str(Path(fracbk.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", _NO_SCIPY.format(body=body)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120, **kwargs)
 
 
 class TestNumpyOnlyRuntime:
     def test_import_loads_no_scipy(self):
-        proc = _run_fresh("import fracbk.cli")
+        proc = _run_fresh("-c", _NO_SCIPY.format(body="import fracbk.cli"))
         assert proc.returncode == 0, proc.stderr
 
     def test_table_run_loads_no_scipy(self):
-        proc = _run_fresh("from fracbk.cli import main\nassert main(['table', '1']) == 0")
+        body = "from fracbk.cli import main\nassert main(['table', '1']) == 0"
+        proc = _run_fresh("-c", _NO_SCIPY.format(body=body))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("# table 1")
+
+
+def _cap_address_space():
+    """4 GiB of address space (or the hard limit, if lower), so that no
+    allocation of terabytes can succeed on any machine."""
+    import resource
+
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+class TestOversizedInputs:
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(("eval", "--m", "1000000000000"), 3, id="eval-m-1e12"),
+        pytest.param(("bounds", "--m", "1000000000000"), 3, id="bounds-m-1e12"),
+        pytest.param(("eval", "--z", "0:1:1000000000000"), 3, id="eval-z-1e12-points"),
+        pytest.param(("biv-eval", "--fn", "g1", "--z", "0:1:3000000", "--y", "0:1:3000000", "--m", "2"),
+                     3, id="biv-eval-3e6-squared"),
+        pytest.param(("eval", "--m", "9007199254740992"), 2, id="eval-m-2-53"),
+        pytest.param(("eval", "--m", "10000000000000000000"), 2, id="eval-m-1e19"),
+    ])
+    def test_one_error_line(self, argv, code):
+        # each ended in a numpy MemoryError (or, from m = 2**60 on, a
+        # ValueError) traceback with exit 1
+        command, *flags = argv
+        proc = _run_fresh("-m", "fracbk.cli", command, "--fn", "f1", "--z", "0.5", *flags,
+                          preexec_fn=_cap_address_space)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert proc.stderr.startswith("fracbk: error: " if code == 2 else "fracbk: numeric failure: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr

@@ -292,6 +292,9 @@ class TestCompleteModulus:
 _PARITY_FUNCS = {
     "abs_diff": lambda z, y: np.abs(z - y),
     "sin_cos": lambda z, y: np.sin(3.0 * z) * np.cos(5.0 * y),
+    # falls with z, so every largest difference has the base point above
+    # its row-offset partners
+    "falling_z": lambda z, y: np.cos(2.0 * y) - 3.0 * z,
 }
 
 

@@ -89,6 +89,21 @@ class TestBinomial:
         assert log_binomial(7, 0) == pytest.approx(0.0, abs=1e-15)
         assert log_binomial(7, 7) == pytest.approx(0.0, abs=1e-15)
 
+    def test_exact_below_60(self):
+        # exp(log_binomial) gave binomial(2, 1) = 1.9999999999999993
+        for n in range(60):
+            for k in range(n + 1):
+                assert binomial(n, k) == float(math.comb(n, k)), (n, k)
+
+    @pytest.mark.parametrize("n, k", [(1030, 515), (2000, 1000), (10**300, 2), (10**300, 10**150)])
+    def test_overflow_is_inf(self, n, k):
+        # math.exp raised OverflowError; the last would not finish in math.comb
+        assert binomial(n, k) == math.inf
+
+    def test_huge_n_fits(self):
+        # lgamma sees 10**300 + 1 as 10**300, so exp(log_binomial) gave 1.0
+        assert binomial(10**300, 1) == 1e300
+
     def test_pascal_row(self):
         row = [binomial(6, k) for k in range(7)]
         assert row == pytest.approx([1, 6, 15, 20, 15, 6, 1], rel=1e-12)
