@@ -23,8 +23,9 @@ most twice omega.
 For a plain callable, which has no expression tree, the moduli are grid
 estimates from below: the grid values enter the engine as zero-width
 enclosures, and differ from enclosures only in the run count (k+1 points
-for k grid shifts) and in raising on a non-finite value where an
-enclosure reads inf.  Subtraction is monotone, so the largest max - min
+for k grid shifts) and in raising on a non-finite grid value where an
+enclosure reads inf; a difference of finite values past the float range
+reads inf on both.  Subtraction is monotone, so the largest max - min
 over runs of k+1 values equals the largest |f[u+j] - f[u]|, j <= k, bit
 for bit.  The complete modulus takes the runs in its disc one row offset
 at a time; omega_2 is a loop over the k shifts, O(n k).
@@ -82,13 +83,6 @@ class ErrorTable:
         return to_csv(Dataset("error table", tuple(comments), columns, tuple(self.rows), footer))
 
 
-def _check_finite(values):
-    # max() over differences would drop a NaN and report a modulus of 0.0
-    if not np.all(np.isfinite(values)):
-        raise EvaluationError("function has non-finite values on the modulus grid")
-    return values
-
-
 def _shift_count(delta: float, grid_n: int) -> int:
     return int(min(delta * (grid_n - 1) + _SHIFT_EPS, grid_n - 1))
 
@@ -119,15 +113,20 @@ def _on_axis(u: np.ndarray, axis: int, ndim: int) -> np.ndarray:
 
 def _grid(f, n: int, ndim: int) -> np.ndarray:
     """f on n equally spaced points per axis of [0, 1]^ndim, axis i holding
-    the i-th variable (z, then y)."""
+    the i-th variable (z, then y); EvaluationError where a value is not
+    finite."""
     u = np.linspace(0.0, 1.0, n)
-    return eval_function(f, *(_on_axis(u, i, ndim) for i in range(ndim)))
+    values = eval_function(f, *(_on_axis(u, i, ndim) for i in range(ndim)))
+    # max() over differences would drop a NaN and report a modulus of 0.0
+    if not np.all(np.isfinite(values)):
+        raise EvaluationError("function has non-finite values on the modulus grid")
+    return values
 
 
 def _check_corners(f: FunctionExpr, ends: np.ndarray) -> None:
     """f at the corners of the cells of ends = (hi, -lo): finite, as a grid
     must be, and inside the enclosure of every cell it bounds."""
-    values = _check_finite(_grid(f, ends.shape[-1] + 1, ends.ndim - 1))
+    values = _grid(f, ends.shape[-1] + 1, ends.ndim - 1)
     for corner in itertools.product((slice(None, -1), slice(1, None)), repeat=values.ndim):
         v = values[corner]
         if not np.all((v <= ends[0]) & (-v <= ends[1])):
@@ -137,10 +136,11 @@ def _check_corners(f: FunctionExpr, ends: np.ndarray) -> None:
 def _run_range(ends: np.ndarray, runs: int, axes) -> float:
     """max hi - min lo over every run of `runs` entries (at most the whole
     axis) along each of the negative axes of ends = (hi, -lo).  Max, min
-    and addition carry NaN and inf through (inf - inf is NaN)."""
+    and addition carry NaN and inf through (inf - inf is NaN), and a range
+    past the float range is inf."""
     for axis in axes:
         ends = _window_max(ends, min(runs, ends.shape[axis]), axis)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return float(np.max(ends[0] + ends[1]))
 
 
@@ -214,8 +214,7 @@ def modulus_continuity(f, delta: float, grid_n: int | None = None) -> ModulusEst
     if isinstance(f, FunctionExpr):
         return ModulusEstimate(delta, _enclosed_modulus(f, delta, n, 1, (-1,)), n, True)
     G = _grid(f, n, 1)
-    value = _run_range(np.stack((G, -G)), _shift_count(delta, n) + 1, (-1,))
-    return ModulusEstimate(delta, _check_finite(value), n, False)
+    return ModulusEstimate(delta, _run_range(np.stack((G, -G)), _shift_count(delta, n) + 1, (-1,)), n, False)
 
 
 def second_modulus(f, delta: float, grid_n: int | None = None) -> ModulusEstimate:
@@ -237,11 +236,12 @@ def second_modulus(f, delta: float, grid_n: int | None = None) -> ModulusEstimat
         t = d * (d * s)
         curvature = t + 4.0 * math.ulp(t) if s else 0.0
         return ModulusEstimate(delta, min(curvature, 2.0 * _enclosed_modulus(f, d, n, 1, (-1,))), n, True)
-    fs = _check_finite(_grid(f, n, 1))
+    fs = _grid(f, n, 1)
     best = 0.0
     top = min(_shift_count(delta, n), (n - 1) // 2)
-    for k in range(1, top + 1):
-        best = max(best, float(np.max(np.abs(fs[2 * k :] - 2.0 * fs[k:-k] + fs[: -2 * k]))))
+    with np.errstate(over="ignore"):  # a second difference past the float range is inf
+        for k in range(1, top + 1):
+            best = max(best, float(np.max(np.abs(fs[2 * k :] - 2.0 * fs[k:-k] + fs[: -2 * k]))))
     return ModulusEstimate(delta, best, n, False)
 
 
@@ -257,8 +257,7 @@ def partial_moduli(F, d1: float, d2: float, grid_n: int | None = None) -> tuple[
         _check_corners(F, _levels(F, n, 2)[0][0])  # every call: see the module docstring
         return _enclosed_modulus(F, d1, n, 2, (-2,)), _enclosed_modulus(F, d2, n, 2, (-1,))
     ends = np.stack((G := _grid(F, n, 2), -G))
-    return tuple(_check_finite(_run_range(ends, _shift_count(d, n) + 1, (axis,)))
-                 for d, axis in ((d1, -2), (d2, -1)))
+    return tuple(_run_range(ends, _shift_count(d, n) + 1, (axis,)) for d, axis in ((d1, -2), (d2, -1)))
 
 
 def complete_modulus(F, d: float, grid_n: int | None = None) -> float:
@@ -290,14 +289,13 @@ def complete_modulus(F, d: float, grid_n: int | None = None) -> float:
             b -= 1
         if b < 0:
             break
-        if a == 0:
-            # offsets (0, b) and (0, -b) pair the same points; this term
-            # also rejects a grid with non-finite values
-            best = _check_finite(_run_range(ends, b + 1, (-1,)))
+        if a == 0:  # offsets (0, b) and (0, -b) pair the same points
+            best = _run_range(ends, b + 1, (-1,))
             continue
         # edge padding repeats a border column the clipped window holds anyway
         partners = np.pad(ends[:, a:], ((0, 0), (0, 0), (b, b)), mode="edge")
-        best = max(best, float(np.max(_window_max(partners, 2 * b + 1) - ends[:, : grid_n - a])))
+        with np.errstate(over="ignore"):
+            best = max(best, float(np.max(_window_max(partners, 2 * b + 1) - ends[:, : grid_n - a])))
     return best
 
 

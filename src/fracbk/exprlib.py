@@ -7,11 +7,13 @@ constant ``pi``, the operators ``+ - * / ^`` (with ``^`` binding tightest
 and associating to the right), unary minus, parentheses, and the calls
 ``sin``, ``cos``, ``exp``, ``sqrt`` and ``abs``.  Evaluation accepts
 scalars or numpy arrays; enclose bounds an expression over cells (interval
-arithmetic), and second_derivative differentiates it symbolically.
+arithmetic), second_derivative differentiates it symbolically, and separate
+splits a function of z and y into a sum of products of one-variable ones.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -465,6 +467,95 @@ def second_derivative(expr: FunctionExpr, var: str = "z") -> FunctionExpr | None
     d = _derivative(expr.root, var)
     d2 = None if d is None else _derivative(d, var)
     return FunctionExpr(d2) if d2 is not None and _size_at_most(d2, _MAX_DERIVATIVE_NODES) else None
+
+
+_MAX_RANK = 16
+
+
+def _vars(node: Node) -> frozenset[str]:
+    return free_variables(FunctionExpr(node))
+
+
+def _times(a: Node, b: Node) -> Node:
+    """a * b, dropping a factor 1 (exact); never a factor 0, whose partner
+    may fail to evaluate."""
+    return b if a == _ONE else a if b == _ONE else BinOp("*", a, b)
+
+
+def _merged(terms: list) -> list | None:
+    """The terms with the pure-z ones (y-factor 1) summed into one term and
+    the pure-y ones (a constant z-factor) into another; None above
+    _MAX_RANK terms."""
+    add = functools.partial(functools.reduce, lambda s, t: BinOp("+", s, t))
+    pure_z = [a for a, b in terms if b == _ONE]
+    pure_y = [_times(a, b) for a, b in terms if b != _ONE and not _vars(a)]
+    out = [(add(pure_z), _ONE)] if pure_z else []
+    out += [(a, b) for a, b in terms if b != _ONE and _vars(a)]
+    out += [(_ONE, add(pure_y))] if pure_y else []
+    return out if len(out) <= _MAX_RANK else None
+
+
+def _product(left: list | None, right: list | None) -> list | None:
+    if left is None or right is None:
+        return None
+    return _merged([(_times(a, c), _times(b, d)) for a, b in left for c, d in right])
+
+
+def _terms(node: Node) -> list | None:
+    """node as a list of (z-factor, y-factor) pairs whose products sum to
+    it, or None; every operation of node stays in some factor, so a factor
+    fails to evaluate where node does."""
+    names = _vars(node)
+    if "y" not in names:
+        return [(node, _ONE)]
+    if "z" not in names:
+        return [(_ONE, node)]
+    if isinstance(node, Neg):
+        inner = _terms(node.operand)
+        return None if inner is None else [(Neg(a), b) for a, b in inner]
+    if not isinstance(node, BinOp):  # a call of a mixed argument
+        return None
+    if node.op == "*":
+        return _product(_terms(node.left), _terms(node.right))
+    if node.op == "^":
+        # a zeroth power is left out: 1 would drop a base that fails
+        k = _constant(node.right)
+        if k is None or not (1 <= k <= _MAX_RANK and k == int(k)):
+            return None
+        base = terms = _terms(node.left)
+        for _ in range(int(k) - 1):
+            terms = _product(terms, base)
+        return terms
+    left = _terms(node.left)
+    if node.op == "/":
+        divisor = _vars(node.right)
+        if left is None or len(divisor) > 1:
+            return None
+        if "y" in divisor:
+            return [(a, BinOp("/", b, node.right)) for a, b in left]
+        return [(BinOp("/", a, node.right), b) for a, b in left]
+    right = _terms(node.right)
+    if left is None or right is None:
+        return None
+    if node.op == "-":
+        right = [(Neg(a), b) for a, b in right]
+    return _merged(left + right)
+
+
+def separate(expr: FunctionExpr) -> tuple[tuple[FunctionExpr, FunctionExpr], ...] | None:
+    """F(z, y) as a sum of products a_r(z) * b_r(y): a tuple of (a_r, b_r)
+    pairs, a_r free of y and b_r free of z, or None.
+
+    A subtree free of y is a z-factor and one free of z a y-factor; + and -
+    concatenate the terms, unary minus negates them, * multiplies them out,
+    / by a subtree of one variable divides that variable's factors, and a
+    power 1..16 of a mixed base multiplies it out.  Anything else of both
+    variables (abs(z-y), sin(z*y), (z+y)^0.5) gives None.  Pure-z terms
+    merge into one, pure-y terms into another, and more than 16 terms give
+    None.
+    """
+    terms = _terms(expr.root)
+    return None if terms is None else tuple((FunctionExpr(a), FunctionExpr(b)) for a, b in terms)
 
 
 def _prec(node: Node) -> int:

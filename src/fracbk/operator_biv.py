@@ -1,8 +1,12 @@
 """Tensor-product bivariate operator, its moments and error bounds.
 
-The kernel integral matrix V is computed once per function with a tensor
-Gauss-Jacobi rule and reused for every point; a product grid is Bz @ V @ By.T
-for the basis matrices of its axes.  The error bounds read the partial and
+The kernel integral matrix V is computed once per function and reused for
+every point; a product grid is Bz @ V @ By.T for the basis matrices of its
+axes.  The tensor rule is the product of the two univariate kernel rules, so
+for an expression that is a sum of products a_r(z) b_r(y) (exprlib.separate)
+V is the sum of the outer products of the factors' univariate kernel
+integrals; a callable or an inseparable expression is evaluated on the
+tensor rule one row of V at a time.  The error bounds read the partial and
 complete moduli of continuity, which error_analysis computes with the same
 engine as the univariate moduli (and which this module re-exports).
 """
@@ -16,8 +20,9 @@ import numpy as np
 
 from .basis import OperatorParams, basis_matrix, basis_row
 from .error_analysis import complete_modulus, partial_moduli
-from .errors import QuadratureError
-from .operator_uni import DEFAULT_ORDER, central_moments, eval_function, raw_moments
+from .errors import EvaluationError, QuadratureError
+from .exprlib import FunctionExpr, evaluate, separate
+from .operator_uni import DEFAULT_ORDER, central_moments, eval_function, kernel_integrals, raw_moments
 from .quadrature import _kernel_rule
 
 
@@ -43,19 +48,45 @@ class BivMoments:
     e02: float
 
 
+def _separated(bp: BivariateParams, F, order: int) -> np.ndarray | None:
+    """sum_r outer(K_z[a_r], K_y[b_r]) for an expression F separated into
+    terms a_r(z) b_r(y); None for a callable, an inseparable expression, or
+    a factor or sum that fails or is not finite, where the per-row loop
+    runs and reports the failure (or has none: a regrouped product may
+    overflow where F does not)."""
+    terms = separate(F) if isinstance(F, FunctionExpr) else None
+    if terms is None:
+        return None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = sum(np.outer(kernel_integrals(bp.px, a, order).values,
+                                  kernel_integrals(bp.py, lambda t: evaluate(b, t, t), order).values)
+                         for a, b in terms)
+    except (EvaluationError, QuadratureError):
+        return None
+    return values if np.all(np.isfinite(values)) else None
+
+
 def biv_kernel_integrals(bp: BivariateParams, F, order: int = DEFAULT_ORDER) -> BivKernelIntegrals:
-    """The (m1+1) x (m2+1) matrix of tensor kernel integrals of F."""
-    px, py = bp.px, bp.py
-    tg1, w1 = _kernel_rule(px.eta, px.gamma, order)
-    tg2, w2 = _kernel_rule(py.eta, py.gamma, order)
-    x_args = (np.arange(px.m + 1)[:, None] + tg1[None, :]) / (px.m + 1.0)
-    y_args = (np.arange(py.m + 1)[:, None] + tg2[None, :]) / (py.m + 1.0)
-    values = np.empty((px.m + 1, py.m + 1))
-    for j1 in range(px.m + 1):
-        vals = eval_function(F, x_args[j1][:, None, None], y_args[None, :, :])
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError("bivariate kernel integrand produced non-finite values")
-        values[j1] = np.einsum("a,abc,c->b", w1, vals, w2)
+    """The (m1+1) x (m2+1) matrix of tensor kernel integrals of F.
+
+    A sum of outer products of univariate kernel integrals where F is an
+    expression that separates into terms a_r(z) b_r(y) (equal to the loop
+    up to rounding); else F on the tensor rule, one row of V at a time.
+    """
+    values = _separated(bp, F, order)
+    if values is None:
+        px, py = bp.px, bp.py
+        tg1, w1 = _kernel_rule(px.eta, px.gamma, order)
+        tg2, w2 = _kernel_rule(py.eta, py.gamma, order)
+        x_args = (np.arange(px.m + 1)[:, None] + tg1[None, :]) / (px.m + 1.0)
+        y_args = (np.arange(py.m + 1)[:, None] + tg2[None, :]) / (py.m + 1.0)
+        values = np.empty((px.m + 1, py.m + 1))
+        for j1 in range(px.m + 1):
+            vals = eval_function(F, x_args[j1][:, None, None], y_args[None, :, :])
+            if not np.all(np.isfinite(vals)):
+                raise QuadratureError("bivariate kernel integrand produced non-finite values")
+            values[j1] = np.einsum("a,abc,c->b", w1, vals, w2)
     values.setflags(write=False)
     return BivKernelIntegrals(bp, values)
 

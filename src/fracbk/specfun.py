@@ -28,17 +28,20 @@ def beta(y: float, z: float) -> float:
 
 
 def log_binomial(n: int, k: int) -> float:
-    """Log of C(n, k); returns LOG_ZERO (-inf) when k is outside [0, n]."""
-    check_int("n", n)
-    if check_int("k", k, -math.inf) < 0 or k > n:
-        return LOG_ZERO
+    """Log of C(n, k) for n < 2^53: the log of binomial where C(n, k) is a
+    finite float, else from lgamma (absolute error about n log(n) 2^-53);
+    LOG_ZERO (-inf) when k is outside [0, n]."""
+    c = binomial(check_int("n", n, 0, 2**53 - 1), k)
+    if c < math.inf:
+        return math.log(c) if c else LOG_ZERO
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def binomial(n: int, k: int) -> float:
     """C(n, k) as a float: math.comb rounded once, inf above the float
     range, exactly zero outside 0 <= k <= n."""
-    if log_binomial(n, k) == LOG_ZERO:
+    check_int("n", n)
+    if check_int("k", k, -math.inf) < 0 or k > n:
         return 0.0
     j = min(k, n - k)
     if j and j * (math.log(n) - math.log(j)) > 710.0:  # C(n, j) >= (n/j)^j > e^710

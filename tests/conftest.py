@@ -25,10 +25,11 @@ def draw_params(rng, m_max=150, eta_range=(0.0, 5.0), gamma_range=(1.0, 5.0), s_
     )
 
 
-def expression_texts(max_leaves=8):
-    """Depth-limited expression texts in z over every operator and call."""
+def expression_texts(max_leaves=8, variables=("z",)):
+    """Depth-limited expression texts in the given variables over every
+    operator and call."""
     return st.recursive(
-        st.sampled_from(["z", "pi", "0.5", "2", "3", "0"]),
+        st.sampled_from([*variables, "pi", "0.5", "2", "3", "0"]),
         lambda sub: st.one_of(
             st.builds("({}{}{})".format, sub, st.sampled_from("+-*/^"), sub),
             st.builds("{}({})".format, st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]), sub),

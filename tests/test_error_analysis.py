@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fracbk import (
     bound_lipschitz,
     bound_t2,
     central_moments,
+    complete_modulus,
     error_table,
     evaluate,
     get_function,
@@ -22,6 +24,7 @@ from fracbk import (
     max_error,
     modulus_continuity,
     parse_source,
+    partial_moduli,
     second_modulus,
 )
 
@@ -95,6 +98,31 @@ class TestModulusContinuity:
         full = modulus_continuity(f, 1.0, grid_n=2001).value
         over = modulus_continuity(f, 1.7, grid_n=2001).value
         assert over == pytest.approx(full, abs=1e-15)
+
+
+class TestOverflowingRange:
+    """A finite grid whose differences pass the float range: each callable
+    modulus reads inf, without a warning, as an enclosure does.  Two of
+    them said the grid had non-finite values, and one warned."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_modulus_continuity(self):
+        assert modulus_continuity(lambda z: 1e308 * np.sign(z - 0.5), 0.1).value == math.inf
+        assert second_modulus(lambda z: 1e308 * np.sign(z - 0.5), 0.1).value == math.inf
+
+    def test_partial_moduli(self):
+        F = lambda z, y: 1e308 * np.sign(z - 0.5) + 0.0 * y
+        assert partial_moduli(F, 0.1, 0.1) == (math.inf, 0.0)
+        assert partial_moduli(lambda z, y: F(y, z), 0.1, 0.1) == (0.0, math.inf)
+
+    def test_complete_modulus(self):
+        # the row offset 0 gives 0.0, the disc terms of the others overflow
+        assert complete_modulus(lambda z, y: 1e308 * np.sign(z - 0.5) + 0.0 * y, 0.1) == math.inf
 
 
 _PARITY_FUNCS = {

@@ -11,10 +11,11 @@ from fracbk import (
     ParseError,
     evaluate,
     free_variables,
+    get_function,
     parse_source,
     to_source,
 )
-from fracbk.exprlib import _eval_node, enclose, parse, second_derivative, tokenize
+from fracbk.exprlib import _eval_node, enclose, parse, second_derivative, separate, tokenize
 
 from conftest import expression_texts
 
@@ -340,3 +341,37 @@ class TestSecondDerivative:
 
     def test_constant_subtrees_vanish(self):
         assert to_source(second_derivative(parse_source("abs(-2)*z + 3"))) == "0.0"
+
+
+class TestSeparate:
+    @pytest.mark.parametrize("name", ["g1", "g2", "g3"])
+    def test_builtins_have_rank_two(self, name):
+        assert len(separate(get_function(name))) == 2
+
+    def test_six_coefficient_quadratic_merges_its_pure_terms(self):
+        # the form of the benchmark's bivariate quadratic
+        F = parse_source("0.5 + -1.25*z + 0.75*y + 1.5*z*y + -0.25*z^2 + 2.000000*y^2")
+        assert len(separate(F)) <= 4
+
+    @pytest.mark.parametrize("src", [
+        "abs(z-y)", "sin(z*y)", "exp(z*y)", "(z+y)^0.5",
+        "(z+y)^0",  # 1, but the loop reports a base that fails
+        "z/(z+y)", "z^y", "(z+y)^17",
+        "(z+y)^4*(1+z*y)",  # 30 terms: like terms are not combined
+    ])
+    def test_inseparable(self, src):
+        assert separate(parse_source(src)) is None
+
+    @pytest.mark.parametrize("src", [
+        "g1", "g2", "g3", "z", "y", "pi", "(z+y)^2", "z/y", "-(z-y)*y",
+        "(2*z-y)^3/(1+y) - cos(z)/exp(y)", "((z+1)*(y-2) - z*y)/sqrt(z+1)",
+    ])
+    def test_factors_have_one_variable_and_sum_to_the_expression(self, src, rng):
+        F = get_function(src)
+        terms = separate(F)
+        assert terms and len(terms) <= 16
+        for a, b in terms:
+            assert "y" not in free_variables(a) and "z" not in free_variables(b)
+        z, y = rng.uniform(0.0, 1.0, 50), rng.uniform(0.0, 1.0, 50)
+        total = sum(evaluate(a, z, y) * evaluate(b, z, y) for a, b in terms)
+        assert total == pytest.approx(evaluate(F, z, y) + 0.0 * z, rel=1e-13, abs=1e-13)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbk import (
     BivariateParams,
     DomainError,
     EvaluationError,
+    FracbkError,
     OperatorParams,
+    QuadratureError,
     apply,
     apply_biv,
     apply_biv_kernel,
@@ -19,6 +23,7 @@ from fracbk import (
     complete_modulus,
     evaluate,
     get_function,
+    kernel_integrals,
     modulus_continuity,
     parse_source,
     partial_moduli,
@@ -27,7 +32,11 @@ from fracbk import (
     surface_values,
 )
 
-from conftest import draw_params
+from fracbk.exprlib import separate
+from fracbk.operator_uni import eval_function
+from fracbk.quadrature import _kernel_rule
+
+from conftest import draw_params, expression_texts
 
 
 def make_biv(mx=10, my=10, eta=2.0, gamma=3.0, alpha=0.9, s=2):
@@ -127,6 +136,79 @@ class TestApplyBiv:
         for z, y, exact, approx, err in rows:
             assert exact == pytest.approx(z * y, abs=1e-15)
             assert err == pytest.approx(abs(exact - approx), abs=1e-18)
+
+
+def _extended_tensor_sum(bp, F, order=64):
+    """The loop's tensor sum with F evaluated and summed in long double, on
+    the same float nodes and weights: a reference for the rounding of both
+    paths."""
+    ld = np.longdouble
+    axes = []
+    for p in (bp.px, bp.py):
+        t, w = _kernel_rule(p.eta, p.gamma, order)
+        axes.append((((np.arange(p.m + 1)[:, None] + t) / (p.m + 1.0)).astype(ld), w.astype(ld)))
+    (x, w1), (y, w2) = axes
+    return np.einsum("a,jakc,c->jk", w1, eval_function(F, x[:, :, None, None], y[None, None]), w2)
+
+
+_TWO_VARIABLE = expression_texts(max_leaves=6, variables=("z", "y"))
+
+
+class TestSeparatedKernel:
+    """V = sum_r outer(K[a_r], K[b_r]) for F = sum_r a_r(z) b_r(y), against
+    the per-row loop, which a callable wrapping F always takes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.builds("({})*({})+({})".format, _TWO_VARIABLE, _TWO_VARIABLE, _TWO_VARIABLE),
+           st.integers(1, 12), st.integers(1, 12))
+    def test_matches_the_row_loop(self, src, m1, m2):
+        F = parse_source(src)
+        terms = separate(F)
+        if terms is None:
+            return
+        bp = BivariateParams(OperatorParams(m1, 1.5, 2.3, 0.4, 2), OperatorParams(m2, 3.0, 1.0, 0.7, 3))
+        outcomes = []
+        for f in (F, lambda z, y: evaluate(F, z, y)):
+            try:
+                outcomes.append(biv_kernel_integrals(bp, f).values)
+            except FracbkError as exc:
+                outcomes.append(type(exc))
+        separated, looped = outcomes
+        if isinstance(separated, type) or isinstance(looped, type):
+            assert separated is looped, src
+            return
+        scale = sum(np.max(np.abs(kernel_integrals(bp.px, a).values))
+                    * np.max(np.abs(kernel_integrals(bp.py, lambda t: evaluate(b, t, t)).values))
+                    for a, b in terms)
+        # the loop rounds F's intermediate values, which may dwarf its
+        # factors' kernel integrals ((y/y-3/z)*(z/z)+3/z is off by 2.6e-7
+        # near z = 0): held to a long double sum, the separated V may miss
+        # it by 1e-14 * scale plus the loop's own error
+        with np.errstate(all="ignore"):
+            exact = _extended_tensor_sum(bp, F)
+        loop_error = float(np.max(np.abs(looped - exact)))
+        assert float(np.max(np.abs(separated - exact))) <= 1e-14 * scale + loop_error, src
+
+    @pytest.mark.parametrize("src", ["abs(z-y)", "sin(z*y)", "(z+y)^0.5"])
+    def test_inseparable_expression_takes_the_loop_bit_for_bit(self, src):
+        bp = make_biv(mx=7, my=4, gamma=2.3)
+        F = parse_source(src)
+        looped = biv_kernel_integrals(bp, lambda z, y: evaluate(F, z, y)).values
+        assert np.array_equal(biv_kernel_integrals(bp, F).values, looped)
+
+    @pytest.mark.parametrize("src, error", [
+        ("exp(800*z)*y", QuadratureError),  # a factor overflows
+        ("exp(400*z)*exp(400*y)", QuadratureError),  # only the product does
+        ("exp(800*z)*(y/(y-y))", EvaluationError),  # the loop fails in its first row
+        ("(z-z)*exp(800*y)", EvaluationError),  # 0 * inf in the loop
+    ])
+    def test_failures_are_the_loops(self, src, error):
+        bp = make_biv(mx=5, my=5)
+        F = parse_source(src)
+        for f in (F, lambda z, y: evaluate(F, z, y)):
+            with pytest.raises(FracbkError) as info:
+                biv_kernel_integrals(bp, f)
+            assert type(info.value) is error
 
 
 class TestBivMoments:

@@ -100,9 +100,24 @@ class TestBinomial:
         # math.exp raised OverflowError; the last would not finish in math.comb
         assert binomial(n, k) == math.inf
 
+    @pytest.mark.parametrize("n", [2**53, 10**300, 10**400])
+    def test_log_of_n_past_2_53_rejected(self, n):
+        # lgamma sees n + 1 as n (log_binomial(10**300, 1) was 0.0), and
+        # 10**400 raised a raw OverflowError
+        with pytest.raises(DomainError, match="n must be <="):
+            log_binomial(n, 1)
+
+    def test_log_below_2_53_without_cancellation(self):
+        # the lgamma difference gave 64.0 here
+        n = 2**53 - 1
+        assert log_binomial(n, 1) == math.log(n)
+        assert log_binomial(10**6, 3) == pytest.approx(math.log(math.comb(10**6, 3)), rel=1e-15)
+        assert log_binomial(2000, 1000) == pytest.approx(math.log(math.comb(2000, 1000)), rel=1e-13)
+
     def test_huge_n_fits(self):
         # lgamma sees 10**300 + 1 as 10**300, so exp(log_binomial) gave 1.0
         assert binomial(10**300, 1) == 1e300
+        assert binomial(10**400, 1) == math.inf  # was a raw OverflowError
 
     def test_pascal_row(self):
         row = [binomial(6, k) for k in range(7)]
