@@ -30,13 +30,7 @@ from .error_analysis import (
     second_modulus,
 )
 from .experiments import Dataset, compare_rows, figure_dataset, table_dataset, to_csv
-from .exprlib import (
-    FunctionExpr,
-    evaluate,
-    free_variables,
-    parse_source,
-    to_source,
-)
+from .exprlib import FunctionExpr, evaluate, free_variables, parse_source
 from .operator_biv import (
     BivariateParams,
     BivKernelIntegrals,
@@ -60,14 +54,13 @@ from .operator_uni import (
     apply_kernel,
     central_moments,
     kernel_integrals,
-    l_moments,
     moment_recurrence,
     operator_values,
     raw_moments,
     special_case,
 )
 from .quadrature import QuadratureRule, gauss_jacobi_rule, integrate
-from .specfun import beta, binomial, log_binomial, log_gamma, moment_coeff
+from .specfun import moment_coeff
 
 __version__ = "0.1.0"
 
@@ -103,8 +96,6 @@ __all__ = [
     "basis_matrix",
     "basis_row",
     "bernstein_row",
-    "beta",
-    "binomial",
     "biv_kernel_integrals",
     "biv_moments",
     "bound_complete",
@@ -124,9 +115,6 @@ __all__ = [
     "integrate",
     "is_bivariate",
     "kernel_integrals",
-    "l_moments",
-    "log_binomial",
-    "log_gamma",
     "max_error",
     "modulus_continuity",
     "moment_coeff",
@@ -141,5 +129,4 @@ __all__ = [
     "surface_values",
     "table_dataset",
     "to_csv",
-    "to_source",
 ]

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error (bad flags, bad expression, bad domain),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -137,14 +138,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(out, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise DomainError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
+    except OSError as exc:
+        if out is None:  # the reader has gone: keep the exit-time flush quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise DomainError(f"cannot write {out or '<stdout>'!r}: {exc.strerror or exc}") from exc
 
 
 def _meta_params(params: OperatorParams) -> str:

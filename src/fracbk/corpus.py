@@ -25,4 +25,5 @@ def get_function(name_or_expr: str) -> FunctionExpr:
 
 
 def is_bivariate(expr: FunctionExpr) -> bool:
+    """Whether the expression uses the second variable y."""
     return "y" in free_variables(expr)

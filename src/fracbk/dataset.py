@@ -29,6 +29,7 @@ def _cell(v) -> str:
 
 
 def to_csv(ds: Dataset) -> str:
+    """The dataset as CSV text: meta comments, header, rows, footer comments."""
     lines = [f"# {line}" for line in ds.meta]
     lines.append(",".join(ds.columns))
     lines.extend(",".join(_cell(v) for v in row) for row in ds.rows)

@@ -140,8 +140,10 @@ def _preset(kind: str, which: int, count: int, order: int, build) -> Dataset:
 
 
 def table_dataset(which: int, order: int = DEFAULT_ORDER) -> Dataset:
+    """Preset error table 1..7 (table 4 is the four-way operator comparison)."""
     return _table4(order) if check_int("which", which) == 4 else _preset("table", which, 7, order, _table)
 
 
 def figure_dataset(which: int, order: int = DEFAULT_ORDER) -> Dataset:
+    """Preset figure dataset 1..6: the function and the operators on a grid."""
     return _preset("figure", check_int("which", which), 6, order, _figure)

@@ -28,11 +28,10 @@ FUNCTION_NAMES = ("sin", "cos", "exp", "sqrt", "abs")
 VARIABLE_NAMES = ("z", "y")
 CONSTANT_NAMES = ("pi",)
 
-# Binding strength of each binary operator, for the parser and the printer.
-# Unary minus binds between * / and ^ (as -z^2 is -(z^2)), atoms tightest.
+# Binding strength of each binary operator for the parser.  Unary minus
+# binds between * / and ^ (as -z^2 is -(z^2)).
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _PREC_NEG = 3
-_PREC_ATOM = 9
 
 # ASCII digits and letters only: str.isdigit also holds for digits that
 # float() rejects (superscripts) or reads as another number (Arabic-Indic)
@@ -206,6 +205,7 @@ def parse(tokens: list[Token]) -> FunctionExpr:
 
 
 def parse_source(src: str) -> FunctionExpr:
+    """The expression tree of src; ParseError (with a position) if it is malformed."""
     return parse(tokenize(src))
 
 
@@ -224,6 +224,7 @@ def _walk(node: Node):
 
 
 def free_variables(expr: FunctionExpr) -> frozenset[str]:
+    """The variable names (z, y) that occur in the expression."""
     return frozenset(node.name for node in _walk(expr.root) if isinstance(node, Var))
 
 
@@ -483,14 +484,18 @@ def _times(a: Node, b: Node) -> Node:
 
 
 def _merged(terms: list) -> list | None:
-    """The terms with the pure-z ones (y-factor 1) summed into one term and
-    the pure-y ones (a constant z-factor) into another; None above
-    _MAX_RANK terms."""
+    """The terms with the pure-z ones (y-factor 1) summed into one term, the
+    pure-y ones (a constant z-factor) into another, and the y-factors of the
+    others summed per z-factor; None above _MAX_RANK terms."""
     add = functools.partial(functools.reduce, lambda s, t: BinOp("+", s, t))
     pure_z = [a for a, b in terms if b == _ONE]
     pure_y = [_times(a, b) for a, b in terms if b != _ONE and not _vars(a)]
+    mixed = {}
+    for a, b in terms:
+        if b != _ONE and _vars(a):
+            mixed.setdefault(a, []).append(b)
     out = [(add(pure_z), _ONE)] if pure_z else []
-    out += [(a, b) for a, b in terms if b != _ONE and _vars(a)]
+    out += [(a, add(bs)) for a, bs in mixed.items()]
     out += [(_ONE, add(pure_y))] if pure_y else []
     return out if len(out) <= _MAX_RANK else None
 
@@ -551,43 +556,9 @@ def separate(expr: FunctionExpr) -> tuple[tuple[FunctionExpr, FunctionExpr], ...
     / by a subtree of one variable divides that variable's factors, and a
     power 1..16 of a mixed base multiplies it out.  Anything else of both
     variables (abs(z-y), sin(z*y), (z+y)^0.5) gives None.  Pure-z terms
-    merge into one, pure-y terms into another, and more than 16 terms give
-    None.
+    merge into one, pure-y terms into another, terms with the same z-factor
+    into one, and more than 16 terms give None.
     """
     terms = _terms(expr.root)
     return None if terms is None else tuple((FunctionExpr(a), FunctionExpr(b)) for a, b in terms)
 
-
-def _prec(node: Node) -> int:
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    return _PREC_NEG if isinstance(node, Neg) else _PREC_ATOM
-
-
-def _operand(node: Node, least: int) -> str:
-    """node printed, in parentheses if it binds looser than least."""
-    text = _print(node)
-    return f"({text})" if _prec(node) < least else text
-
-
-def _print(node: Node) -> str:
-    if isinstance(node, Num):
-        # positional, because the grammar has no exponent notation
-        return np.format_float_positional(node.value, trim="0")
-    if isinstance(node, (Var, Const)):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.func}({_print(node.arg)})"
-    if isinstance(node, Neg):
-        return f"-{_operand(node.operand, _PREC_NEG)}"
-    # the operands as the parser reads them: ^ takes an atom and a unary
-    # term, a chain operator its own level and the next level up
-    prec = _PREC[node.op]
-    left, right = (_PREC_ATOM, _PREC_NEG) if node.op == "^" else (prec, prec + 1)
-    return f"{_operand(node.left, left)}{node.op}{_operand(node.right, right)}"
-
-
-def to_source(expr: FunctionExpr) -> str:
-    """Render the tree as an expression string that re-parses to an
-    identical tree."""
-    return _print(expr.root)

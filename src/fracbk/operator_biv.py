@@ -92,6 +92,7 @@ def biv_kernel_integrals(bp: BivariateParams, F, order: int = DEFAULT_ORDER) -> 
 
 
 def apply_biv_kernel(ki: BivKernelIntegrals, z: float, y: float) -> float:
+    """Bivariate operator value at one point (z, y) from a precomputed kernel matrix."""
     bz = basis_row(ki.bp.px, z).weights
     by = basis_row(ki.bp.py, y).weights
     return float(bz @ ki.values @ by)

@@ -8,6 +8,7 @@ across evaluation points.  Closed forms are provided for the images of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from .basis import _BLOCK_ELEMENTS, OperatorParams, _row_blocks, basis_row
 from .errors import QuadratureError, UnsupportedOrderError, check_points
 from .exprlib import FunctionExpr, evaluate
 from .quadrature import _kernel_rule
-from .specfun import binomial, moment_coeff
+from .specfun import moment_coeff
 
 DEFAULT_ORDER = 64
 
@@ -77,6 +78,7 @@ def operator_values(ki: KernelIntegrals, zs) -> np.ndarray:
 
 
 def apply_kernel(ki: KernelIntegrals, z: float) -> float:
+    """Operator value at one point z from precomputed kernel integrals."""
     return float(basis_row(ki.params, z).weights @ ki.values)
 
 
@@ -99,18 +101,6 @@ def _bracket(params: OperatorParams) -> float:
     if params.m >= params.s:
         return params.m + (1.0 - params.alpha) * params.s * (params.s - 1.0)
     return float(params.m)
-
-
-def l_moments(params: OperatorParams, n: int, z: float) -> float:
-    """Monomial images under the basis part alone (no Kantorovich shift)."""
-    check_points(z)
-    if n == 0:
-        return 1.0
-    if n == 1:
-        return z
-    if n == 2:
-        return z * z + z * (1.0 - z) * _bracket(params) / params.m**2
-    raise UnsupportedOrderError(f"closed-form L-moment available only for n <= 2, got {n}")
 
 
 def raw_moments(params: OperatorParams, z: float) -> MomentSet:
@@ -143,19 +133,16 @@ def central_moments(params: OperatorParams, z: float) -> CentralMoments:
 
 def moment_recurrence(params: OperatorParams, i: int, z: float) -> float:
     """Operator image of e_i built from the basis moments and kernel
-    coefficients: sum_n C(i,n) m^n L(e_n;z) c_{i-n} / (m+1)^i."""
+    coefficients: sum_n C(i,n) m^n L(e_n;z) c_{i-n} / (m+1)^i, where the
+    basis part alone (no Kantorovich shift) maps e_0, e_1, e_2 to 1, z and
+    z^2 + z(1-z)*bracket/m^2."""
     if i not in (0, 1, 2):
         raise UnsupportedOrderError(f"recurrence limited to i <= 2 by the L-moments, got {i}")
+    check_points(z)
     m = params.m
-    total = 0.0
-    for n in range(i + 1):
-        total += (
-            binomial(i, n)
-            * m**n
-            * l_moments(params, n, z)
-            * moment_coeff(params.eta, params.gamma, i - n)
-        )
-    return total / (m + 1.0) ** i
+    basis = (1.0, z, z * z + z * (1.0 - z) * _bracket(params) / m**2)
+    c = [moment_coeff(params.eta, params.gamma, i - n) for n in range(i + 1)]
+    return sum(math.comb(i, n) * m**n * basis[n] * c[n] for n in range(i + 1)) / (m + 1.0) ** i
 
 
 def special_case(params: OperatorParams) -> str:

@@ -8,7 +8,6 @@ three-term formula; neither shares code with the batched library paths.
 import math
 
 from fracbk.errors import DomainError, QuadratureError, check_int, check_points, check_real
-from fracbk.specfun import LOG_ZERO, log_binomial
 
 _MAX_DEPTH = 48
 
@@ -67,9 +66,14 @@ def adaptive_reference(eta: float, g, tol: float) -> float:
     return _adaptive_simpson(h, tol)
 
 
+def _log_binomial(n: int, k: int) -> float:
+    """log C(n, k) from the exact integer; -inf outside 0 <= k <= n."""
+    return math.log(math.comb(n, k)) if 0 <= k <= n else -math.inf
+
+
 def _term(log_coeff: float, z: float, a: int, b: int) -> float:
     """exp(log_coeff) * z^a * (1-z)^b with 0^0 = 1 at the endpoints."""
-    if log_coeff == LOG_ZERO:
+    if log_coeff == -math.inf:
         return 0.0
     if z == 0.0:
         return math.exp(log_coeff) if a == 0 else 0.0
@@ -86,8 +90,8 @@ def basis_weight(params, j: int, z: float) -> float:
         raise DomainError(f"index j must lie in [0, {m}], got {j}")
     check_points(z)
     if m < s:
-        return _term(log_binomial(m, j), z, j, m - j)
-    t1 = (1.0 - alpha) * _term(log_binomial(m - s, j - s), z, j - s + 1, m - j)
-    t2 = (1.0 - alpha) * _term(log_binomial(m - s, j), z, j, m - s - j + 1)
-    t3 = alpha * _term(log_binomial(m, j), z, j, m - j)
+        return _term(_log_binomial(m, j), z, j, m - j)
+    t1 = (1.0 - alpha) * _term(_log_binomial(m - s, j - s), z, j - s + 1, m - j)
+    t2 = (1.0 - alpha) * _term(_log_binomial(m - s, j), z, j, m - s - j + 1)
+    t3 = alpha * _term(_log_binomial(m, j), z, j, m - j)
     return t1 + t2 + t3

@@ -375,11 +375,15 @@ if loaded:
 """
 
 
-def _run_fresh(*args, **kwargs):
+def _fresh_env():
     src = str(Path(fracbk.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+    return env
+
+
+def _run_fresh(*args, **kwargs):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_fresh_env(),
                           timeout=120, **kwargs)
 
 
@@ -393,6 +397,23 @@ class TestNumpyOnlyRuntime:
         proc = _run_fresh("-c", _NO_SCIPY.format(body=body))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("# table 1")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [("table", "1"), ("figure", "4")])
+    def test_reader_gone_is_one_error_line(self, argv):
+        # a reader that closed first gave a BrokenPipeError traceback with
+        # exit 1, or "Exception ignored ... BrokenPipeError" with exit 120
+        proc = subprocess.Popen([sys.executable, "-m", "fracbk.cli", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=_fresh_env())
+        proc.stdout.close()
+        code = proc.wait(timeout=120)  # a one-line error fits the stderr pipe
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert code == 2, err
+        assert err.startswith("fracbk: error: cannot write '<stdout>'")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 def _cap_address_space():

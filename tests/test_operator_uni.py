@@ -18,7 +18,6 @@ from fracbk import (
     evaluate,
     gauss_jacobi_rule,
     kernel_integrals,
-    l_moments,
     moment_coeff,
     moment_recurrence,
     parse_source,
@@ -173,28 +172,34 @@ class TestApply:
 
 
 class TestLMoments:
+    # moment_recurrence over the basis part's moments L(e_n; z); at
+    # eta = gamma = 1 the kernel coefficients are c1 = 1/2 and c2 = 1/3
     def test_order_zero_and_one(self):
         params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=0.3, s=4)
-        assert l_moments(params, 0, 0.62) == 1.0
-        assert l_moments(params, 1, 0.62) == pytest.approx(0.62)
+        assert moment_recurrence(params, 0, 0.62) == 1.0
+        assert moment_recurrence(params, 1, 0.62) == pytest.approx((10 * 0.62 + 0.5) / 11, rel=1e-14)
 
     def test_order_two_classical(self):
         params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=1.0, s=2)
-        assert l_moments(params, 2, 0.5) == pytest.approx(0.275, rel=1e-14)
+        # L(e2; 1/2) = 0.275
+        expected = (100 * 0.275 + 2 * 10 * 0.5 * 0.5 + 1 / 3) / 121
+        assert moment_recurrence(params, 2, 0.5) == pytest.approx(expected, rel=1e-14)
 
     def test_order_two_blended(self):
         params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=0.5, s=3)
-        assert l_moments(params, 2, 0.5) == pytest.approx(0.2825, rel=1e-14)
+        # L(e2; 1/2) = 0.2825
+        expected = (100 * 0.2825 + 2 * 10 * 0.5 * 0.5 + 1 / 3) / 121
+        assert moment_recurrence(params, 2, 0.5) == pytest.approx(expected, rel=1e-14)
 
     def test_unsupported_order(self):
         params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=0.5, s=2)
         with pytest.raises(UnsupportedOrderError):
-            l_moments(params, 3, 0.5)
+            moment_recurrence(params, 3, 0.5)
 
     def test_point_validation(self):
         params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=0.5, s=2)
         with pytest.raises(DomainError):
-            l_moments(params, 1, 1.2)
+            moment_recurrence(params, 1, 1.2)
 
 
 class TestRawMoments:
