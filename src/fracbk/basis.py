@@ -72,31 +72,55 @@ _BLOCK_ELEMENTS = 1 << 16
 
 def _log_points(z: list):
     """Columns of log z and log1p(-z) at the checked points z, with 0.5
-    standing in at 0 and 1, and (index, unit column) of each such endpoint.
-    math.log per point, not numpy's array logarithm (which differs in the
-    last bit at some points), makes a row the same whatever block holds it."""
+    standing in at 0 and 1, (index, unit column) of each such endpoint, and
+    (min z, max z).  math.log per point, not numpy's array logarithm (which
+    differs in the last bit at some points), makes a row the same whatever
+    block holds it."""
     safe = [v if 0.0 < v < 1.0 else 0.5 for v in z]
     ends = [(i, 0 if v == 0.0 else -1) for i, v in enumerate(z) if v == 0.0 or v == 1.0]
-    return np.array([[math.log(v)] for v in safe]), np.array([[math.log1p(-v)] for v in safe]), ends
+    log_z, log_1mz = np.array([[math.log(v)] for v in safe]), np.array([[math.log1p(-v)] for v in safe])
+    return log_z, log_1mz, ends, (min(z), max(z))
 
 
-def _bernstein_matrix(n: int, logs) -> np.ndarray:
-    """Bernstein rows of degree n, computed in log space from
-    logs = _log_points(z); rows at 0 and 1 are unit vectors."""
-    log_z, log_1mz, ends = logs
+def _bernstein_band(n: int, logs) -> tuple[slice, np.ndarray]:
+    """(cols, rows): the columns lo:hi of the Bernstein rows of degree n at
+    the points of logs = _log_points(z) outside which every entry of the
+    full rows is exactly 0.0, each entry computed in log space with the
+    operations of the full row; rows at 0 and 1 are unit vectors.
+
+    Hoeffding (1963) gives B_{n,j}(z) <= exp(-2(j-nz)^2/n), so for |j - nz|
+    > sqrt(400n) the log-weight is below -800.  The computed exponent is
+    off from it by far less than the 55 between -800 and exp's underflow to
+    0.0 below -745.13, and the + 1 in h covers the rounding of n*z.  For n
+    up to about 1,600 the band is all of 0..n.
+    """
+    log_z, log_1mz, ends, (zmin, zmax) = logs
+    h = math.sqrt(400.0 * n) + 1.0
+    lo, hi = max(0, math.floor(n * zmin - h)), min(n, math.ceil(n * zmax + h)) + 1
     lf = _log_factorials(n)
-    j = np.arange(n + 1.0)  # j[::-1] is n - j
-    rows = np.exp(lf[n] - lf[: n + 1] - lf[n::-1] + j * log_z + j[::-1] * log_1mz)
-    for i, k in ends:
+    j = np.arange(lo, hi + 0.0)
+    rows = np.exp(lf[n] - lf[lo:hi] - lf[n - lo :: -1][: hi - lo] + j * log_z + (n - j) * log_1mz)
+    for i, k in ends:  # a point 0 (1) puts column 0 (n) in the band
         rows[i] = 0.0
         rows[i, k] = 1.0
-    return rows
+    return slice(lo, hi), rows
+
+
+def _bernstein_matrix(n: int, logs) -> tuple[slice, np.ndarray]:
+    """(cols, rows): the Bernstein rows of degree n, dense, and the band
+    cols of _bernstein_band, outside which they are zeros."""
+    cols, band = _bernstein_band(n, logs)
+    if band.shape[1] == n + 1:
+        return cols, band
+    rows = np.zeros((band.shape[0], n + 1))
+    rows[:, cols] = band
+    return cols, rows
 
 
 def bernstein_row(n: int, z: float) -> np.ndarray:
     """Classical Bernstein row of degree n at z, computed in log space."""
     check_int("n", n)
-    return _bernstein_matrix(n, _log_points(check_points(z).tolist()))[0]
+    return _bernstein_matrix(n, _log_points(check_points(z).tolist()))[1][0]
 
 
 def _row_blocks(params: OperatorParams, zs: np.ndarray):
@@ -113,13 +137,13 @@ def _row_blocks(params: OperatorParams, zs: np.ndarray):
     for start in range(0, zs.size, step):
         z = zs[start : start + step]
         logs = _log_points(z.tolist())
-        rows = _bernstein_matrix(m, logs)
-        if m >= s:
-            rows *= alpha
-            sub = _bernstein_matrix(m - s, logs)
+        cols, rows = _bernstein_matrix(m, logs)
+        if m >= s:  # outside the bands the full rows would scale and add zeros
+            rows[:, cols] *= alpha
+            cols, sub = _bernstein_band(m - s, logs)
             z = z[:, None]
-            rows[:, s:] += (1.0 - alpha) * z * sub
-            rows[:, : m - s + 1] += (1.0 - alpha) * (1.0 - z) * sub
+            rows[:, cols.start + s : cols.stop + s] += (1.0 - alpha) * z * sub
+            rows[:, cols] += (1.0 - alpha) * (1.0 - z) * sub
         yield slice(start, start + step), rows
 
 

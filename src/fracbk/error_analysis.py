@@ -14,11 +14,14 @@ than delta along an axis lie in one run of ceil(delta/h) + 1 cells of
 width h along it.  The enclosures are built once per expression, cell
 count and number of axes, checked against f at the cell corners, and kept
 in a small cache; on one axis they are also merged pairwise into coarser
-levels, so that a large radius reads a short array.  The two-axis moduli
-evaluate F at the cell corners and check them once more on every call, so
-that a traced run counts those evaluations.  omega_2 is at most delta^2 *
-sup |f''| (a symbolic second derivative, enclosed on fewer cells) and at
-most twice omega.
+levels, so that a large radius reads a short array.  Each level also keeps
+the run ranges it has given, keyed by (runs, axes) with runs clipped to the
+axis length, so a repeated radius reads a dict: the values are the ones the
+engine would recompute, and they leave with the cache entry.  The two-axis
+moduli evaluate F at the cell corners and check them once more on every
+call, so that a traced run counts those evaluations.  omega_2 is at most
+delta^2 * sup |f''| (a symbolic second derivative, enclosed on fewer
+cells) and at most twice omega.
 
 For a plain callable, which has no expression tree, the moduli are grid
 estimates from below: the grid values enter the engine as zero-width
@@ -157,22 +160,23 @@ def _resolution(f, grid_n: int | None, ndim: int) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
-    """(ends, width): read-only enclosures ends = (hi, -lo) of f on `cells`
-    equal cells per axis of [0, 1]^ndim, checked against f at the cell
-    corners, then, on one axis, on pairwise merged cells (an odd last cell
-    stays alone) while at least 2*_RUN_CELLS remain."""
+    """(ends, width, ranges) per level: read-only enclosures ends = (hi, -lo)
+    of f on `cells` equal cells per axis of [0, 1]^ndim, checked against f
+    at the cell corners, then, on one axis, on pairwise merged cells (an odd
+    last cell stays alone) while at least 2*_RUN_CELLS remain; ranges holds
+    the level's _run_range values by (runs, axes)."""
     u = np.linspace(0.0, 1.0, cells + 1)
     lo, hi = enclose(f, *((_on_axis(u[:-1], i, ndim), _on_axis(u[1:], i, ndim)) for i in range(ndim)))
     ends = np.stack((hi, -lo))
     ends.setflags(write=False)
     _check_corners(f, ends)
-    levels = [(ends, float(np.min(np.diff(u))))]
+    levels = [(ends, float(np.min(np.diff(u))), {})]
     while ndim == 1 and ends.shape[-1] >= 2 * _RUN_CELLS:
         if ends.shape[-1] % 2:
             ends = np.concatenate((ends, ends[:, -1:]), axis=1)
         ends = np.maximum(ends[:, ::2], ends[:, 1::2])
         ends.setflags(write=False)
-        levels.append((ends, 2.0 * levels[-1][1]))
+        levels.append((ends, 2.0 * levels[-1][1], {}))
     return tuple(levels)
 
 
@@ -185,8 +189,11 @@ def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes
     levels = _levels(f, cells, ndim)
     if delta == 0.0:
         return 0.0
-    ends, width = next((lv for lv in reversed(levels) if delta >= _RUN_CELLS * lv[1]), levels[0])
-    value = _run_range(ends, math.ceil(min(delta, 2.0) / width * (1.0 + 2.0**-40)) + 1, axes)
+    ends, width, ranges = next((lv for lv in reversed(levels) if delta >= _RUN_CELLS * lv[1]), levels[0])
+    key = (min(math.ceil(min(delta, 2.0) / width * (1.0 + 2.0**-40)) + 1, ends.shape[-1]), axes)
+    if key not in ranges:
+        ranges[key] = _run_range(ends, *key)
+    value = ranges[key]
     return math.inf if math.isnan(value) else math.nextafter(value, math.inf)
 
 

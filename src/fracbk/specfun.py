@@ -11,8 +11,9 @@ from .errors import check_int, check_real
 
 
 def _log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for 0 < x <= 2.5e305 (lgamma overflows)."""
-    check_real("log_gamma argument", x, high=2.5e305)
+    """Natural log of the Gamma function for 0 < x <= 1e5: past that the lgamma
+    differences in moment_coeff cancel (1.2e-9 relative at 2e5, 1.0 at 1e17)."""
+    check_real("log_gamma argument", x, high=1e5)
     return math.lgamma(x)
 
 

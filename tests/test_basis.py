@@ -324,17 +324,44 @@ def _reference_basis_row(params, z):
 PARITY_POINTS = [0.0, 1.0, 1e-300, 1.0 - 1e-16, 1e-5, 0.1, 0.37, 0.5, 0.9, 0.999999]
 
 
+def _band_edges(n):
+    """Points one ulp either side of where the degree-n band, sqrt(400n) + 1
+    either side of n*z, starts or stops reaching column 0 or n."""
+    h = math.sqrt(400.0 * n) + 1.0
+    edges = [e for c in (h / n, (h + 1.0) / n) for e in (c, 1.0 - c) if 0.0 < e < 1.0]
+    return [p for e in edges for p in (math.nextafter(e, 0.0), math.nextafter(e, 1.0))]
+
+
 class TestBasisMatrix:
-    @pytest.mark.parametrize("m", [1, 2, 3, 7, 15, 40, 90, 250, 1000, 10**4, 10**5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 15, 40, 90, 250, 1000, 1600, 1700, 10**4, 3 * 10**4,
+                                   10**5, 2 * 10**5])
     def test_bitwise_equal_to_reference_rows(self, m):
         for s in (0, 1, 2, 3, 5, 9, 40, 300):
+            points = PARITY_POINTS + _band_edges(max(m - s, 1))
             for alpha in (0.0, 0.35, 1.0):
                 params = make_params(m, s, alpha)
-                ref = np.array([_reference_basis_row(params, z) for z in PARITY_POINTS])
-                assert np.array_equal(basis_matrix(params, PARITY_POINTS), ref)
-                assert np.array_equal(basis_row(params, PARITY_POINTS[6]).weights, ref[6])
-        for z in PARITY_POINTS:
+                ref = np.array([_reference_basis_row(params, z) for z in points])
+                assert np.array_equal(basis_matrix(params, points), ref)
+                for z, row in zip(points, ref):
+                    assert np.array_equal(basis_row(params, z).weights, row)
+        for z in PARITY_POINTS + _band_edges(m):
             assert np.array_equal(bernstein_row(m, z), _reference_bernstein_row(m, z))
+
+    @pytest.mark.parametrize("n", [1600, 1700, 3 * 10**4, 2 * 10**5])
+    def test_reference_rows_vanish_outside_the_band(self, n):
+        # the rows are computed only on the band, so the full rows must hold
+        # exactly 0.0 everywhere else
+        zs = np.concatenate((np.linspace(0.0, 1.0, 41), _band_edges(n), [1e-300, 1.0 - 1e-16]))
+        for z in zs.tolist():
+            cols, _ = basis._bernstein_band(n, basis._log_points([z]))
+            ref = _reference_bernstein_row(n, z)
+            assert 0 < cols.stop - cols.start <= n + 1
+            assert not ref[: cols.start].any() and not ref[cols.stop :].any(), z
+        # two points share one band, from the lower end of the first to the
+        # upper end of the second
+        pair = basis._log_points([0.25, 0.3])
+        assert np.array_equal(basis._bernstein_matrix(n, pair)[1],
+                              np.array([_reference_bernstein_row(n, z) for z in (0.25, 0.3)]))
 
     def test_bitwise_equal_on_many_points(self):
         # numpy's vectorised logarithms differ from math's in the last bit

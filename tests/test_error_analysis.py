@@ -29,7 +29,7 @@ from fracbk import (
 )
 
 from conftest import draw_params, expression_texts
-from fracbk.error_analysis import _shift_count
+from fracbk.error_analysis import _levels, _shift_count
 
 
 class TestModulusContinuity:
@@ -165,6 +165,60 @@ class TestModulusParity:
         top = 65 if grid_n == 100001 else grid_n - 1
         expected = float(_shift_loop_moduli(name, grid_n, top)[shifts])
         assert modulus_continuity(_PARITY_FUNCS[name], delta, grid_n).value == expected
+
+
+def _memo_radii(cells: int, ndim: int) -> list[float]:
+    """Radii that pick every level of the cache entry: 128 * width of each
+    level and one ulp either side, where the choice of level flips, with 0
+    and radii past the saturation at 2."""
+    radii = [0.0, 1e-6, 0.003, 0.05, 0.3, 2.0, 2.5, 7.0]
+    for _ends, width, _ranges in _levels(get_function("f1" if ndim == 1 else "g1"), cells, ndim):
+        edge = 128.0 * width
+        radii += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    return radii
+
+
+class TestRunRangeMemo:
+    """Each enclosure level keeps its run ranges: a warm value is the value
+    computed after the cache is cleared, and the ranges leave with the
+    cache entry."""
+
+    @staticmethod
+    def _warm_equals_cold(calls):
+        for call in calls:
+            call()  # fill the ranges of every radius
+        warm = [repr(call()) for call in calls]
+        for call, value in zip(calls, warm):
+            _levels.cache_clear()
+            assert repr(call()) == value, call
+
+    @pytest.mark.parametrize("source", ["f1", "abs(z-0.37)", "exp(3*z)*sin(7*z)"])
+    @pytest.mark.parametrize("grid_n", [None, 1000])
+    def test_one_axis(self, source, grid_n):
+        f = get_function(source)
+        radii = _memo_radii(grid_n or 65536, 1)
+        self._warm_equals_cold([functools.partial(m, f, d, grid_n) for d in radii
+                                for m in (modulus_continuity, second_modulus)])
+
+    @pytest.mark.parametrize("source", ["g1", "abs(z-y)", "exp(z*y)"])
+    def test_two_axes(self, source):
+        F = get_function(source)
+        radii = _memo_radii(256, 2)
+        calls = [functools.partial(complete_modulus, F, d) for d in radii]
+        calls += [functools.partial(partial_moduli, F, d1, d2) for d1, d2 in zip(radii, reversed(radii))]
+        self._warm_equals_cold(calls)
+
+    def test_ranges_leave_with_their_cache_entry(self):
+        f = parse_source("sin(5*z) + z")
+        before = modulus_continuity(f, 0.1).value
+        entry = _levels(f, 65536, 1)
+        assert sum(len(ranges) for _ends, _width, ranges in entry) == 1
+        for k in range(1, 9):  # eight other entries evict the least recent
+            modulus_continuity(parse_source(f"z^{k}"), 0.1)
+        fresh = _levels(f, 65536, 1)
+        assert fresh is not entry
+        assert all(not ranges for _ends, _width, ranges in fresh)
+        assert modulus_continuity(f, 0.1).value == before
 
 
 class TestSecondModulus:

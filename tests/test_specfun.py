@@ -30,7 +30,11 @@ class TestLogGamma:
             _log_gamma(x)
 
     def test_largest_argument(self):
-        assert math.isfinite(_log_gamma(2.5e305))
+        # 2.5e305, where lgamma overflows, was the limit until moment_coeff
+        # was seen to lose its digits far below it
+        assert _log_gamma(1e5) == math.lgamma(1e5)
+        with pytest.raises(DomainError, match="log_gamma argument must be"):
+            _log_gamma(math.nextafter(1e5, math.inf))
 
 
 class TestMomentCoeff:
@@ -52,13 +56,25 @@ class TestMomentCoeff:
 
     @pytest.mark.parametrize(
         "eta, gamma, k",
-        [(math.nan, 1.0, 1), (1.0, math.inf, 1), (1e308, 1.0, 1), (1.0, 1e308, 2), (1.0, 1.0, 1.5)],
+        [(math.nan, 1.0, 1), (1.0, math.inf, 1), (1e308, 1.0, 1), (1.0, 1e308, 2), (1.0, 1.0, 1.5),
+         (1.0, 1e15, 1), (1.0, 1e17, 2), (1e7, 2.0, 1)],
     )
     def test_invalid_rejected(self, eta, gamma, k):
         # nan used to return nan, 1e308 to raise a raw OverflowError (and so
-        # to crash `fracbk bounds --eta 1e308`), and gamma*k = inf to give nan
+        # to crash `fracbk bounds --eta 1e308`), and gamma*k = inf to give
+        # nan; the last three lost their digits to cancelling lgamma values
+        # (1.27e-14 for about 1e-15 at gamma 1e15, 1.0 from gamma 1e17 on)
         with pytest.raises(DomainError):
             moment_coeff(eta, gamma, k)
+
+    @pytest.mark.parametrize("eta", [1, 2, 3, 7, 20])
+    def test_accurate_up_to_the_argument_limit(self, eta):
+        # for integers the coefficient is 1/C(eta + gamma*k, eta), exactly
+        for top in (1000, 30_000, 99_999):
+            for k in (1, 2):
+                gamma = (top - 1 - eta) / k
+                exact = 1 / math.comb(top - 1, eta)
+                assert moment_coeff(float(eta), gamma, k) == pytest.approx(exact, rel=1e-9, abs=0.0)
 
     def test_bounded_on_random_draws(self, rng):
         for _ in range(200):
