@@ -5,7 +5,7 @@ The bounds are built from moduli of continuity: omega and omega_2 of f(z)
 on [0, 1], and the partial and complete moduli of F(z, y) on [0, 1]^2.
 All but omega_2 run through one window engine, _run_range: the largest
 max hi - min lo over runs of k entries along some axes of ends = (hi, -lo),
-by sparse-table doubling in O(n log k).
+by sparse-table doubling in O(n log k), one cache-sized block at a time.
 
 For an expression these are certified upper bounds: interval enclosures
 (exprlib.enclose) of f on equal cells per axis give, for a run of cells,
@@ -14,14 +14,15 @@ than delta along an axis lie in one run of ceil(delta/h) + 1 cells of
 width h along it.  The enclosures are built once per expression, cell
 count and number of axes, checked against f at the cell corners, and kept
 in a small cache; on one axis they are also merged pairwise into coarser
-levels, so that a large radius reads a short array.  Each level also keeps
-the run ranges it has given, keyed by (runs, axes) with runs clipped to the
-axis length, so a repeated radius reads a dict: the values are the ones the
-engine would recompute, and they leave with the cache entry.  The two-axis
-moduli evaluate F at the cell corners and check them once more on every
-call, so that a traced run counts those evaluations.  omega_2 is at most
-delta^2 * sup |f''| (a symbolic second derivative, enclosed on fewer
-cells) and at most twice omega.
+levels, so that a large radius reads a short array; runs of at least 128
+cells read them, so they keep the maxima of their 128-cell runs.  Each
+level also keeps the run ranges it has given, keyed by (runs, axes) with
+runs clipped to the axis length, so a repeated radius reads a dict: the
+values are the ones the engine would recompute, and they leave with the
+cache entry.  The two-axis moduli evaluate F at the cell corners and check
+them once more on every call, so that a traced run counts those
+evaluations.  omega_2 is at most delta^2 * sup |f''| (a symbolic second
+derivative, enclosed on fewer cells) and at most twice omega.
 
 For a plain callable, which has no expression tree, the moduli are grid
 estimates from below: the grid values enter the engine as zero-width
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorParams
+from .basis import _BLOCK_ELEMENTS, OperatorParams
 from .dataset import Dataset, to_csv
 from .errors import EvaluationError, check_int, check_points, check_real
 from .exprlib import FunctionExpr, enclose, second_derivative
@@ -90,22 +91,23 @@ def _shift_count(delta: float, grid_n: int) -> int:
     return int(min(delta * (grid_n - 1) + _SHIFT_EPS, grid_n - 1))
 
 
-def _window_max(values: np.ndarray, width: int, axis: int = -1) -> np.ndarray:
-    """Running max over every run of `width` consecutive entries along
-    `axis`, 1 <= width <= n; the axis shrinks to n - width + 1.
+def _window_max(values: np.ndarray, width: int, axis: int = -1, span: int = 1) -> np.ndarray:
+    """Running max over every run of `width` consecutive cells along `axis`
+    of a table whose entry i holds the max of the `span` cells from i on
+    (span 1: the cells themselves), span <= width <= cells; n entries
+    cover n + span - 1 cells, and the axis shrinks to n + span - width.
 
-    Sparse-table doubling: after j passes entry i holds the max of the 2**j
-    entries from i on, and one overlapping pair of such spans covers any
-    width, so the cost is O(n log width).
+    Sparse-table doubling: after j passes entry i holds the max of the
+    span * 2**j cells from i on, and one overlapping pair of such spans
+    covers any width, so the cost is O(n log(width / span)).
     """
-    a = np.moveaxis(values, axis, -1)
-    hi = a
-    span = 1
+    hi = np.moveaxis(values, axis, -1)
+    count = hi.shape[-1] + span - width
     while 2 * span <= width:
         hi = np.maximum(hi[..., :-span], hi[..., span:])
         span *= 2
     if span < width:
-        count, rest = a.shape[-1] - width + 1, width - span
+        rest = width - span
         hi = np.maximum(hi[..., :count], hi[..., rest : rest + count])
     return np.moveaxis(hi, -1, axis)
 
@@ -136,15 +138,25 @@ def _check_corners(f: FunctionExpr, ends: np.ndarray) -> None:
             raise EvaluationError("an interval enclosure misses a value of the function")
 
 
-def _run_range(ends: np.ndarray, runs: int, axes) -> float:
-    """max hi - min lo over every run of `runs` entries (at most the whole
-    axis) along each of the negative axes of ends = (hi, -lo).  Max, min
-    and addition carry NaN and inf through (inf - inf is NaN), and a range
-    past the float range is inf."""
-    for axis in axes:
-        ends = _window_max(ends, min(runs, ends.shape[axis]), axis)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(ends[0] + ends[1]))
+def _run_range(ends: np.ndarray, runs: int, axes, span: int = 1) -> float:
+    """max hi - min lo over every run of `runs` cells (at most the whole
+    axis) along each of the negative axes of ends = (hi, -lo), a table of
+    span-cell maxima along them as in _window_max, in blocks of the first
+    cell axis of _BLOCK_ELEMENTS values (runs - span cells if more), each
+    with the runs - span entries it shares with the next if that axis is
+    windowed.  Max, min, addition and np.max carry NaN and inf through
+    (inf - inf is NaN), and a range past the float range is inf."""
+    widths = {axis: min(runs, ends.shape[axis] + span - 1) for axis in axes}
+    shared = widths.get(1 - ends.ndim, span) - span
+    step = max(_BLOCK_ELEMENTS * ends.shape[1] // ends.size, shared, 1)
+    tops = []
+    for i in range(0, ends.shape[1] - shared, step):
+        block = ends[:, i : i + step + shared]
+        for axis, width in widths.items():
+            block = _window_max(block, width, axis, span)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tops.append(np.max(block[0] + block[1]))
+    return float(np.max(tops))
 
 
 def _resolution(f, grid_n: int | None, ndim: int) -> int:
@@ -160,23 +172,32 @@ def _resolution(f, grid_n: int | None, ndim: int) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
-    """(ends, width, ranges) per level: read-only enclosures ends = (hi, -lo)
+    """(values, width, ranges) per level: read-only enclosures ends = (hi, -lo)
     of f on `cells` equal cells per axis of [0, 1]^ndim, checked against f
-    at the cell corners, then, on one axis, on pairwise merged cells (an odd
-    last cell stays alone) while at least 2*_RUN_CELLS remain; ranges holds
-    the level's _run_range values by (runs, axes)."""
+    at the cell corners, then, on one axis, while at least 2*_RUN_CELLS
+    remain, the maxima of the _RUN_CELLS-cell runs of pairwise merged cells
+    (an odd last cell stays alone), built block by block into one array;
+    ranges holds the level's _run_range values by (runs, axes)."""
     u = np.linspace(0.0, 1.0, cells + 1)
     lo, hi = enclose(f, *((_on_axis(u[:-1], i, ndim), _on_axis(u[1:], i, ndim)) for i in range(ndim)))
     ends = np.stack((hi, -lo))
     ends.setflags(write=False)
     _check_corners(f, ends)
     levels = [(ends, float(np.min(np.diff(u))), {})]
-    while ndim == 1 and ends.shape[-1] >= 2 * _RUN_CELLS:
+    n, sizes = cells, []  # table entries per merged level, in one array so the heap does not fragment
+    while ndim == 1 and n >= 2 * _RUN_CELLS:
+        n = (n + 1) // 2
+        sizes.append(n - _RUN_CELLS + 1)
+    tables, step = np.empty((2, sum(sizes))), _BLOCK_ELEMENTS // 2
+    for start, size in zip(itertools.accumulate(sizes, initial=0), sizes):
         if ends.shape[-1] % 2:
             ends = np.concatenate((ends, ends[:, -1:]), axis=1)
         ends = np.maximum(ends[:, ::2], ends[:, 1::2])
-        ends.setflags(write=False)
-        levels.append((ends, 2.0 * levels[-1][1], {}))
+        table = tables[:, start : start + size]
+        for i in range(0, size, step):
+            table[:, i : i + step] = _window_max(ends[:, i : i + step + _RUN_CELLS - 1], _RUN_CELLS)
+        table.setflags(write=False)
+        levels.append((table, 2.0 * levels[-1][1], {}))
     return tuple(levels)
 
 
@@ -189,10 +210,11 @@ def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes
     levels = _levels(f, cells, ndim)
     if delta == 0.0:
         return 0.0
-    ends, width, ranges = next((lv for lv in reversed(levels) if delta >= _RUN_CELLS * lv[1]), levels[0])
-    key = (min(math.ceil(min(delta, 2.0) / width * (1.0 + 2.0**-40)) + 1, ends.shape[-1]), axes)
+    index = next((i for i in reversed(range(len(levels))) if delta >= _RUN_CELLS * levels[i][1]), 0)
+    (values, width, ranges), span = levels[index], (_RUN_CELLS if index else 1)
+    key = (min(math.ceil(min(delta, 2.0) / width * (1.0 + 2.0**-40)) + 1, values.shape[-1] + span - 1), axes)
     if key not in ranges:
-        ranges[key] = _run_range(ends, *key)
+        ranges[key] = _run_range(values, *key, span)
     value = ranges[key]
     return math.inf if math.isnan(value) else math.nextafter(value, math.inf)
 

@@ -1,11 +1,14 @@
 """Slow, independent implementations that the tests check the library against.
 
 adaptive_reference integrates against the fractional kernel by adaptive
-Simpson subdivision, and basis_weight evaluates one basis weight from the
-three-term formula; neither shares code with the batched library paths.
+Simpson subdivision, basis_weight evaluates one basis weight from the
+three-term formula, and window_range takes the range over every run of
+cells one offset at a time; none shares code with the library paths.
 """
 
 import math
+
+import numpy as np
 
 from fracbk.errors import DomainError, QuadratureError, check_int, check_points, check_real
 
@@ -95,3 +98,25 @@ def basis_weight(params, j: int, z: float) -> float:
     t2 = (1.0 - alpha) * _term(_log_binomial(m - s, j), z, j, m - s - j + 1)
     t3 = alpha * _term(_log_binomial(m, j), z, j, m - j)
     return t1 + t2 + t3
+
+
+def window_max(values, width: int, axis: int = -1):
+    """Max over every run of `width` consecutive entries along `axis`, one
+    np.maximum per offset in the run: O(n * width), NaN kept."""
+    a = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    count = a.shape[-1] - width + 1
+    out = a[..., :count]
+    for j in range(1, width):
+        out = np.maximum(out, a[..., j : j + count])
+    return np.moveaxis(out, -1, axis)
+
+
+def window_range(hi, lo, runs: int, axes) -> float:
+    """The largest max hi - min lo over every run of `runs` cells (at most
+    the whole axis) along each of `axes`: NaN if a value in a run is NaN,
+    and inf - inf is NaN."""
+    for axis in axes:
+        width = min(runs, np.shape(hi)[axis])
+        hi, lo = window_max(hi, width, axis), -window_max(-np.asarray(lo), width, axis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(hi - lo))

@@ -324,6 +324,23 @@ class TestBounds:
         assert err.startswith(f"fracbk: error: {message}")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("grid", ["65537", "100000"])
+    def test_grid_above_the_cap_is_usage_error(self, capsys, grid):
+        # the moduli cap expressions at 65,536 cells, so these printed the
+        # rows of --grid 65536 under "# grid=100000" with exit 0
+        code, out, err = run_cli(capsys, "bounds", "--m", "20", "--fn", "f1",
+                                 "--z", "0:1:3", "--C", "2", "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"fracbk: error: grid_n must be <= 65536, got {grid}")
+        assert len(err.splitlines()) == 1
+
+    def test_grid_at_the_cap_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--m", "20", "--fn", "f1",
+                               "--z", "0:1:3", "--C", "2", "--grid", "65536")
+        assert code == 0
+        assert "grid=65536 " in out
+        assert len(csv_rows(out)[1]) == 3
+
 
 class TestBivEval:
     def test_known_cell(self, capsys):

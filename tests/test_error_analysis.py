@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +31,10 @@ from fracbk import (
 )
 
 from conftest import draw_params, expression_texts
-from fracbk.error_analysis import _levels, _shift_count
+from fracbk import error_analysis
+from fracbk.basis import _BLOCK_ELEMENTS
+from fracbk.error_analysis import _levels, _run_range, _shift_count
+from oracles import window_max, window_range
 
 
 class TestModulusContinuity:
@@ -219,6 +224,124 @@ class TestRunRangeMemo:
         assert fresh is not entry
         assert all(not ranges for _ends, _width, ranges in fresh)
         assert modulus_continuity(f, 0.1).value == before
+
+
+def _engine_equals_oracle(hi, lo, runs, axes, span):
+    """_run_range on the table of span-cell maxima of (hi, -lo) along axes
+    is the direct range of the cells bit for bit, NaN included."""
+    table = np.stack((hi, -lo))
+    for axis in axes:
+        table = window_max(table, span, axis)
+    got, expected = _run_range(table, runs, axes, span), window_range(hi, lo, runs, axes)
+    assert repr(got) == repr(expected), (runs, axes, span)
+
+
+def _cells(rng, shape):
+    lo = rng.standard_normal(shape)
+    return lo + rng.random(shape), lo
+
+
+# each special value replaces one cell of hi or of lo
+_SPECIALS = [(which, value) for which in (0, 1) for value in (math.nan, math.inf, -math.inf)]
+
+
+class TestWindowEngine:
+    """_run_range walks its cells in blocks along the first cell axis; the
+    range equals the direct max hi - min lo over every run
+    (oracles.window_range) bit for bit, with NaN and inf on block edges."""
+
+    # with 120 values per block, a block holds 60 one-axis cells or 20
+    # rows of 3 cells
+    @pytest.mark.parametrize("axes", [(-1,), (-2,), (-2, -1)])
+    @pytest.mark.parametrize("span", [1, 128])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None])
+    def test_small_blocks(self, monkeypatch, axes, span, offset):
+        monkeypatch.setattr(error_analysis, "_BLOCK_ELEMENTS", 120)
+        ndim = 1 if axes == (-1,) else 2
+        step = 60 if ndim == 1 else 20
+        n = step + offset if offset is not None else 2 * step + 3  # table entries
+        shape = [n, 3][:ndim]
+        for axis in axes:
+            shape[axis] += span - 1
+        rng = np.random.default_rng([ndim, span, n])
+        hi, lo = _cells(rng, shape)
+        whole = shape[0] if ndim == 1 else max(shape)
+        for runs in range(max(2, span), whole + 2):
+            _engine_equals_oracle(hi, lo, runs, axes, span)
+        edges = {e for e in (0, step - 1, step, step + span - 1, shape[0] - 1) if e < shape[0]}
+        tried = sorted({max(2, span), span + 1, (span + whole) // 2, whole - 1, whole})
+        for (which, value), edge in itertools.product(_SPECIALS, sorted(edges)):
+            cells = [hi.copy(), lo.copy()]
+            cells[which][(edge, 1)[:ndim]] = value
+            for runs in tried:
+                _engine_equals_oracle(*cells, runs, axes, span)
+
+    @pytest.mark.parametrize("span", [1, 128])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None])
+    def test_blocks_of_the_budget(self, span, offset):
+        step = _BLOCK_ELEMENTS // 2
+        n = step + offset if offset is not None else 2 * step + 3
+        rng = np.random.default_rng([span, n])
+        hi, lo = _cells(rng, n + span - 1)
+        whole = n + span - 1
+        for runs in sorted({max(2, span), span + 1, 129, 257, 258, whole - 1, whole}):
+            _engine_equals_oracle(hi, lo, runs, (-1,), span)
+        for edge in sorted({e for e in (step - 1, step, whole - 1) if e < whole}):
+            cells = hi.copy()
+            cells[edge] = math.nan
+            _engine_equals_oracle(cells, lo, 257, (-1,), span)
+
+
+def _merged_cells(ends, times):
+    """ends merged pairwise `times` times, an odd last cell with itself."""
+    for _ in range(times):
+        if ends.shape[-1] % 2:
+            ends = np.concatenate((ends, ends[:, -1:]), axis=1)
+        ends = np.maximum(ends[:, 0::2], ends[:, 1::2])
+    return ends
+
+
+class TestMergedLevels:
+    """A merged level holds the table of 128-cell maxima of its cells, and
+    a modulus read there is the direct range of those cells.  300 and
+    1,000 cells merge even counts only, 1,001 an odd last cell each time."""
+
+    @pytest.mark.parametrize("source", ["f1", "abs(z-0.37)"])
+    @pytest.mark.parametrize("cells", [65536, 1000, 1001, 300])
+    def test_tables_and_moduli(self, source, cells):
+        f = get_function(source)
+        levels = _levels(f, cells, 1)
+        assert len(levels) > 1
+        fine = levels[0][0]
+        for k, (table, width, _ranges) in enumerate(levels[1:], 1):
+            merged = _merged_cells(fine, k)
+            assert table.shape == (2, merged.shape[-1] - 127)
+            np.testing.assert_array_equal(table, window_max(merged, 128))
+            # 128*width picks this level and the ulp below it the one before
+            edge = 128.0 * width
+            for delta, level in ((math.nextafter(edge, 0.0), k - 1), (edge, k),
+                                 (math.nextafter(edge, math.inf), k), (2.0, len(levels) - 1)):
+                on = _merged_cells(fine, level)
+                w = levels[level][1]
+                runs = min(math.ceil(min(delta, 2.0) / w * (1.0 + 2.0**-40)) + 1, on.shape[-1])
+                expected = math.nextafter(window_range(on[0], -on[1], runs, (-1,)), math.inf)
+                assert modulus_continuity(f, delta, cells).value == expected, (k, delta)
+
+
+def test_warm_modulus_temporaries_stay_bounded():
+    # the engine took two 1 MiB temporaries on the finest level of 65,536
+    # cells; a block holds at most _BLOCK_ELEMENTS values (512 KiB)
+    f = get_function("f1")
+    modulus_continuity(f, 0.003)
+    for _values, _width, ranges in _levels(f, 65536, 1):
+        ranges.clear()  # so that the engine runs again
+    tracemalloc.start()
+    try:
+        modulus_continuity(f, 0.003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 class TestSecondModulus:
