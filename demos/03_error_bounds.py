@@ -10,9 +10,12 @@ The demo evaluates each bound for the identity function (M = 1, kappa = 1)
 and for a corpus function, next to the actual error |R(f; z) - f(z)|, so
 the guaranteed-but-pessimistic nature of the bounds is visible.  The last
 block prints the certified moduli of continuity that feed them: upper
-bounds from interval enclosures of f on 65,536 cells, next to the value on
-a grid of 100,001 points, which approaches the modulus from below.
+bounds from interval enclosures of f on 65,536 cells, next to the largest
+difference of f over the shifts of a grid of 4,001 points, which
+approaches the modulus from below.
 """
+
+import numpy as np
 
 from fracbk import (
     OperatorParams,
@@ -52,9 +55,12 @@ def main():
     print()
     print("moduli of f1: certified upper bounds and a grid estimate from below")
     print(f"{'delta':>7} {'omega1':>10} {'grid':>10} {'omega2':>10}")
+    values = evaluate(f, np.linspace(0.0, 1.0, 4001))
     for delta in (0.2, 0.1, 0.05, 0.025):
         w1 = modulus_continuity(f, delta).value
-        below = modulus_continuity(lambda u: evaluate(f, u), delta, grid_n=100_001).value
+        # |f(u + k/4000) - f(u)| over the grid points u and shifts k/4000 <= delta
+        shifts = range(1, round(delta * 4000) + 1)
+        below = max(float(np.max(np.abs(values[k:] - values[:-k]))) for k in shifts)
         w2 = second_modulus(f, delta).value
         print(f"{delta:>7.3f} {w1:>10.6f} {below:>10.6f} {w2:>10.6f}")
 

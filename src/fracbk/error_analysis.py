@@ -3,36 +3,28 @@ evaluation of the error bounds.
 
 The bounds are built from moduli of continuity: omega and omega_2 of f(z)
 on [0, 1], and the partial and complete moduli of F(z, y) on [0, 1]^2.
-All but omega_2 run through one window engine, _run_range: the largest
-max hi - min lo over runs of k entries along some axes of ends = (hi, -lo),
-by sparse-table doubling in O(n log k), one cache-sized block at a time.
+They take an expression (exprlib.FunctionExpr) only, and each is an upper
+bound; a plain callable, which has no expression tree, raises DomainError.
+The moduli run through one window engine, _run_range: the largest max hi -
+min lo over runs of k entries along some axes of ends = (hi, -lo), by
+sparse-table doubling in O(n log k), one cache-sized block at a time.
 
-For an expression these are certified upper bounds: interval enclosures
-(exprlib.enclose) of f on equal cells per axis give, for a run of cells,
-an interval holding every value f takes there, and any two points closer
-than delta along an axis lie in one run of ceil(delta/h) + 1 cells of
-width h along it.  The enclosures are built once per expression, cell
-count and number of axes, checked against f at the cell corners, and kept
-in a small cache; on one axis they are also merged pairwise into coarser
-levels, so that a large radius reads a short array; runs of at least 128
-cells read them, so they keep the maxima of their 128-cell runs.  Each
-level also keeps the run ranges it has given, keyed by (runs, axes) with
-runs clipped to the axis length, so a repeated radius reads a dict: the
-values are the ones the engine would recompute, and they leave with the
-cache entry.  The two-axis moduli evaluate F at the cell corners and check
-them once more on every call, so that a traced run counts those
-evaluations.  omega_2 is at most delta^2 * sup |f''| (a symbolic second
-derivative, enclosed on fewer cells) and at most twice omega.
-
-For a plain callable, which has no expression tree, the moduli are grid
-estimates from below: the grid values enter the engine as zero-width
-enclosures, and differ from enclosures only in the run count (k+1 points
-for k grid shifts) and in raising on a non-finite grid value where an
-enclosure reads inf; a difference of finite values past the float range
-reads inf on both.  Subtraction is monotone, so the largest max - min
-over runs of k+1 values equals the largest |f[u+j] - f[u]|, j <= k, bit
-for bit.  The complete modulus takes the runs in its disc one row offset
-at a time; omega_2 is a loop over the k shifts, O(n k).
+Interval enclosures (exprlib.enclose) of f on equal cells per axis give,
+for a run of cells, an interval holding every value f takes there, and any
+two points closer than delta along an axis lie in one run of
+ceil(delta/h) + 1 cells of width h along it.  The enclosures are built
+once per expression, cell count and number of axes, checked against f at
+the cell corners, and kept in a small cache; on one axis they are also
+merged pairwise into coarser levels, so that a large radius reads a short
+array; runs of at least 128 cells read them, so they keep the maxima of
+their 128-cell runs.  Each level also keeps the run ranges it has given,
+keyed by (runs, axes) with runs clipped to the axis length, so a repeated
+radius reads a dict: the values are the ones the engine would recompute,
+and they leave with the cache entry.  The two-axis moduli evaluate F at
+the cell corners and check them once more on every call, so that a traced
+run counts those evaluations.  omega_2 is at most delta^2 * sup |f''| (a
+symbolic second derivative, enclosed on fewer cells) and at most twice
+omega.
 """
 
 from __future__ import annotations
@@ -46,32 +38,33 @@ import numpy as np
 
 from .basis import _BLOCK_ELEMENTS, OperatorParams
 from .dataset import Dataset, to_csv
-from .errors import EvaluationError, check_int, check_points, check_real
+from .errors import DomainError, EvaluationError, check_int, check_points, check_real
 from .exprlib import FunctionExpr, enclose, second_derivative
 from .operator_uni import DEFAULT_ORDER, apply_kernel, central_moments, eval_function, kernel_integrals
 
-# Per axis, for the moduli on one axis and on two: an expression's
-# enclosure cells by default and at most, and a callable's grid points by
-# default.  The default cell counts are powers of two, so the cell ends i/n
+# Enclosure cells per axis, by default and at most, for the moduli on one
+# axis and on two.  The defaults are powers of two, so the cell ends i/n
 # are exact.
-_RESOLUTION = {1: (1 << 16, 1 << 16, 10_001), 2: (256, 320, 256)}
+_RESOLUTION = {1: (1 << 16, 1 << 16), 2: (256, 320)}
 # Enclosure cells of f'' on [0, 1]
 _SECOND_CELLS = 1 << 12
 # A modulus reads the coarsest merged level on which its runs still span at
 # least this many cells, so a run is at most 2/_RUN_CELLS longer than delta.
 _RUN_CELLS = 128
+# _SHIFT_EPS and _shift_count give the grid shifts at radius delta on
+# grid_n points.  No modulus reads them: they stay only because the
+# benchmark tracer (bench/tracing.py) counts shifts with _shift_count.
 _SHIFT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
 class ModulusEstimate:
-    """A modulus value: certified (an upper bound, for an expression, on
-    grid_n cells) or an estimate from below (a callable on grid_n points)."""
+    """An upper bound on a modulus at radius delta, from enclosures of an
+    expression on grid_n cells."""
 
     delta: float
     value: float
     grid_n: int
-    certified: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,22 +109,14 @@ def _on_axis(u: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return u.reshape([-1 if i == axis else 1 for i in range(ndim)])
 
 
-def _grid(f, n: int, ndim: int) -> np.ndarray:
-    """f on n equally spaced points per axis of [0, 1]^ndim, axis i holding
-    the i-th variable (z, then y); EvaluationError where a value is not
-    finite."""
-    u = np.linspace(0.0, 1.0, n)
+def _check_corners(f: FunctionExpr, ends: np.ndarray) -> None:
+    """f at the corners of the cells of ends = (hi, -lo), axis i holding the
+    i-th variable (z, then y): finite, and inside the enclosure of every
+    cell it bounds; EvaluationError otherwise."""
+    u, ndim = np.linspace(0.0, 1.0, ends.shape[-1] + 1), ends.ndim - 1
     values = eval_function(f, *(_on_axis(u, i, ndim) for i in range(ndim)))
-    # max() over differences would drop a NaN and report a modulus of 0.0
     if not np.all(np.isfinite(values)):
         raise EvaluationError("function has non-finite values on the modulus grid")
-    return values
-
-
-def _check_corners(f: FunctionExpr, ends: np.ndarray) -> None:
-    """f at the corners of the cells of ends = (hi, -lo): finite, as a grid
-    must be, and inside the enclosure of every cell it bounds."""
-    values = _grid(f, ends.shape[-1] + 1, ends.ndim - 1)
     for corner in itertools.product((slice(None, -1), slice(1, None)), repeat=values.ndim):
         v = values[corner]
         if not np.all((v <= ends[0]) & (-v <= ends[1])):
@@ -160,14 +145,15 @@ def _run_range(ends: np.ndarray, runs: int, axes, span: int = 1) -> float:
 
 
 def _resolution(f, grid_n: int | None, ndim: int) -> int:
-    """grid_n per axis as enclosure cells for an expression or grid points
-    for a callable, with the defaults and the cap of _RESOLUTION[ndim]."""
-    cells, most, points = _RESOLUTION[ndim]
-    expression = isinstance(f, FunctionExpr)
+    """grid_n enclosure cells per axis, with the default and the cap of
+    _RESOLUTION[ndim]; DomainError unless f is an expression."""
+    if not isinstance(f, FunctionExpr):
+        raise DomainError(f"the moduli and bounds take an expression from parse_source, got {type(f).__name__}")
+    cells, most = _RESOLUTION[ndim]
     if grid_n is None:
-        return cells if expression else points
+        return cells
     check_int("grid_n", grid_n, 101)
-    return min(grid_n, most) if expression else grid_n
+    return min(grid_n, most)
 
 
 @functools.lru_cache(maxsize=8)
@@ -232,105 +218,56 @@ def _second_derivative_sup(f: FunctionExpr, cells: int) -> float:
 
 
 def modulus_continuity(f, delta: float, grid_n: int | None = None) -> ModulusEstimate:
-    """sup |f(u+h) - f(u)| over 0 < h <= delta.
-
-    Certified for an expression: an upper bound from enclosures on grid_n
-    cells (default and at most 65,536).  For a callable, an estimate from
-    below on a grid of grid_n points (default 10,001).
-    """
+    """sup |f(u+h) - f(u)| over 0 < h <= delta: an upper bound from
+    enclosures of the expression f on grid_n cells (default and at most
+    65,536)."""
     check_real("delta", delta, closed=True)
     n = _resolution(f, grid_n, 1)
-    if isinstance(f, FunctionExpr):
-        return ModulusEstimate(delta, _enclosed_modulus(f, delta, n, 1, (-1,)), n, True)
-    G = _grid(f, n, 1)
-    return ModulusEstimate(delta, _run_range(np.stack((G, -G)), _shift_count(delta, n) + 1, (-1,)), n, False)
+    return ModulusEstimate(delta, _enclosed_modulus(f, delta, n, 1, (-1,)), n)
 
 
 def second_modulus(f, delta: float, grid_n: int | None = None) -> ModulusEstimate:
-    """sup |f(u+2h) - 2f(u+h) + f(u)| over 0 < h <= delta.
-
-    Certified for an expression: the smaller of delta^2 * sup |f''| and
-    twice the first modulus, with delta at most 1/2.  For a callable, a
-    grid estimate from below as in modulus_continuity.
-    """
+    """sup |f(u+2h) - 2f(u+h) + f(u)| over 0 < h <= delta: an upper bound,
+    the smaller of delta^2 * sup |f''| and twice the first modulus, with
+    delta at most 1/2."""
     check_real("delta", delta, closed=True)
     n = _resolution(f, grid_n, 1)
-    if isinstance(f, FunctionExpr):
-        d = min(delta, 0.5)  # u and u + 2h both lie in [0, 1]
-        if d == 0.0:
-            return ModulusEstimate(delta, 0.0, n, True)
-        s = _second_derivative_sup(f, min(n, _SECOND_CELLS))
-        # d*(d*s) is inf for s = inf at any d > 0; 4 ulps cover its two
-        # roundings, an underflow to 0 included
-        t = d * (d * s)
-        curvature = t + 4.0 * math.ulp(t) if s else 0.0
-        return ModulusEstimate(delta, min(curvature, 2.0 * _enclosed_modulus(f, d, n, 1, (-1,))), n, True)
-    fs = _grid(f, n, 1)
-    best = 0.0
-    top = min(_shift_count(delta, n), (n - 1) // 2)
-    with np.errstate(over="ignore"):  # a second difference past the float range is inf
-        for k in range(1, top + 1):
-            best = max(best, float(np.max(np.abs(fs[2 * k :] - 2.0 * fs[k:-k] + fs[: -2 * k]))))
-    return ModulusEstimate(delta, best, n, False)
+    d = min(delta, 0.5)  # u and u + 2h both lie in [0, 1]
+    if d == 0.0:
+        return ModulusEstimate(delta, 0.0, n)
+    s = _second_derivative_sup(f, min(n, _SECOND_CELLS))
+    # d*(d*s) is inf for s = inf at any d > 0; 4 ulps cover its two
+    # roundings, an underflow to 0 included
+    t = d * (d * s)
+    curvature = t + 4.0 * math.ulp(t) if s else 0.0
+    return ModulusEstimate(delta, min(curvature, 2.0 * _enclosed_modulus(f, d, n, 1, (-1,))), n)
 
 
 def partial_moduli(F, d1: float, d2: float, grid_n: int | None = None) -> tuple[float, float]:
-    """The partial moduli of continuity of F(z, y) in z (radius d1) and in y
-    (radius d2): certified for an expression on grid_n cells per axis
-    (default 256, at most 320), grid estimates from below for a callable on
-    grid_n points per axis (default 256)."""
+    """Upper bounds on the partial moduli of continuity of the expression
+    F(z, y) in z (radius d1) and in y (radius d2), from enclosures on
+    grid_n cells per axis (default 256, at most 320)."""
     check_real("d1", d1, closed=True)
     check_real("d2", d2, closed=True)
     n = _resolution(F, grid_n, 2)
-    if isinstance(F, FunctionExpr):
-        _check_corners(F, _levels(F, n, 2)[0][0])  # every call: see the module docstring
-        return _enclosed_modulus(F, d1, n, 2, (-2,)), _enclosed_modulus(F, d2, n, 2, (-1,))
-    ends = np.stack((G := _grid(F, n, 2), -G))
-    return tuple(_run_range(ends, _shift_count(d, n) + 1, (axis,)) for d, axis in ((d1, -2), (d2, -1)))
+    _check_corners(F, _levels(F, n, 2)[0][0])  # every call: see the module docstring
+    return _enclosed_modulus(F, d1, n, 2, (-2,)), _enclosed_modulus(F, d2, n, 2, (-1,))
 
 
 def complete_modulus(F, d: float, grid_n: int | None = None) -> float:
-    """sup |F(v) - F(u)| over pairs with |v-u| <= d.
-
-    Certified for an expression: such a pair lies in a square of k+1 by k+1
-    cells, k = ceil(d/h), so the largest max hi - min lo over those squares
-    bounds it.  For a callable, a grid estimate from below (grid sizes as in
-    partial_moduli): the grid offsets (a, b) inside the disc are taken one
-    row offset a at a time; the partners F[u+a, v+b], |b| <= B(a), of each
-    grid point form a window of 2*B(a)+1 columns, and the term is the
-    point's largest distance to that window's max or min.  With k =
-    d*(grid_n-1) offsets per axis the cost is O(k * grid_n^2 * log k).
-    """
+    """sup |F(v) - F(u)| over pairs with |v-u| <= d, bounded from above:
+    such a pair lies in a square of k+1 by k+1 cells, k = ceil(d/h), so the
+    largest max hi - min lo over those squares bounds it (grid sizes as in
+    partial_moduli)."""
     check_real("d", d, closed=True)
-    grid_n = _resolution(F, grid_n, 2)
-    if isinstance(F, FunctionExpr):
-        _check_corners(F, _levels(F, grid_n, 2)[0][0])  # every call: see the module docstring
-        return _enclosed_modulus(F, d, grid_n, 2, (-2, -1))
-    ends = np.stack((G := _grid(F, grid_n, 2), -G))
-    d = min(d, 2.0)  # a disc of radius 2 already covers the unit square
-    h = 1.0 / (grid_n - 1)
-    kmax = min(int(d / h + _SHIFT_EPS), grid_n - 1)
-    limit = (d / h) ** 2 + _SHIFT_EPS
-    best = 0.0
-    b = kmax  # the half-width B(a) only shrinks as a grows
-    for a in range(0, kmax + 1):
-        while b >= 0 and a * a + b * b > limit:
-            b -= 1
-        if b < 0:
-            break
-        if a == 0:  # offsets (0, b) and (0, -b) pair the same points
-            best = _run_range(ends, b + 1, (-1,))
-            continue
-        # edge padding repeats a border column the clipped window holds anyway
-        partners = np.pad(ends[:, a:], ((0, 0), (0, 0), (b, b)), mode="edge")
-        with np.errstate(over="ignore"):
-            best = max(best, float(np.max(_window_max(partners, 2 * b + 1) - ends[:, : grid_n - a])))
-    return best
+    n = _resolution(F, grid_n, 2)
+    _check_corners(F, _levels(F, n, 2)[0][0])  # every call: see the module docstring
+    return _enclosed_modulus(F, d, n, 2, (-2, -1))
 
 
 def bound_t2(params: OperatorParams, f, z: float, grid_n: int | None = None) -> float:
-    """Error bound 2*omega(f; sqrt(xi2)); guaranteed for an expression, an
-    estimate for a callable (see modulus_continuity)."""
+    """Error bound 2*omega(f; sqrt(xi2)) for an expression f, an upper bound
+    on the error at z (see modulus_continuity)."""
     delta = math.sqrt(central_moments(params, z).xi2)
     return 2.0 * modulus_continuity(f, delta, grid_n).value
 

@@ -63,11 +63,12 @@ def check_real(name: str, value, low: float = 0.0, high: float = math.inf, close
     return value
 
 
-def check_points(zs) -> np.ndarray:
-    """The points as a 1-D float array, rejecting NaN and points off [0, 1]."""
+def check_points(zs, name: str = "z") -> np.ndarray:
+    """The points as a 1-D float array, rejecting NaN and points off [0, 1]
+    as values of the variable `name`."""
     zs = np.asarray(zs, dtype=float).reshape(-1)
     # min and max carry a NaN through, so this also rejects NaN
     if zs.size and not (0.0 <= zs.min() and zs.max() <= 1.0):
         bad = zs[~((zs >= 0.0) & (zs <= 1.0))]
-        raise DomainError(f"z must lie in [0, 1], got {float(bad[0])}")
+        raise DomainError(f"{name} must lie in [0, 1], got {float(bad[0])}")
     return zs

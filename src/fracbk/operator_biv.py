@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import OperatorParams, basis_matrix, basis_row
 from .error_analysis import complete_modulus, partial_moduli
-from .errors import EvaluationError, QuadratureError
+from .errors import EvaluationError, QuadratureError, check_points
 from .exprlib import FunctionExpr, evaluate, separate
 from .operator_uni import DEFAULT_ORDER, central_moments, eval_function, kernel_integrals, raw_moments
 from .quadrature import _kernel_rule
@@ -93,6 +93,7 @@ def biv_kernel_integrals(bp: BivariateParams, F, order: int = DEFAULT_ORDER) -> 
 
 def apply_biv_kernel(ki: BivKernelIntegrals, z: float, y: float) -> float:
     """Bivariate operator value at one point (z, y) from a precomputed kernel matrix."""
+    check_points(y, "y")
     bz = basis_row(ki.bp.px, z).weights
     by = basis_row(ki.bp.py, y).weights
     return float(bz @ ki.values @ by)
@@ -106,12 +107,13 @@ def apply_biv(bp: BivariateParams, F, z: float, y: float, order: int = DEFAULT_O
 def surface_values(bp: BivariateParams, F, zs, ys, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Operator values on the product grid zs x ys, shape (len(zs), len(ys))."""
     ki = biv_kernel_integrals(bp, F, order)
-    return basis_matrix(bp.px, zs) @ ki.values @ basis_matrix(bp.py, ys).T
+    return basis_matrix(bp.px, zs) @ ki.values @ basis_matrix(bp.py, check_points(ys, "y")).T
 
 
 def biv_moments(bp: BivariateParams, z: float, y: float) -> BivMoments:
     """Closed-form images of the monomials z^u y^v, u+v <= 2, which factor
     into products of univariate moments."""
+    check_points(y, "y")
     mx = raw_moments(bp.px, z)
     my = raw_moments(bp.py, y)
     return BivMoments(1.0, mx.e1, my.e1, mx.e1 * my.e1, mx.e2, my.e2)
@@ -119,12 +121,14 @@ def biv_moments(bp: BivariateParams, z: float, y: float) -> BivMoments:
 
 def bound_complete(bp: BivariateParams, F, z: float, y: float, grid_n: int | None = None) -> float:
     """Error bound 4*omega_complete(F; sqrt(xi2_x + xi2_y))."""
+    check_points(y, "y")
     d = math.sqrt(central_moments(bp.px, z).xi2 + central_moments(bp.py, y).xi2)
     return 4.0 * complete_modulus(F, d, grid_n)
 
 
 def bound_partial(bp: BivariateParams, F, z: float, y: float, grid_n: int | None = None) -> float:
     """Error bound 2*(omega_1(F; sqrt(xi2_x)) + omega_2(F; sqrt(xi2_y)))."""
+    check_points(y, "y")
     d1 = math.sqrt(central_moments(bp.px, z).xi2)
     d2 = math.sqrt(central_moments(bp.py, y).xi2)
     w1, w2 = partial_moduli(F, d1, d2, grid_n)

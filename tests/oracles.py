@@ -2,8 +2,10 @@
 
 adaptive_reference integrates against the fractional kernel by adaptive
 Simpson subdivision, basis_weight evaluates one basis weight from the
-three-term formula, and window_range takes the range over every run of
-cells one offset at a time; none shares code with the library paths.
+three-term formula, window_range takes the range over every run of cells
+one offset at a time, and second_difference_max the largest second
+difference of grid values one shift at a time; none shares code with the
+library paths.
 """
 
 import math
@@ -120,3 +122,14 @@ def window_range(hi, lo, runs: int, axes) -> float:
         hi, lo = window_max(hi, width, axis), -window_max(-np.asarray(lo), width, axis)
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.max(hi - lo))
+
+
+def second_difference_max(values, shifts: int) -> float:
+    """The largest |f[u+2k] - 2 f[u+k] + f[u]| over grid values f and
+    1 <= k <= shifts, one shift at a time: O(n * shifts), inf where a
+    difference passes the float range."""
+    best = 0.0
+    with np.errstate(over="ignore"):
+        for k in range(1, shifts + 1):
+            best = max(best, float(np.max(np.abs(values[2 * k :] - 2.0 * values[k:-k] + values[: -2 * k]))))
+    return best

@@ -380,6 +380,13 @@ class TestBivEval:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("z, y, name", [("0.5", "2", "y"), ("0.5", "0:2:3", "y"), ("2", "0.5", "z")])
+    def test_point_off_the_interval_names_its_axis(self, capsys, z, y, name):
+        # a y point off [0, 1] used to be reported as "z must lie in [0, 1]"
+        code, out, err = run_cli(capsys, "biv-eval", "--m", "3", "--fn", "z*y", "--z", z, "--y", y)
+        assert (code, out) == (2, "")
+        assert err == f"fracbk: error: {name} must lie in [0, 1], got 2.0\n"
+
 
 # Run in a fresh interpreter so that modules imported by other tests (the
 # scipy references among them) do not mask what the CLI itself loads.

@@ -10,9 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracbk import (
+    BivariateParams,
     DomainError,
     EvaluationError,
     OperatorParams,
+    apply,
+    biv_kernel_integrals,
+    bound_complete,
+    bound_partial,
     bound_kfunctional,
     bound_lipschitz,
     bound_t2,
@@ -34,21 +39,30 @@ from conftest import draw_params, expression_texts
 from fracbk import error_analysis
 from fracbk.basis import _BLOCK_ELEMENTS
 from fracbk.error_analysis import _levels, _run_range, _shift_count
-from oracles import window_max, window_range
+from oracles import second_difference_max, window_max, window_range
+
+
+def _grid_modulus(values, delta: float) -> float:
+    """The largest |f[u+j] - f[u]| over grid values f and the grid shifts
+    j <= delta*(n-1), from the window engine: an estimate from below."""
+    return _run_range(np.stack((values, -values)), _shift_count(delta, values.shape[-1]) + 1, (-1,))
 
 
 class TestModulusContinuity:
-    def test_identity_function_exact(self):
-        est = modulus_continuity(lambda u: u, 0.2, grid_n=4001)
-        assert est.value == pytest.approx(0.2, abs=1e-12)
+    def test_identity_function(self):
+        # a radius of 128 cells or more reads merged cells, on which a run
+        # is at most 2/128 longer than delta
+        est = modulus_continuity(parse_source("z"), 0.2, grid_n=4001)
+        assert 0.2 <= est.value <= 0.2 * (1.0 + 2.0 / 128)
         assert est.delta == 0.2
         assert est.grid_n == 4001
 
     def test_zero_delta(self):
-        assert modulus_continuity(lambda u: np.sin(u), 0.0).value == 0.0
+        assert modulus_continuity(parse_source("sin(z)"), 0.0).value == 0.0
 
     def test_constant_function(self):
-        assert modulus_continuity(lambda u: np.full_like(u, 3.0), 0.5).value == 0.0
+        # the range 0.0, rounded up by one ulp
+        assert modulus_continuity(parse_source("3"), 0.5).value == math.nextafter(0.0, math.inf)
 
     def test_monotone_in_delta(self):
         f = parse_source("z*(z-4/7)*sin(pi*z)")
@@ -57,24 +71,24 @@ class TestModulusContinuity:
 
     def test_negative_delta_rejected(self):
         with pytest.raises(DomainError):
-            modulus_continuity(lambda u: u, -0.1)
+            modulus_continuity(parse_source("z"), -0.1)
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(DomainError):
-            modulus_continuity(lambda u: u, 0.1, grid_n=50)
+            modulus_continuity(parse_source("z"), 0.1, grid_n=50)
 
     @pytest.mark.parametrize("modulus", [modulus_continuity, second_modulus])
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_non_finite_radius_rejected(self, modulus, delta):
         # nan used to raise a raw ValueError and inf a raw OverflowError
         with pytest.raises(DomainError, match="delta must be non-negative and finite"):
-            modulus(lambda u: u, delta)
+            modulus(parse_source("z"), delta)
 
     @pytest.mark.parametrize("modulus", [modulus_continuity, second_modulus])
     def test_grid_size_not_an_int(self, modulus):
         # 200.5 used to raise a raw TypeError
         with pytest.raises(DomainError, match="grid_n must be an int"):
-            modulus(lambda u: u, 0.1, grid_n=200.5)
+            modulus(parse_source("z"), 0.1, grid_n=200.5)
 
     @pytest.mark.parametrize("modulus", [modulus_continuity, second_modulus])
     def test_huge_finite_radius_saturates(self, modulus):
@@ -90,13 +104,18 @@ class TestModulusContinuity:
         # halved cells nest in the coarse ones, so the certified value
         # approaches the modulus from above, and a grid estimate from below
         assert fine <= coarse
-        assert modulus_continuity(lambda u: evaluate(f, u), 0.1, grid_n=100_001).value <= fine
+        assert _grid_modulus(evaluate(f, np.linspace(0.0, 1.0, 100_001)), 0.1) <= fine
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_grid_value_rejected(self, bad):
-        # a NaN must not vanish inside max() and leave a modulus of 0.0
+    @pytest.mark.parametrize("src", [
+        pytest.param("sqrt(z-0.5)", id="nan"),
+        pytest.param("exp(1000*z)", id="inf"),
+        pytest.param("-exp(1000*z)", id="-inf"),
+    ])
+    def test_non_finite_grid_value_rejected(self, src):
+        # f is NaN past z = 0.5, or overflows past z = 0.71: a non-finite
+        # value must not vanish inside max() and leave a finite modulus
         with pytest.raises(EvaluationError):
-            modulus_continuity(lambda u: np.where(u < 0.5, u, bad), 0.1)
+            modulus_continuity(parse_source(src), 0.1)
 
     def test_delta_above_one_saturates(self):
         f = parse_source("(1-z)*cos(2*pi*z)")
@@ -106,9 +125,11 @@ class TestModulusContinuity:
 
 
 class TestOverflowingRange:
-    """A finite grid whose differences pass the float range: each callable
-    modulus reads inf, without a warning, as an enclosure does.  Two of
-    them said the grid had non-finite values, and one warned."""
+    """Finite enclosures whose ranges pass the float range: each modulus
+    reads inf, without a warning."""
+
+    # 10^308*cos(40*u) swings from 1e308 to -1e308 within 0.08 of u
+    F = "10^308*cos(40*{})"
 
     @pytest.fixture(autouse=True)
     def warnings_are_errors(self):
@@ -117,17 +138,18 @@ class TestOverflowingRange:
             yield
 
     def test_modulus_continuity(self):
-        assert modulus_continuity(lambda z: 1e308 * np.sign(z - 0.5), 0.1).value == math.inf
-        assert second_modulus(lambda z: 1e308 * np.sign(z - 0.5), 0.1).value == math.inf
+        assert modulus_continuity(parse_source(self.F.format("z")), 0.1).value == math.inf
+        assert second_modulus(parse_source(self.F.format("z")), 0.1).value == math.inf
 
     def test_partial_moduli(self):
-        F = lambda z, y: 1e308 * np.sign(z - 0.5) + 0.0 * y
-        assert partial_moduli(F, 0.1, 0.1) == (math.inf, 0.0)
-        assert partial_moduli(lambda z, y: F(y, z), 0.1, 0.1) == (0.0, math.inf)
+        # along the other axis a run stays within one cell of the swing
+        w1, w2 = partial_moduli(parse_source(self.F.format("z")), 0.1, 0.1)
+        assert w1 == math.inf and math.isfinite(w2)
+        w1, w2 = partial_moduli(parse_source(self.F.format("y")), 0.1, 0.1)
+        assert math.isfinite(w1) and w2 == math.inf
 
     def test_complete_modulus(self):
-        # the row offset 0 gives 0.0, the disc terms of the others overflow
-        assert complete_modulus(lambda z, y: 1e308 * np.sign(z - 0.5) + 0.0 * y, 0.1) == math.inf
+        assert complete_modulus(parse_source(self.F.format("z")), 0.1) == math.inf
 
 
 _PARITY_FUNCS = {
@@ -161,7 +183,7 @@ def _parity_cases():
 
 
 class TestModulusParity:
-    """The window-range modulus equals the shift loop bit for bit."""
+    """The window engine on grid values equals the shift loop bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(_PARITY_FUNCS))
     @pytest.mark.parametrize("grid_n, delta, shifts", list(_parity_cases()))
@@ -169,7 +191,7 @@ class TestModulusParity:
         assert _shift_count(delta, grid_n) == shifts
         top = 65 if grid_n == 100001 else grid_n - 1
         expected = float(_shift_loop_moduli(name, grid_n, top)[shifts])
-        assert modulus_continuity(_PARITY_FUNCS[name], delta, grid_n).value == expected
+        assert _grid_modulus(_PARITY_FUNCS[name](np.linspace(0.0, 1.0, grid_n)), delta) == expected
 
 
 def _memo_radii(cells: int, ndim: int) -> list[float]:
@@ -347,11 +369,11 @@ def test_warm_modulus_temporaries_stay_bounded():
 class TestSecondModulus:
     def test_square_function(self):
         # (u+2h)^2 - 2(u+h)^2 + u^2 = 2h^2, so the supremum is 2*delta^2.
-        est = second_modulus(lambda u: u * u, 0.25, grid_n=4001)
+        est = second_modulus(parse_source("z*z"), 0.25, grid_n=4001)
         assert est.value == pytest.approx(2.0 * 0.25**2, rel=1e-9)
 
     def test_affine_function_vanishes(self):
-        est = second_modulus(lambda u: 3.0 * u - 1.0, 0.3)
+        est = second_modulus(parse_source("3*z-1"), 0.3)
         assert est.value == pytest.approx(0.0, abs=1e-13)
 
     def test_monotone_in_delta(self):
@@ -361,23 +383,22 @@ class TestSecondModulus:
 
     def test_non_finite_grid_value_rejected(self):
         with pytest.raises(EvaluationError):
-            second_modulus(lambda u: np.where(u < 0.5, u, np.nan), 0.1)
+            second_modulus(parse_source("sqrt(z-0.5)"), 0.1)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            second_modulus(lambda u: u, -0.1)
+            second_modulus(parse_source("z"), -0.1)
         with pytest.raises(DomainError):
-            second_modulus(lambda u: u, 0.1, grid_n=10)
+            second_modulus(parse_source("z"), 0.1, grid_n=10)
 
 
 class TestBoundT2:
     def test_identity_function_formula(self):
-        # omega(e1; delta) = delta, so the bound is 2*sqrt(xi2) up to
-        # the grid snapping of the shift count.
+        # omega(e1; delta) = delta, so the bound is 2*sqrt(xi2), and the
+        # runs of cells are at most 2/128 longer than the radius
         params = OperatorParams(m=25, eta=2.0, gamma=3.0, alpha=0.6, s=2)
-        xi2 = central_moments(params, 0.4).xi2
-        bound = bound_t2(params, lambda u: u, 0.4)
-        assert bound == pytest.approx(2.0 * math.sqrt(xi2), rel=5e-3)
+        exact = 2.0 * math.sqrt(central_moments(params, 0.4).xi2)
+        assert exact <= bound_t2(params, parse_source("z"), 0.4) <= exact * (1.0 + 2.0 / 128)
 
     def test_dominates_identity_error(self, rng):
         for _ in range(50):
@@ -385,7 +406,7 @@ class TestBoundT2:
             z = float(rng.uniform(0.0, 1.0))
             cm = central_moments(params, z)
             actual = abs(cm.zeta)  # operator error for f = e1
-            assert bound_t2(params, lambda u: u, z) + 1e-9 >= actual
+            assert bound_t2(params, parse_source("z"), z) + 1e-9 >= actual
 
 
 class TestCertifiedModuli:
@@ -397,9 +418,10 @@ class TestCertifiedModuli:
     @pytest.mark.parametrize("delta", [1e-6, 3e-3, 0.05, 0.4])
     def test_between_a_grid_estimate_and_a_little_above(self, src, delta):
         f = parse_source(src)
-        grid = lambda d: modulus_continuity(lambda u: evaluate(f, u), d, grid_n=200_001).value
+        values = evaluate(f, np.linspace(0.0, 1.0, 200_001))
+        grid = lambda d: _grid_modulus(values, d)
         est = modulus_continuity(f, delta)
-        assert est.certified and est.grid_n == 65536
+        assert est.grid_n == 65536
         # a run of cells reaches at most two cells beyond delta
         assert grid(delta) <= est.value <= 1.02 * grid(delta + 2.5 / 65536)
 
@@ -435,15 +457,17 @@ class TestCertifiedModuli:
 @given(expression_texts(max_leaves=6), st.floats(0.0, 0.6))
 def test_certified_moduli_at_least_a_grid_estimate(src, delta):
     f = parse_source(src)
-    grid = lambda u: evaluate(f, u)
     try:
-        w1 = modulus_continuity(grid, delta, grid_n=4097).value
-        w2 = second_modulus(grid, delta, grid_n=4097).value
+        u = np.linspace(0.0, 1.0, 4097)
+        values = np.broadcast_to(evaluate(f, u), u.shape)  # a constant evaluates to a scalar
+        # the cell corners are the grid points, and they must be finite
         c1 = modulus_continuity(f, delta, grid_n=4096).value
         c2 = second_modulus(f, delta, grid_n=4096).value
-        size = float(np.max(np.abs(grid(np.linspace(0.0, 1.0, 4097)))))
     except EvaluationError:  # f undefined or not finite at a grid point
         return
+    w1 = _grid_modulus(values, delta)
+    w2 = second_difference_max(values, min(_shift_count(delta, 4097), 2048))
+    size = float(np.max(np.abs(values)))
     assert c1 >= w1, src
     # the grid's second differences carry rounding noise that f'' does not
     assert c2 >= w2 - 1e-12 * (1.0 + size), src
@@ -519,11 +543,11 @@ class TestBoundLipschitz:
 class TestBoundKFunctional:
     def test_affine_reduces_to_first_modulus(self):
         # For affine f the second modulus vanishes and the bound is
-        # |slope| * |zeta| up to grid snapping.
+        # |slope| * |zeta|, with runs at most 2/128 longer than |zeta|.
         params = OperatorParams(m=30, eta=2.0, gamma=4.0, alpha=0.8, s=2)
-        cm = central_moments(params, 0.2)
-        bound = bound_kfunctional(params, lambda u: 3.0 * u - 1.0, 0.2, C=5.0)
-        assert bound == pytest.approx(3.0 * abs(cm.zeta), rel=5e-3)
+        exact = 3.0 * abs(central_moments(params, 0.2).zeta)
+        bound = bound_kfunctional(params, parse_source("3*z-1"), 0.2, C=5.0)
+        assert exact <= bound <= exact * (1.0 + 2.0 / 128)
 
     def test_nonnegative(self, rng):
         f = parse_source("(1-z)*cos(2*pi*z)")
@@ -545,6 +569,26 @@ class TestBoundKFunctional:
         zeta = central_moments(params, 0.5).zeta
         bound = bound_kfunctional(params, f, 0.5, 0.0, grid_n=4001)
         assert bound == modulus_continuity(f, abs(zeta), 4001).value
+
+
+def test_moduli_and_bounds_take_expressions_and_evaluation_takes_callables():
+    # a callable has no expression tree to enclose, so no modulus and no
+    # bound built on one can be certified for it
+    params = OperatorParams(m=10, eta=2.0, gamma=3.0, alpha=0.9, s=2)
+    bp = BivariateParams(params, params)
+    f, F = (lambda u: u * u), (lambda z, y: z * y)
+    for call in (lambda: modulus_continuity(f, 0.1), lambda: second_modulus(f, 0.1),
+                 lambda: partial_moduli(F, 0.1, 0.1), lambda: complete_modulus(F, 0.1),
+                 lambda: bound_t2(params, f, 0.5), lambda: bound_kfunctional(params, f, 0.5, 1.0),
+                 lambda: bound_partial(bp, F, 0.5, 0.5), lambda: bound_complete(bp, F, 0.5, 0.5)):
+        with pytest.raises(DomainError, match="parse_source"):
+            call()
+    g, G = parse_source("z*z"), parse_source("z*y")
+    assert apply(params, f, 0.5) == pytest.approx(apply(params, g, 0.5), rel=1e-12)
+    assert error_table(params, f, [0.25]).rows == pytest.approx(error_table(params, g, [0.25]).rows, rel=1e-12)
+    assert max_error(params, f) == pytest.approx(max_error(params, g), rel=1e-9, abs=1e-15)
+    np.testing.assert_allclose(kernel_integrals(params, f).values, kernel_integrals(params, g).values, rtol=1e-12)
+    np.testing.assert_allclose(biv_kernel_integrals(bp, F).values, biv_kernel_integrals(bp, G).values, rtol=1e-12)
 
 
 class TestErrorTable:

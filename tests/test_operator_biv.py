@@ -32,6 +32,7 @@ from fracbk import (
     surface_values,
 )
 
+from fracbk.error_analysis import _run_range, _shift_count
 from fracbk.exprlib import separate
 from fracbk.operator_uni import eval_function
 from fracbk.quadrature import _kernel_rule
@@ -279,9 +280,8 @@ class TestPartialModuli:
         assert w1 == 0.0 and w2 == 0.0
 
     def test_non_finite_grid_value_rejected(self):
-        F = lambda z, y: np.where(z < 0.5, z * y, np.nan)
         with pytest.raises(EvaluationError):
-            partial_moduli(F, 0.1, 0.1, grid_n=241)
+            partial_moduli(parse_source("sqrt(z-0.5)+y"), 0.1, 0.1, grid_n=241)
 
     def test_validation(self):
         F = parse_source("z*y")
@@ -345,11 +345,13 @@ class TestCompleteModulus:
     def test_zero_radius(self):
         assert complete_modulus(parse_source("z*y"), 0.0, grid_n=241) == 0.0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_grid_value_rejected(self, bad):
-        F = lambda z, y: np.where(z < 0.5, z * y, bad)
+    @pytest.mark.parametrize("src", [
+        pytest.param("sqrt(z-0.5)+y", id="nan"),
+        pytest.param("exp(1000*z)+y", id="inf"),
+    ])
+    def test_non_finite_grid_value_rejected(self, src):
         with pytest.raises(EvaluationError):
-            complete_modulus(F, 0.1, grid_n=241)
+            complete_modulus(parse_source(src), 0.1, grid_n=241)
 
     @pytest.mark.parametrize("d", [math.nan, math.inf, -0.1])
     def test_invalid_radius_rejected(self, d):
@@ -371,18 +373,18 @@ class TestCompleteModulus:
         assert complete_modulus(F, 0.0) == 0.0
 
 
-_PARITY_FUNCS = {
-    "abs_diff": lambda z, y: np.abs(z - y),
-    "sin_cos": lambda z, y: np.sin(3.0 * z) * np.cos(5.0 * y),
+_PARITY_SOURCES = {
+    "abs_diff": "abs(z-y)",
+    "sin_cos": "sin(3*z)*cos(5*y)",
     # falls with z, so every largest difference has the base point above
     # its row-offset partners
-    "falling_z": lambda z, y: np.cos(2.0 * y) - 3.0 * z,
+    "falling_z": "cos(2*y)-3*z",
 }
 
 
 def _parity_grid(name, grid_n):
     u = np.linspace(0.0, 1.0, grid_n)
-    return _PARITY_FUNCS[name](u[:, None], u[None, :])
+    return eval_function(parse_source(_PARITY_SOURCES[name]), u[:, None], u[None, :])
 
 
 def _shift_loop_partial(G, d1, d2):
@@ -398,48 +400,60 @@ def _shift_loop_partial(G, d1, d2):
 
 
 def _offset_loop_complete(G, d):
+    """The largest |G[p + (a, b)] - G[p]| over grid offsets with |a|, |b|
+    <= d/h, h the grid step, one offset at a time: (over the disc a^2 + b^2
+    <= (d/h)^2, over the whole square)."""
     n = G.shape[0]
     h = 1.0 / (n - 1)
     kmax = min(int(d / h + 1e-9), n - 1)
     limit = (d / h) ** 2 + 1e-9
-    best = 0.0
+    disc = square = 0.0
     for a in range(0, kmax + 1):
         for b in range(1, kmax + 1) if a == 0 else range(-kmax, kmax + 1):
-            if a * a + b * b > limit:
-                continue
             if b >= 0:
                 diff = G[a:, b:] - G[: n - a, : n - b]
             else:
                 diff = G[a:, : n + b] - G[: n - a, -b:]
-            best = max(best, float(np.max(np.abs(diff))))
-    return best
+            top = float(np.max(np.abs(diff)))
+            square = max(square, top)
+            if a * a + b * b <= limit:
+                disc = max(disc, top)
+    return disc, square
 
 
 class TestModuliParity:
-    """The window-extreme moduli equal the offset loops bit for bit."""
+    """The window engine on a grid of F equals the shift loops bit for bit."""
 
-    @pytest.mark.parametrize("name", sorted(_PARITY_FUNCS))
+    @pytest.mark.parametrize("name", sorted(_PARITY_SOURCES))
     @pytest.mark.parametrize(
         "grid_n, d1, d2",
         [(101, 0.0, 0.0), (101, 0.01, 0.3), (101, 0.32, 0.64), (101, 1.0, 0.99),
          (101, 1.5, 2.0), (241, 0.13, 0.05), (241, 1.0, 1.0)],
     )
     def test_partial_matches_shift_loop(self, name, grid_n, d1, d2):
-        expected = _shift_loop_partial(_parity_grid(name, grid_n), d1, d2)
-        assert partial_moduli(_PARITY_FUNCS[name], d1, d2, grid_n) == expected
+        G = _parity_grid(name, grid_n)
+        expected = _shift_loop_partial(G, d1, d2)
+        ends = np.stack((G, -G))
+        assert tuple(_run_range(ends, _shift_count(d, grid_n) + 1, (axis,))
+                     for d, axis in ((d1, -2), (d2, -1))) == expected
 
-    @pytest.mark.parametrize("name", sorted(_PARITY_FUNCS))
+    @pytest.mark.parametrize("name", sorted(_PARITY_SOURCES))
     @pytest.mark.parametrize(
         "grid_n, d",
         # 0.72 and 1.0: disc offsets run past the grid border; 1.0 and 1.5:
-        # kmax reaches grid_n - 1; 1.5: every row offset keeps all columns
+        # kmax reaches the last grid point; 1.5: every row offset keeps all columns
         [(101, 0.0), (101, 0.03), (101, 0.5), (101, 0.72), (101, 1.0), (101, 1.5),
          (241, 0.05), (None, 0.02), (None, 0.1)],
     )
     def test_complete_matches_offset_loop(self, name, grid_n, d):
+        # on the n + 1 corners of n cells: the engine's squares equal the
+        # square offset loop, and the certified modulus is at least the
+        # disc offset loop, the grid estimate from below
         n = grid_n if grid_n is not None else 256
-        expected = _offset_loop_complete(_parity_grid(name, n), d)
-        assert complete_modulus(_PARITY_FUNCS[name], d, grid_n) == expected
+        G = _parity_grid(name, n + 1)
+        disc, square = _offset_loop_complete(G, d)
+        assert _run_range(np.stack((G, -G)), _shift_count(d, n + 1) + 1, (-2, -1)) == square
+        assert complete_modulus(parse_source(_PARITY_SOURCES[name]), d, grid_n) >= disc
 
 
 _Z_ONLY = ("f1", "f2", "f3", "f4", "abs(z-0.37)", "sqrt(z)")
@@ -467,11 +481,13 @@ class TestOneEngine:
 
     @pytest.mark.parametrize("n", [101, 256, 257, 501])
     def test_callable_grids_agree(self, n):
-        def f(z, *y):
-            return np.abs(np.sin(5.0 * z) - 0.3)
-
+        # grid values of f(z) spread over y: the engine along z on two axes,
+        # in blocks of rows from 257 points on, gives its one-axis value
+        v = np.abs(np.sin(5.0 * np.linspace(0.0, 1.0, n)) - 0.3)
+        G = np.broadcast_to(v[:, None], (n, n))
         for d in _RADII:
-            assert partial_moduli(f, d, 0.0, n)[0] == modulus_continuity(f, d, n).value, d
+            runs = _shift_count(d, n) + 1
+            assert _run_range(np.stack((G, -G)), runs, (-2,)) == _run_range(np.stack((v, -v)), runs, (-1,)), d
 
 
 class TestBivariateBounds:
@@ -513,3 +529,19 @@ class TestBivariateBounds:
             actual = abs(apply_biv(bp, F, z, y) - exact)
             assert bound_partial(bp, F, z, y) + 1e-9 >= actual
             assert bound_complete(bp, F, z, y) + 1e-9 >= actual
+
+
+@pytest.mark.parametrize("call", [
+    lambda bp, F: apply_biv(bp, F, 0.5, 2.0),
+    lambda bp, F: apply_biv_kernel(biv_kernel_integrals(bp, F), 0.5, 2.0),
+    lambda bp, F: surface_values(bp, F, [0.5], [0.0, 2.0]),
+    lambda bp, F: surface_rows(bp, F, [0.5], [math.nan]),
+    lambda bp, F: biv_moments(bp, 0.5, 2.0),
+    lambda bp, F: bound_partial(bp, F, 0.5, 2.0),
+    lambda bp, F: bound_complete(bp, F, 0.5, -1.0),
+], ids=["apply_biv", "apply_biv_kernel", "surface_values", "surface_rows", "biv_moments",
+        "bound_partial", "bound_complete"])
+def test_a_bad_y_point_is_reported_as_y(call):
+    # these said "z must lie in [0, 1]" of a y point
+    with pytest.raises(DomainError, match=r"^y must lie in \[0, 1\], got "):
+        call(make_biv(mx=3, my=3), parse_source("z*y"))
