@@ -30,7 +30,7 @@ from .error_analysis import (
     second_modulus,
 )
 from .experiments import Dataset, compare_rows, figure_dataset, table_dataset, to_csv
-from .exprlib import FunctionExpr, evaluate, free_variables, parse_source
+from .exprlib import FunctionExpr, evaluate, parse_source
 from .operator_biv import (
     BivariateParams,
     BivKernelIntegrals,
@@ -109,7 +109,6 @@ __all__ = [
     "error_table",
     "evaluate",
     "figure_dataset",
-    "free_variables",
     "gauss_jacobi_rule",
     "get_function",
     "integrate",

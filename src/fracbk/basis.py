@@ -38,8 +38,6 @@ class OperatorParams:
 
 @dataclass(frozen=True, eq=False)
 class BasisRow:
-    degree: int
-    point: float
     weights: np.ndarray
 
 
@@ -159,4 +157,4 @@ def basis_matrix(params: OperatorParams, zs) -> np.ndarray:
 
 def basis_row(params: OperatorParams, z: float) -> BasisRow:
     """All m+1 basis weights at z; one row of basis_matrix."""
-    return BasisRow(params.m, z, basis_matrix(params, [z])[0])
+    return BasisRow(basis_matrix(params, [z])[0])

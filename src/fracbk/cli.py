@@ -185,7 +185,7 @@ def _cmd_compare(args) -> str:
         f"base eta={args.eta} gamma={args.gamma} alpha={args.alpha} s={args.s}",
         f"z={args.z} order={args.order} bbk_gamma={args.bbk_gamma}",
     )
-    return to_csv(Dataset("compare", meta, ("m", "rlbk", "bbk", "fbk", "rlgbk"), rows))
+    return to_csv(Dataset(meta, ("m", "rlbk", "bbk", "fbk", "rlgbk"), rows))
 
 
 def _cmd_bounds(args) -> str:
@@ -194,7 +194,7 @@ def _cmd_bounds(args) -> str:
         raise DomainError("bounds is univariate; functions of y are not supported")
     if (args.M is None) != (args.kappa is None):
         raise DomainError("--M and --kappa must be supplied together")
-    check_int("grid_n", args.grid, 101, _RESOLUTION[1][1])  # the library caps it silently
+    check_int("grid_n", args.grid, 101, _RESOLUTION)  # the library caps it silently
     zs = _parse_axis(args.z)
     params = _params(args)
     et = error_table(params, f, zs, order=args.order)
@@ -206,7 +206,7 @@ def _cmd_bounds(args) -> str:
         for z, _exact, _approx, err in et.rows
     )
     columns = ("z", "actual_error", "bound_t2", "bound_lipschitz", "bound_kfunctional")
-    return to_csv(Dataset("bounds", meta, columns, rows))
+    return to_csv(Dataset(meta, columns, rows))
 
 
 def _cmd_biv_eval(args) -> str:
@@ -214,11 +214,9 @@ def _cmd_biv_eval(args) -> str:
     bp = BivariateParams(_params(args), _params(args, "2"))
     zs = _parse_axis(args.z)
     ys = _parse_axis(args.y)
-    rows, max_err = surface_rows(bp, F, zs, ys, order=args.order)
-    meta = (f"biv-eval fn={args.fn}", f"axis1 {_meta_params(bp.px)}",
-            f"axis2 {_meta_params(bp.py)}", f"order={args.order}")
-    columns = ("z", "y", "exact", "approx", "abs_error")
-    return to_csv(Dataset("biv-eval", meta, columns, tuple(rows), (f"max_error={max_err!r}",)))
+    comments = (f"biv-eval fn={args.fn}", f"axis1 {_meta_params(bp.px)}",
+                f"axis2 {_meta_params(bp.py)}", f"order={args.order}")
+    return surface_rows(bp, F, zs, ys, order=args.order).to_csv(comments)
 
 
 _HANDLERS = {

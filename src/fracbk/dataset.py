@@ -13,7 +13,6 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    name: str
     meta: tuple[str, ...]
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]

@@ -42,10 +42,11 @@ from .errors import DomainError, EvaluationError, check_int, check_points, check
 from .exprlib import FunctionExpr, enclose, second_derivative
 from .operator_uni import DEFAULT_ORDER, apply_kernel, central_moments, eval_function, kernel_integrals
 
-# Enclosure cells per axis, by default and at most, for the moduli on one
-# axis and on two.  The defaults are powers of two, so the cell ends i/n
-# are exact.
-_RESOLUTION = {1: (1 << 16, 1 << 16), 2: (256, 320)}
+# Enclosure cells of [0, 1] for the moduli on one axis, by default and at
+# most, and per axis of [0, 1]^2 for the moduli on two.  Both are powers of
+# two, so the cell ends i/n are exact.
+_RESOLUTION = 1 << 16
+_BIV_CELLS = 256
 # Enclosure cells of f'' on [0, 1]
 _SECOND_CELLS = 1 << 12
 # A modulus reads the coarsest merged level on which its runs still span at
@@ -69,15 +70,16 @@ class ModulusEstimate:
 
 @dataclass(frozen=True, eq=False)
 class ErrorTable:
-    params: OperatorParams
-    function: object
+    """Rows (z, [y,] exact, approx, abs_error) and their largest error."""
+
     rows: list
     max_error: float
 
     def to_csv(self, comments: tuple[str, ...] = ()) -> str:
-        columns = ("z", "exact", "approx", "abs_error")
+        """The rows under their column names, then a max_error comment."""
+        columns = ("z", "y")[: len(self.rows[0]) - 3 if self.rows else 1] + ("exact", "approx", "abs_error")
         footer = (f"max_error={self.max_error!r}",)
-        return to_csv(Dataset("error table", tuple(comments), columns, tuple(self.rows), footer))
+        return to_csv(Dataset(tuple(comments), columns, tuple(self.rows), footer))
 
 
 def _shift_count(delta: float, grid_n: int) -> int:
@@ -144,16 +146,17 @@ def _run_range(ends: np.ndarray, runs: int, axes, span: int = 1) -> float:
     return float(np.max(tops))
 
 
-def _resolution(f, grid_n: int | None, ndim: int) -> int:
-    """grid_n enclosure cells per axis, with the default and the cap of
-    _RESOLUTION[ndim]; DomainError unless f is an expression."""
+def _check_expression(f) -> None:
+    """DomainError unless f is an expression."""
     if not isinstance(f, FunctionExpr):
         raise DomainError(f"the moduli and bounds take an expression from parse_source, got {type(f).__name__}")
-    cells, most = _RESOLUTION[ndim]
-    if grid_n is None:
-        return cells
-    check_int("grid_n", grid_n, 101)
-    return min(grid_n, most)
+
+
+def _resolution(f, grid_n: int | None) -> int:
+    """grid_n enclosure cells of [0, 1] for the expression f, by default
+    and at most _RESOLUTION."""
+    _check_expression(f)
+    return _RESOLUTION if grid_n is None else min(check_int("grid_n", grid_n, 101), _RESOLUTION)
 
 
 @functools.lru_cache(maxsize=8)
@@ -222,7 +225,7 @@ def modulus_continuity(f, delta: float, grid_n: int | None = None) -> ModulusEst
     enclosures of the expression f on grid_n cells (default and at most
     65,536)."""
     check_real("delta", delta, closed=True)
-    n = _resolution(f, grid_n, 1)
+    n = _resolution(f, grid_n)
     return ModulusEstimate(delta, _enclosed_modulus(f, delta, n, 1, (-1,)), n)
 
 
@@ -231,7 +234,7 @@ def second_modulus(f, delta: float, grid_n: int | None = None) -> ModulusEstimat
     the smaller of delta^2 * sup |f''| and twice the first modulus, with
     delta at most 1/2."""
     check_real("delta", delta, closed=True)
-    n = _resolution(f, grid_n, 1)
+    n = _resolution(f, grid_n)
     d = min(delta, 0.5)  # u and u + 2h both lie in [0, 1]
     if d == 0.0:
         return ModulusEstimate(delta, 0.0, n)
@@ -243,26 +246,26 @@ def second_modulus(f, delta: float, grid_n: int | None = None) -> ModulusEstimat
     return ModulusEstimate(delta, min(curvature, 2.0 * _enclosed_modulus(f, d, n, 1, (-1,))), n)
 
 
-def partial_moduli(F, d1: float, d2: float, grid_n: int | None = None) -> tuple[float, float]:
+def partial_moduli(F, d1: float, d2: float) -> tuple[float, float]:
     """Upper bounds on the partial moduli of continuity of the expression
     F(z, y) in z (radius d1) and in y (radius d2), from enclosures on
-    grid_n cells per axis (default 256, at most 320)."""
+    256 cells per axis."""
     check_real("d1", d1, closed=True)
     check_real("d2", d2, closed=True)
-    n = _resolution(F, grid_n, 2)
-    _check_corners(F, _levels(F, n, 2)[0][0])  # every call: see the module docstring
-    return _enclosed_modulus(F, d1, n, 2, (-2,)), _enclosed_modulus(F, d2, n, 2, (-1,))
+    _check_expression(F)
+    _check_corners(F, _levels(F, _BIV_CELLS, 2)[0][0])  # every call: see the module docstring
+    return _enclosed_modulus(F, d1, _BIV_CELLS, 2, (-2,)), _enclosed_modulus(F, d2, _BIV_CELLS, 2, (-1,))
 
 
-def complete_modulus(F, d: float, grid_n: int | None = None) -> float:
+def complete_modulus(F, d: float) -> float:
     """sup |F(v) - F(u)| over pairs with |v-u| <= d, bounded from above:
     such a pair lies in a square of k+1 by k+1 cells, k = ceil(d/h), so the
-    largest max hi - min lo over those squares bounds it (grid sizes as in
-    partial_moduli)."""
+    largest max hi - min lo over those squares bounds it (256 cells per
+    axis, as in partial_moduli)."""
     check_real("d", d, closed=True)
-    n = _resolution(F, grid_n, 2)
-    _check_corners(F, _levels(F, n, 2)[0][0])  # every call: see the module docstring
-    return _enclosed_modulus(F, d, n, 2, (-2, -1))
+    _check_expression(F)
+    _check_corners(F, _levels(F, _BIV_CELLS, 2)[0][0])  # every call: see the module docstring
+    return _enclosed_modulus(F, d, _BIV_CELLS, 2, (-2, -1))
 
 
 def bound_t2(params: OperatorParams, f, z: float, grid_n: int | None = None) -> float:
@@ -303,7 +306,7 @@ def error_table(params: OperatorParams, f, z_values, order: int = DEFAULT_ORDER)
     exact = eval_function(f, np.array(zs)).tolist()
     approx = [apply_kernel(ki, z) for z in zs]
     rows = [(z, e, a, abs(e - a)) for z, e, a in zip(zs, exact, approx)]
-    return ErrorTable(params, f, rows, max((row[3] for row in rows), default=0.0))
+    return ErrorTable(rows, max((row[3] for row in rows), default=0.0))
 
 
 def max_error(params: OperatorParams, f, grid_n: int = 1001, order: int = DEFAULT_ORDER) -> float:

@@ -70,7 +70,7 @@ def _dataset(spec, order, coords, data, prefix, extra=()) -> Dataset:
     columns = ("z", "y")[: len(coords)] + extra
     columns += tuple(f"{prefix}{sweep_name[0]}{str(v).replace('.', '')}" for v in sweep)
     rows = tuple(zip(*(a.ravel().tolist() for a in (*coords, *data))))
-    return Dataset(f"{kind} {number}", meta, columns, rows)
+    return Dataset(meta, columns, rows)
 
 
 def _table(spec, order) -> Dataset:
@@ -129,7 +129,7 @@ def _table4(order: int) -> Dataset:
         "errors at z=0.2; bbk comparator uses gamma=2",
         f"order={order}",
     )
-    return Dataset("table4", meta, ("m", "rlbk", "bbk", "fbk", "rlgbk"), rows)
+    return Dataset(meta, ("m", "rlbk", "bbk", "fbk", "rlgbk"), rows)
 
 
 def _preset(kind: str, which: int, count: int, order: int, build) -> Dataset:

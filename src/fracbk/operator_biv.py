@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import OperatorParams, basis_matrix, basis_row
-from .error_analysis import complete_modulus, partial_moduli
+from .error_analysis import ErrorTable, complete_modulus, partial_moduli
 from .errors import EvaluationError, QuadratureError, check_points
 from .exprlib import FunctionExpr, evaluate, separate
 from .operator_uni import DEFAULT_ORDER, central_moments, eval_function, kernel_integrals, raw_moments
@@ -100,14 +100,17 @@ def apply_biv_kernel(ki: BivKernelIntegrals, z: float, y: float) -> float:
 
 
 def apply_biv(bp: BivariateParams, F, z: float, y: float, order: int = DEFAULT_ORDER) -> float:
-    """Bivariate operator value at one point; use surface_values for grids."""
+    """Bivariate operator value at one point, checked first; use surface_values for grids."""
+    check_points(y, "y")
+    check_points(z)
     return apply_biv_kernel(biv_kernel_integrals(bp, F, order), z, y)
 
 
 def surface_values(bp: BivariateParams, F, zs, ys, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Operator values on the product grid zs x ys, shape (len(zs), len(ys))."""
-    ki = biv_kernel_integrals(bp, F, order)
-    return basis_matrix(bp.px, zs) @ ki.values @ basis_matrix(bp.py, check_points(ys, "y")).T
+    """Operator values on the product grid zs x ys, shape (len(zs), len(ys)); the
+    basis rows, and so the checks of zs and then ys, come before the kernel."""
+    bz, by = basis_matrix(bp.px, zs), basis_matrix(bp.py, check_points(ys, "y"))
+    return bz @ biv_kernel_integrals(bp, F, order).values @ by.T
 
 
 def biv_moments(bp: BivariateParams, z: float, y: float) -> BivMoments:
@@ -119,27 +122,27 @@ def biv_moments(bp: BivariateParams, z: float, y: float) -> BivMoments:
     return BivMoments(1.0, mx.e1, my.e1, mx.e1 * my.e1, mx.e2, my.e2)
 
 
-def bound_complete(bp: BivariateParams, F, z: float, y: float, grid_n: int | None = None) -> float:
+def bound_complete(bp: BivariateParams, F, z: float, y: float) -> float:
     """Error bound 4*omega_complete(F; sqrt(xi2_x + xi2_y))."""
     check_points(y, "y")
     d = math.sqrt(central_moments(bp.px, z).xi2 + central_moments(bp.py, y).xi2)
-    return 4.0 * complete_modulus(F, d, grid_n)
+    return 4.0 * complete_modulus(F, d)
 
 
-def bound_partial(bp: BivariateParams, F, z: float, y: float, grid_n: int | None = None) -> float:
+def bound_partial(bp: BivariateParams, F, z: float, y: float) -> float:
     """Error bound 2*(omega_1(F; sqrt(xi2_x)) + omega_2(F; sqrt(xi2_y)))."""
     check_points(y, "y")
     d1 = math.sqrt(central_moments(bp.px, z).xi2)
     d2 = math.sqrt(central_moments(bp.py, y).xi2)
-    w1, w2 = partial_moduli(F, d1, d2, grid_n)
+    w1, w2 = partial_moduli(F, d1, d2)
     return 2.0 * (w1 + w2)
 
 
-def surface_rows(bp: BivariateParams, F, zs, ys, order: int = DEFAULT_ORDER):
-    """Row-major (z, y, exact, approx, abs_error) tuples over the grid."""
+def surface_rows(bp: BivariateParams, F, zs, ys, order: int = DEFAULT_ORDER) -> ErrorTable:
+    """The ErrorTable of row-major (z, y, exact, approx, abs_error) rows over the grid."""
     approx = surface_values(bp, F, zs, ys, order)
     zv, yv = np.meshgrid(np.asarray(zs, dtype=float), np.asarray(ys, dtype=float), indexing="ij")
     exact = eval_function(F, zv, yv)
     err = np.abs(exact - approx)
     rows = list(zip(*(a.ravel().tolist() for a in (zv, yv, exact, approx, err))))
-    return rows, float(np.max(err)) if rows else 0.0
+    return ErrorTable(rows, float(np.max(err)) if rows else 0.0)

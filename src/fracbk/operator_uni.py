@@ -83,7 +83,8 @@ def apply_kernel(ki: KernelIntegrals, z: float) -> float:
 
 
 def apply(params: OperatorParams, f, z: float, order: int = DEFAULT_ORDER) -> float:
-    """Operator value at a single point; see apply_grid for sweeps."""
+    """Operator value at a single point, checked first; see apply_grid for sweeps."""
+    check_points(z)
     return apply_kernel(kernel_integrals(params, f, order), z)
 
 

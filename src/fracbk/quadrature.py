@@ -33,8 +33,6 @@ _MAX_ORDER = 4096
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    eta: float
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -84,7 +82,7 @@ def gauss_jacobi_rule(eta: float, order: int) -> QuadratureRule:
     check_int("order", order, 1, _MAX_ORDER)
     # p given explicitly: the same cache entry as _kernel_rule's at p = 1
     nodes, weights = _build_rule(float(eta), int(order), 1)
-    return QuadratureRule(eta, order, nodes, weights)
+    return QuadratureRule(nodes, weights)
 
 
 def integrate(rule: QuadratureRule, g) -> float:

@@ -256,11 +256,11 @@ class TestBasisRow:
         with pytest.raises(DomainError, match="got 1.5$"):
             error_table(params, f, np.array([[0.2], [1.5]]))
 
-    def test_row_metadata(self):
-        row = basis_row(make_params(7, 3, 0.4), 0.6)
-        assert row.degree == 7
-        assert row.point == 0.6
+    def test_row_is_one_row_of_basis_matrix(self):
+        params = make_params(7, 3, 0.4)
+        row = basis_row(params, 0.6)
         assert row.weights.shape == (8,)
+        assert np.array_equal(row.weights, basis_matrix(params, [0.6])[0])
 
 
 # Partition of unity and pointwise non-negativity, swept over a sampled

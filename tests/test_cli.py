@@ -301,6 +301,11 @@ class TestBounds:
             actual, t2 = float(row[1]), float(row[2])
             assert 0.0 < actual <= t2
 
+    def test_bivariate_function_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--fn", "g1", "--z", "0.5")
+        assert (code, out) == (2, "")
+        assert err == "fracbk: error: bounds is univariate; functions of y are not supported\n"
+
     def test_lipschitz_flags_must_pair(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--fn", "f1", "--z", "0.5", "--M", "1")
         assert code == 2

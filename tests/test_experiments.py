@@ -200,7 +200,7 @@ class TestCsv:
         assert any("f3" in l for l in lines[:5])
 
     def test_footer_lines_follow_rows(self):
-        ds = Dataset("demo", ("first", "second"), ("a", "b"), ((1, 0.5), (2, "")), ("end=1",))
+        ds = Dataset(("first", "second"), ("a", "b"), ((1, 0.5), (2, "")), ("end=1",))
         assert to_csv(ds) == "# first\n# second\na,b\n1,0.5\n2,\n# end=1\n"
 
 

@@ -10,11 +10,10 @@ from fracbk import (
     FunctionExpr,
     ParseError,
     evaluate,
-    free_variables,
     get_function,
     parse_source,
 )
-from fracbk.exprlib import Num, _eval_node, enclose, parse, second_derivative, separate, tokenize
+from fracbk.exprlib import Num, _eval_node, enclose, free_variables, parse, second_derivative, separate, tokenize
 
 from conftest import expression_texts
 

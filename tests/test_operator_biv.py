@@ -32,7 +32,8 @@ from fracbk import (
     surface_values,
 )
 
-from fracbk.error_analysis import _run_range, _shift_count
+from fracbk import error_analysis, operator_biv, operator_uni
+from fracbk.error_analysis import _enclosed_modulus, _run_range, _shift_count
 from fracbk.exprlib import separate
 from fracbk.operator_uni import eval_function
 from fracbk.quadrature import _kernel_rule
@@ -130,11 +131,12 @@ class TestApplyBiv:
     def test_surface_rows_structure(self):
         bp = make_biv(mx=4, my=4)
         F = parse_source("z*y")
-        rows, max_err = surface_rows(bp, F, [0.2, 0.8], [0.1, 0.5, 0.9])
-        assert len(rows) == 6
-        errors = [r[4] for r in rows]
-        assert max_err == pytest.approx(max(errors))
-        for z, y, exact, approx, err in rows:
+        table = surface_rows(bp, F, [0.2, 0.8], [0.1, 0.5, 0.9])
+        assert len(table.rows) == 6
+        errors = [r[4] for r in table.rows]
+        assert table.max_error == pytest.approx(max(errors))
+        assert table.to_csv().splitlines()[0] == "z,y,exact,approx,abs_error"
+        for z, y, exact, approx, err in table.rows:
             assert exact == pytest.approx(z * y, abs=1e-15)
             assert err == pytest.approx(abs(exact - approx), abs=1e-18)
 
@@ -258,8 +260,8 @@ class TestPartialModuli:
         # certified: at least the exact 0.1 and 0.2, and at most two cells
         # more along the axis plus the other variable's change in one cell
         F = parse_source("z+2*y")
-        h = 1.0 / 320
-        w1, w2 = partial_moduli(F, 0.1, 0.1, grid_n=501)  # 320 cells at most
+        h = 1.0 / 256
+        w1, w2 = partial_moduli(F, 0.1, 0.1)
         assert 0.1 <= w1 <= 0.1 + 5 * h
         assert 0.2 <= w2 <= 0.2 + 7 * h
 
@@ -267,28 +269,26 @@ class TestPartialModuli:
         from fracbk import modulus_continuity
 
         F = parse_source("2*cos(pi*z)+3*sin(2*pi*y)")
-        w1, w2 = partial_moduli(F, 0.15, 0.08, grid_n=320)
-        u1 = modulus_continuity(parse_source("2*cos(pi*z)"), 0.15, grid_n=320).value
-        u2 = modulus_continuity(parse_source("3*sin(2*pi*z)"), 0.08, grid_n=320).value
+        w1, w2 = partial_moduli(F, 0.15, 0.08)
+        u1 = modulus_continuity(parse_source("2*cos(pi*z)"), 0.15, grid_n=256).value
+        u2 = modulus_continuity(parse_source("3*sin(2*pi*z)"), 0.08, grid_n=256).value
         # the same runs of cells, plus the other term's change within one cell
-        assert u1 - 1e-12 <= w1 <= u1 + 3 * 2 * math.pi / 320 + 1e-12
-        assert u2 - 1e-12 <= w2 <= u2 + 2 * math.pi / 320 + 1e-12
+        assert u1 - 1e-12 <= w1 <= u1 + 3 * 2 * math.pi / 256 + 1e-12
+        assert u2 - 1e-12 <= w2 <= u2 + 2 * math.pi / 256 + 1e-12
 
     def test_zero_radius(self):
         F = parse_source("z*y")
-        w1, w2 = partial_moduli(F, 0.0, 0.0, grid_n=241)
+        w1, w2 = partial_moduli(F, 0.0, 0.0)
         assert w1 == 0.0 and w2 == 0.0
 
     def test_non_finite_grid_value_rejected(self):
         with pytest.raises(EvaluationError):
-            partial_moduli(parse_source("sqrt(z-0.5)+y"), 0.1, 0.1, grid_n=241)
+            partial_moduli(parse_source("sqrt(z-0.5)+y"), 0.1, 0.1)
 
     def test_validation(self):
         F = parse_source("z*y")
         with pytest.raises(DomainError):
             partial_moduli(F, -0.1, 0.1)
-        with pytest.raises(DomainError):
-            partial_moduli(F, 0.1, 0.1, grid_n=5)
 
     @pytest.mark.parametrize("d1, d2", [(math.nan, 0.1), (0.1, math.inf)])
     def test_non_finite_radius_rejected(self, d1, d2):
@@ -296,13 +296,9 @@ class TestPartialModuli:
         with pytest.raises(DomainError, match="must be non-negative and finite"):
             partial_moduli(parse_source("z*y"), d1, d2)
 
-    def test_grid_size_not_an_int(self):
-        with pytest.raises(DomainError, match="grid_n must be an int"):
-            partial_moduli(parse_source("z*y"), 0.1, 0.1, grid_n=200.5)
-
     def test_huge_finite_radius_saturates(self):
         F = parse_source("(y*z+2)*cos(2*pi*z)")
-        assert partial_moduli(F, 1e307, 1e307, grid_n=121) == partial_moduli(F, 1.0, 1.0, grid_n=121)
+        assert partial_moduli(F, 1e307, 1e307) == partial_moduli(F, 1.0, 1.0)
         # a denormal radius reaches into the neighbouring cell only
         assert partial_moduli(F, 5e-324, 5e-324) == partial_moduli(F, 0.5 / 256, 0.5 / 256)
 
@@ -315,35 +311,35 @@ class TestPartialModuli:
 class TestCompleteModulus:
     def test_linear_in_z_capped_by_radius(self):
         # sup |F(v)-F(u)| over |v-u| <= d for F=z is d; the certified value
-        # adds at most two cells of the 201
+        # adds at most two cells of the 256
         F = parse_source("z+0*y")
-        assert 0.24 <= complete_modulus(F, 0.24, grid_n=201) <= 0.24 + 2.0 / 201
+        assert 0.24 <= complete_modulus(F, 0.24) <= 0.24 + 2.0 / 256
 
     def test_diagonal_function_uses_euclidean_radius(self):
         # F = z + y grows fastest along the diagonal: sup = d*sqrt(2); the
         # squares of cells holding the disc give at most 2*(d + 2 cells)
         F = parse_source("z+y")
-        got = complete_modulus(F, 0.2, grid_n=201)
-        assert 0.2 * math.sqrt(2.0) <= got <= 2.0 * (0.2 + 2.0 / 201)
+        got = complete_modulus(F, 0.2)
+        assert 0.2 * math.sqrt(2.0) <= got <= 2.0 * (0.2 + 2.0 / 256)
 
     def test_dominates_partial_moduli(self):
         F = parse_source("(y*z+2)*cos(2*pi*z)")
         d = 0.1
-        w1, w2 = partial_moduli(F, d, d, grid_n=321)
-        wc = complete_modulus(F, d, grid_n=321)
+        w1, w2 = partial_moduli(F, d, d)
+        wc = complete_modulus(F, d)
         assert wc + 1e-12 >= max(w1, w2)
 
     def test_grid_refinement_stable(self):
         # Halved cells nest in the coarse ones, and so do the squares of
         # cells, so the certified value can only shrink, and not by much.
         F = parse_source("(y*z+2)*cos(2*pi*z)")
-        coarse = complete_modulus(F, 0.1, grid_n=128)
-        fine = complete_modulus(F, 0.1, grid_n=256)
+        coarse = _enclosed_modulus(F, 0.1, 128, 2, (-2, -1))
+        fine = complete_modulus(F, 0.1)  # on 256 cells per axis
         assert fine <= coarse
         assert fine == pytest.approx(coarse, rel=0.12)
 
     def test_zero_radius(self):
-        assert complete_modulus(parse_source("z*y"), 0.0, grid_n=241) == 0.0
+        assert complete_modulus(parse_source("z*y"), 0.0) == 0.0
 
     @pytest.mark.parametrize("src", [
         pytest.param("sqrt(z-0.5)+y", id="nan"),
@@ -351,7 +347,7 @@ class TestCompleteModulus:
     ])
     def test_non_finite_grid_value_rejected(self, src):
         with pytest.raises(EvaluationError):
-            complete_modulus(parse_source(src), 0.1, grid_n=241)
+            complete_modulus(parse_source(src), 0.1)
 
     @pytest.mark.parametrize("d", [math.nan, math.inf, -0.1])
     def test_invalid_radius_rejected(self, d):
@@ -359,16 +355,12 @@ class TestCompleteModulus:
         with pytest.raises(DomainError, match="d must be non-negative and finite"):
             complete_modulus(parse_source("z*y"), d)
 
-    def test_grid_size_not_an_int(self):
-        with pytest.raises(DomainError, match="grid_n must be an int"):
-            complete_modulus(parse_source("z*y"), 0.1, grid_n=200.5)
-
     def test_huge_finite_radius_saturates(self):
         # beyond sqrt(2) the disc holds every pair; 1e160 used to overflow
         F = parse_source("(y*z+2)*cos(2*pi*z)")
-        full = complete_modulus(F, 1.5, grid_n=121)
-        assert complete_modulus(F, 1e160, grid_n=121) == full
-        assert complete_modulus(F, 1e300, grid_n=121) == full
+        full = complete_modulus(F, 1.5)
+        assert complete_modulus(F, 1e160) == full
+        assert complete_modulus(F, 1e300) == full
         assert complete_modulus(F, 5e-324) == complete_modulus(F, 0.5 / 256)
         assert complete_modulus(F, 0.0) == 0.0
 
@@ -453,7 +445,7 @@ class TestModuliParity:
         G = _parity_grid(name, n + 1)
         disc, square = _offset_loop_complete(G, d)
         assert _run_range(np.stack((G, -G)), _shift_count(d, n + 1) + 1, (-2, -1)) == square
-        assert complete_modulus(parse_source(_PARITY_SOURCES[name]), d, grid_n) >= disc
+        assert _enclosed_modulus(parse_source(_PARITY_SOURCES[name]), d, n, 2, (-2, -1)) >= disc
 
 
 _Z_ONLY = ("f1", "f2", "f3", "f4", "abs(z-0.37)", "sqrt(z)")
@@ -469,7 +461,7 @@ class TestOneEngine:
     def test_partial_in_z_is_the_univariate_modulus(self, source, n):
         f = get_function(source)
         for d in _RADII:
-            assert partial_moduli(f, d, 0.0, n)[0] == modulus_continuity(f, d, n).value, d
+            assert _enclosed_modulus(f, d, n, 2, (-2,)) == modulus_continuity(f, d, n).value, d
 
     @pytest.mark.parametrize("source", _Z_ONLY)
     @pytest.mark.parametrize("n", [256, 300, 320])
@@ -477,7 +469,7 @@ class TestOneEngine:
         # from 256 cells on, a large radius reads merged cells on one axis
         f = get_function(source)
         for d in _RADII:
-            assert modulus_continuity(f, d, n).value >= partial_moduli(f, d, 0.0, n)[0], d
+            assert modulus_continuity(f, d, n).value >= _enclosed_modulus(f, d, n, 2, (-2,)), d
 
     @pytest.mark.parametrize("n", [101, 256, 257, 501])
     def test_callable_grids_agree(self, n):
@@ -496,10 +488,10 @@ class TestBivariateBounds:
         F = parse_source("z+2*y")
         d1 = math.sqrt(central_moments(bp.px, 0.4).xi2)
         d2 = math.sqrt(central_moments(bp.py, 0.7).xi2)
-        got = bound_partial(bp, F, 0.4, 0.7, grid_n=320)
+        got = bound_partial(bp, F, 0.4, 0.7)
         # the exact moduli d1 and 2*d2, plus at most 4 and 5 cells of change
         exact = 2.0 * (d1 + 2.0 * d2)
-        assert exact <= got <= exact + 2.0 * 9.0 / 320
+        assert exact <= got <= exact + 2.0 * 9.0 / 256
 
     def test_complete_bound_diagonal_formula(self):
         bp = make_biv(mx=12, my=12, eta=2.0, gamma=2.0, alpha=0.5, s=2)
@@ -507,8 +499,8 @@ class TestBivariateBounds:
         d = math.sqrt(
             central_moments(bp.px, 0.5).xi2 + central_moments(bp.py, 0.5).xi2
         )
-        got = bound_complete(bp, F, 0.5, 0.5, grid_n=201)
-        assert 4.0 * d * math.sqrt(2.0) <= got <= 8.0 * (d + 2.0 / 201)
+        got = bound_complete(bp, F, 0.5, 0.5)
+        assert 4.0 * d * math.sqrt(2.0) <= got <= 8.0 * (d + 2.0 / 256)
 
     def test_corner_bounds_dominate_at_large_degree(self):
         # grid moduli gave 0.0 here, below the actual error 2.1e-3
@@ -545,3 +537,24 @@ def test_a_bad_y_point_is_reported_as_y(call):
     # these said "z must lie in [0, 1]" of a y point
     with pytest.raises(DomainError, match=r"^y must lie in \[0, 1\], got "):
         call(make_biv(mx=3, my=3), parse_source("z*y"))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda bp: apply(bp.px, parse_source("z"), 2.0), "z"),
+    (lambda bp: error_analysis.error_table(bp.px, parse_source("z"), [0.5, 2.0]), "z"),
+    (lambda bp: apply_biv(bp, parse_source("z*y"), 2.0, 0.5), "z"),
+    (lambda bp: apply_biv(bp, parse_source("z*y"), 2.0, 2.0), "y"),
+    (lambda bp: surface_values(bp, parse_source("z*y"), [2.0], [2.0]), "z"),
+    (lambda bp: surface_rows(bp, parse_source("abs(z-y)"), [0.5], [0.0, 2.0]), "y"),
+], ids=["apply", "error_table", "apply_biv", "apply_biv_y_first", "surface_values_z_first",
+        "surface_rows"])
+def test_a_bad_point_reaches_no_kernel(monkeypatch, call, name):
+    # a bad point used to be found only after the whole kernel was built
+    def build(*args, **kwargs):
+        raise AssertionError("a kernel was built before the points were checked")
+
+    for module in (operator_uni, operator_biv, error_analysis):
+        monkeypatch.setattr(module, "kernel_integrals", build)
+    monkeypatch.setattr(operator_biv, "biv_kernel_integrals", build)
+    with pytest.raises(DomainError, match=rf"^{name} must lie in \[0, 1\], got 2.0$"):
+        call(make_biv(mx=3, my=3))
