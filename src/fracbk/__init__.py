@@ -14,7 +14,6 @@ from .errors import (
     FracbkError,
     ParseError,
     QuadratureError,
-    UnsupportedOrderError,
 )
 from .error_analysis import (
     ErrorTable,
@@ -50,7 +49,6 @@ from .operator_uni import (
     KernelIntegrals,
     MomentSet,
     apply,
-    apply_grid,
     apply_kernel,
     central_moments,
     kernel_integrals,
@@ -87,11 +85,9 @@ __all__ = [
     "QuadratureError",
     "QuadratureRule",
     "UNIVARIATE",
-    "UnsupportedOrderError",
     "apply",
     "apply_biv",
     "apply_biv_kernel",
-    "apply_grid",
     "apply_kernel",
     "basis_matrix",
     "basis_row",

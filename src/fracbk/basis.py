@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_int, check_points, check_real
+from .errors import check_int, check_point, check_points, check_real
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def _bernstein_matrix(n: int, logs) -> tuple[slice, np.ndarray]:
 def bernstein_row(n: int, z: float) -> np.ndarray:
     """Classical Bernstein row of degree n at z, computed in log space."""
     check_int("n", n)
-    return _bernstein_matrix(n, _log_points(check_points(z).tolist()))[1][0]
+    return _bernstein_matrix(n, _log_points([check_point(z)]))[1][0]
 
 
 def _row_blocks(params: OperatorParams, zs: np.ndarray):
@@ -157,4 +157,4 @@ def basis_matrix(params: OperatorParams, zs) -> np.ndarray:
 
 def basis_row(params: OperatorParams, z: float) -> BasisRow:
     """All m+1 basis weights at z; one row of basis_matrix."""
-    return BasisRow(basis_matrix(params, [z])[0])
+    return BasisRow(basis_matrix(params, [check_point(z)])[0])

@@ -14,7 +14,7 @@ import numpy as np
 
 from .basis import OperatorParams
 from .corpus import get_function, is_bivariate
-from .errors import DomainError, FracbkError, ParseError, check_int
+from .errors import DomainError, FracbkError, ParseError
 from .experiments import (
     Dataset,
     compare_rows,
@@ -22,13 +22,7 @@ from .experiments import (
     table_dataset,
     to_csv,
 )
-from .error_analysis import (
-    _RESOLUTION,
-    bound_kfunctional,
-    bound_lipschitz,
-    bound_t2,
-    error_table,
-)
+from .error_analysis import bound_kfunctional, bound_lipschitz, bound_t2, error_table
 from .operator_biv import BivariateParams, surface_rows
 from .operator_uni import DEFAULT_ORDER
 
@@ -194,7 +188,6 @@ def _cmd_bounds(args) -> str:
         raise DomainError("bounds is univariate; functions of y are not supported")
     if (args.M is None) != (args.kappa is None):
         raise DomainError("--M and --kappa must be supplied together")
-    check_int("grid_n", args.grid, 101, _RESOLUTION)  # the library caps it silently
     zs = _parse_axis(args.z)
     params = _params(args)
     et = error_table(params, f, zs, order=args.order)

@@ -156,7 +156,7 @@ def _resolution(f, grid_n: int | None) -> int:
     """grid_n enclosure cells of [0, 1] for the expression f, by default
     and at most _RESOLUTION."""
     _check_expression(f)
-    return _RESOLUTION if grid_n is None else min(check_int("grid_n", grid_n, 101), _RESOLUTION)
+    return _RESOLUTION if grid_n is None else check_int("grid_n", grid_n, 101, _RESOLUTION)
 
 
 @functools.lru_cache(maxsize=8)
@@ -165,8 +165,9 @@ def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
     of f on `cells` equal cells per axis of [0, 1]^ndim, checked against f
     at the cell corners, then, on one axis, while at least 2*_RUN_CELLS
     remain, the maxima of the _RUN_CELLS-cell runs of pairwise merged cells
-    (an odd last cell stays alone), built block by block into one array;
-    ranges holds the level's _run_range values by (runs, axes)."""
+    (an odd last cell stays alone), all in one array, each table in one
+    _window_max pass over at most _RESOLUTION / 2 merged cells (512 KiB of
+    ends); ranges holds the level's _run_range values by (runs, axes)."""
     u = np.linspace(0.0, 1.0, cells + 1)
     lo, hi = enclose(f, *((_on_axis(u[:-1], i, ndim), _on_axis(u[1:], i, ndim)) for i in range(ndim)))
     ends = np.stack((hi, -lo))
@@ -177,14 +178,13 @@ def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
     while ndim == 1 and n >= 2 * _RUN_CELLS:
         n = (n + 1) // 2
         sizes.append(n - _RUN_CELLS + 1)
-    tables, step = np.empty((2, sum(sizes))), _BLOCK_ELEMENTS // 2
+    tables = np.empty((2, sum(sizes)))
     for start, size in zip(itertools.accumulate(sizes, initial=0), sizes):
         if ends.shape[-1] % 2:
             ends = np.concatenate((ends, ends[:, -1:]), axis=1)
         ends = np.maximum(ends[:, ::2], ends[:, 1::2])
         table = tables[:, start : start + size]
-        for i in range(0, size, step):
-            table[:, i : i + step] = _window_max(ends[:, i : i + step + _RUN_CELLS - 1], _RUN_CELLS)
+        table[:] = _window_max(ends, _RUN_CELLS)
         table.setflags(write=False)
         levels.append((table, 2.0 * levels[-1][1], {}))
     return tuple(levels)
@@ -309,9 +309,6 @@ def error_table(params: OperatorParams, f, z_values, order: int = DEFAULT_ORDER)
     return ErrorTable(rows, max((row[3] for row in rows), default=0.0))
 
 
-def max_error(params: OperatorParams, f, grid_n: int = 1001, order: int = DEFAULT_ORDER) -> float:
-    """Maximum absolute error over a uniform grid on [0, 1]."""
-    check_int("grid_n", grid_n, 101)
-    zs = np.linspace(0.0, 1.0, grid_n)
-    table = error_table(params, f, zs, order)
-    return table.max_error
+def max_error(params: OperatorParams, f) -> float:
+    """The largest absolute error on 1,001 equally spaced points of [0, 1]."""
+    return error_table(params, f, np.linspace(0.0, 1.0, 1001)).max_error

@@ -31,10 +31,6 @@ class DomainError(FracbkError):
     operation (e.g. a non-positive Gamma argument, alpha outside [0,1])."""
 
 
-class UnsupportedOrderError(FracbkError):
-    """A moment order was requested for which no closed form exists."""
-
-
 class QuadratureError(FracbkError):
     """Quadrature failed: a rule's Jacobi matrix was not finite (eta below
     about 1e-16) or its eigen-solve did not converge, or an integrand
@@ -72,3 +68,12 @@ def check_points(zs, name: str = "z") -> np.ndarray:
         bad = zs[~((zs >= 0.0) & (zs <= 1.0))]
         raise DomainError(f"{name} must lie in [0, 1], got {float(bad[0])}")
     return zs
+
+
+def check_point(z, name: str = "z") -> float:
+    """One point, checked as check_points checks it, as a float; a
+    one-element array counts as one point."""
+    zs = check_points(z, name)
+    if zs.size != 1:
+        raise DomainError(f"{name} must be one point, got {zs.size} values")
+    return float(zs[0])

@@ -16,7 +16,7 @@ from .dataset import Dataset, to_csv
 from .error_analysis import error_table
 from .errors import DomainError, check_int
 from .operator_biv import BivariateParams, surface_values
-from .operator_uni import DEFAULT_ORDER, apply_grid, eval_function
+from .operator_uni import DEFAULT_ORDER, eval_function, kernel_integrals, operator_values
 
 NINE_POINTS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -55,7 +55,7 @@ def _values(fn, p, u, order) -> np.ndarray:
     z and y, with p on both axes on the product grid u x u."""
     f = get_function(fn)
     if fn in UNIVARIATE:
-        return apply_grid(p, f, u, order)
+        return operator_values(kernel_integrals(p, f, order), u)
     return surface_values(BivariateParams(p, p), f, u, u, order)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import OperatorParams, basis_matrix, basis_row
 from .error_analysis import ErrorTable, complete_modulus, partial_moduli
-from .errors import EvaluationError, QuadratureError, check_points
+from .errors import DomainError, EvaluationError, QuadratureError, check_point, check_points
 from .exprlib import FunctionExpr, evaluate, separate
 from .operator_uni import DEFAULT_ORDER, central_moments, eval_function, kernel_integrals, raw_moments
 from .quadrature import _kernel_rule
@@ -30,6 +30,11 @@ from .quadrature import _kernel_rule
 class BivariateParams:
     px: OperatorParams
     py: OperatorParams
+
+    def __post_init__(self):
+        for name, axis in (("px", self.px), ("py", self.py)):
+            if not isinstance(axis, OperatorParams):
+                raise DomainError(f"{name} must be an OperatorParams, got {type(axis).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +98,7 @@ def biv_kernel_integrals(bp: BivariateParams, F, order: int = DEFAULT_ORDER) -> 
 
 def apply_biv_kernel(ki: BivKernelIntegrals, z: float, y: float) -> float:
     """Bivariate operator value at one point (z, y) from a precomputed kernel matrix."""
-    check_points(y, "y")
+    y = check_point(y, "y")
     bz = basis_row(ki.bp.px, z).weights
     by = basis_row(ki.bp.py, y).weights
     return float(bz @ ki.values @ by)
@@ -101,8 +106,8 @@ def apply_biv_kernel(ki: BivKernelIntegrals, z: float, y: float) -> float:
 
 def apply_biv(bp: BivariateParams, F, z: float, y: float, order: int = DEFAULT_ORDER) -> float:
     """Bivariate operator value at one point, checked first; use surface_values for grids."""
-    check_points(y, "y")
-    check_points(z)
+    y = check_point(y, "y")
+    z = check_point(z)
     return apply_biv_kernel(biv_kernel_integrals(bp, F, order), z, y)
 
 
@@ -116,7 +121,7 @@ def surface_values(bp: BivariateParams, F, zs, ys, order: int = DEFAULT_ORDER) -
 def biv_moments(bp: BivariateParams, z: float, y: float) -> BivMoments:
     """Closed-form images of the monomials z^u y^v, u+v <= 2, which factor
     into products of univariate moments."""
-    check_points(y, "y")
+    y = check_point(y, "y")
     mx = raw_moments(bp.px, z)
     my = raw_moments(bp.py, y)
     return BivMoments(1.0, mx.e1, my.e1, mx.e1 * my.e1, mx.e2, my.e2)
@@ -124,14 +129,14 @@ def biv_moments(bp: BivariateParams, z: float, y: float) -> BivMoments:
 
 def bound_complete(bp: BivariateParams, F, z: float, y: float) -> float:
     """Error bound 4*omega_complete(F; sqrt(xi2_x + xi2_y))."""
-    check_points(y, "y")
+    y = check_point(y, "y")
     d = math.sqrt(central_moments(bp.px, z).xi2 + central_moments(bp.py, y).xi2)
     return 4.0 * complete_modulus(F, d)
 
 
 def bound_partial(bp: BivariateParams, F, z: float, y: float) -> float:
     """Error bound 2*(omega_1(F; sqrt(xi2_x)) + omega_2(F; sqrt(xi2_y)))."""
-    check_points(y, "y")
+    y = check_point(y, "y")
     d1 = math.sqrt(central_moments(bp.px, z).xi2)
     d2 = math.sqrt(central_moments(bp.py, y).xi2)
     w1, w2 = partial_moduli(F, d1, d2)

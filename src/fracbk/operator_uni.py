@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import _BLOCK_ELEMENTS, OperatorParams, _row_blocks, basis_row
-from .errors import QuadratureError, UnsupportedOrderError, check_points
+from .errors import QuadratureError, check_int, check_point, check_points
 from .exprlib import FunctionExpr, evaluate
 from .quadrature import _kernel_rule
 from .specfun import moment_coeff
@@ -83,14 +83,10 @@ def apply_kernel(ki: KernelIntegrals, z: float) -> float:
 
 
 def apply(params: OperatorParams, f, z: float, order: int = DEFAULT_ORDER) -> float:
-    """Operator value at a single point, checked first; see apply_grid for sweeps."""
-    check_points(z)
+    """Operator value at a single point, checked first; see operator_values
+    for sweeps."""
+    z = check_point(z)
     return apply_kernel(kernel_integrals(params, f, order), z)
-
-
-def apply_grid(params: OperatorParams, f, zs, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Operator values over a grid, reusing one set of kernel integrals."""
-    return operator_values(kernel_integrals(params, f, order), zs)
 
 
 def _bracket(params: OperatorParams) -> float:
@@ -106,7 +102,7 @@ def _bracket(params: OperatorParams) -> float:
 
 def raw_moments(params: OperatorParams, z: float) -> MomentSet:
     """Closed-form operator images of e0, e1, e2."""
-    check_points(z)
+    z = check_point(z)
     m = params.m
     mp1 = m + 1.0
     c1 = moment_coeff(params.eta, params.gamma, 1)
@@ -123,7 +119,7 @@ def central_moments(params: OperatorParams, z: float) -> CentralMoments:
     ((z-c1)^2 + (c2-c1^2) + z(1-z)*bracket)/(m+1)^2, which is non-negative
     term by term (c2 >= c1^2 by the Cauchy-Schwarz inequality).
     """
-    check_points(z)
+    z = check_point(z)
     mp1 = params.m + 1.0
     c1 = moment_coeff(params.eta, params.gamma, 1)
     c2 = moment_coeff(params.eta, params.gamma, 2)
@@ -137,9 +133,8 @@ def moment_recurrence(params: OperatorParams, i: int, z: float) -> float:
     coefficients: sum_n C(i,n) m^n L(e_n;z) c_{i-n} / (m+1)^i, where the
     basis part alone (no Kantorovich shift) maps e_0, e_1, e_2 to 1, z and
     z^2 + z(1-z)*bracket/m^2."""
-    if i not in (0, 1, 2):
-        raise UnsupportedOrderError(f"recurrence limited to i <= 2 by the L-moments, got {i}")
-    check_points(z)
+    check_int("i", i, 0, 2)  # the basis moments stop at e_2
+    z = check_point(z)
     m = params.m
     basis = (1.0, z, z * z + z * (1.0 - z) * _bracket(params) / m**2)
     c = [moment_coeff(params.eta, params.gamma, i - n) for n in range(i + 1)]

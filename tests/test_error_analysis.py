@@ -90,6 +90,19 @@ class TestModulusContinuity:
         with pytest.raises(DomainError, match="grid_n must be an int"):
             modulus(parse_source("z"), 0.1, grid_n=200.5)
 
+    @pytest.mark.parametrize("call", [
+        lambda n: modulus_continuity(get_function("f1"), 0.1, grid_n=n).value,
+        lambda n: second_modulus(get_function("f1"), 0.1, grid_n=n).value,
+        lambda n: bound_t2(OperatorParams(20, 2.0, 3.0, 0.9, 2), get_function("f1"), 0.3, grid_n=n),
+        lambda n: bound_kfunctional(OperatorParams(20, 2.0, 3.0, 0.9, 2), get_function("f1"), 0.3, 2.0,
+                                    grid_n=n),
+    ], ids=["modulus_continuity", "second_modulus", "bound_t2", "bound_kfunctional"])
+    def test_cells_capped_at_65536(self, call):
+        # grid_n past the cap used to run silently on 65,536 cells
+        assert call(65536) == call(None)
+        with pytest.raises(DomainError, match="^grid_n must be <= 65536, got 65537$"):
+            call(65537)
+
     @pytest.mark.parametrize("modulus", [modulus_continuity, second_modulus])
     def test_huge_finite_radius_saturates(self, modulus):
         # 1e307 * 2000 grid steps overflows to inf, which int() rejects
@@ -656,16 +669,8 @@ class TestMaxError:
     def test_consistent_with_error_table(self):
         params = OperatorParams(m=10, eta=2.0, gamma=3.0, alpha=0.9, s=2)
         f = parse_source("z*(z-2/5)*(z-7/8)")
-        zs = np.linspace(0.0, 1.0, 101)
-        table = error_table(params, f, zs)
-        assert max_error(params, f, grid_n=101) == pytest.approx(table.max_error, abs=1e-15)
-        # a finer grid can only reveal a larger supremum
-        assert max_error(params, f, grid_n=1001) >= table.max_error - 1e-15
-
-    def test_grid_validation(self):
-        params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=1.0, s=2)
-        with pytest.raises(DomainError):
-            max_error(params, lambda u: u, grid_n=10)
-        # a float grid size used to raise a raw TypeError
-        with pytest.raises(DomainError, match="grid_n must be an int"):
-            max_error(params, lambda u: u, grid_n=200.5)
+        table = error_table(params, f, np.linspace(0.0, 1.0, 1001))
+        assert max_error(params, f) == table.max_error
+        # the 1,001 points hold the 101 up to rounding, so they reveal no smaller error
+        coarse = error_table(params, f, np.linspace(0.0, 1.0, 101))
+        assert max_error(params, f) >= coarse.max_error - 1e-15

@@ -15,16 +15,23 @@ from fracbk import (
     apply,
     apply_biv,
     apply_biv_kernel,
+    apply_kernel,
+    basis_row,
+    bernstein_row,
     biv_kernel_integrals,
     biv_moments,
     bound_complete,
+    bound_kfunctional,
+    bound_lipschitz,
     bound_partial,
+    bound_t2,
     central_moments,
     complete_modulus,
     evaluate,
     get_function,
     kernel_integrals,
     modulus_continuity,
+    moment_recurrence,
     parse_source,
     partial_moduli,
     raw_moments,
@@ -558,3 +565,47 @@ def test_a_bad_point_reaches_no_kernel(monkeypatch, call, name):
     monkeypatch.setattr(operator_biv, "biv_kernel_integrals", build)
     with pytest.raises(DomainError, match=rf"^{name} must lie in \[0, 1\], got 2.0$"):
         call(make_biv(mx=3, my=3))
+
+
+# Every function of one point, as (call of the bivariate parameters and a
+# point, the variable the point is passed as); the other variable is 0.4.
+_F1, _G1 = get_function("f1"), get_function("g1")
+_ONE_POINT = {
+    "bernstein_row": (lambda bp, v: bernstein_row(5, v), "z"),
+    "basis_row": (lambda bp, v: basis_row(bp.px, v).weights, "z"),
+    "apply": (lambda bp, v: apply(bp.px, _F1, v), "z"),
+    "apply_kernel": (lambda bp, v: apply_kernel(kernel_integrals(bp.px, _F1), v), "z"),
+    "raw_moments": (lambda bp, v: raw_moments(bp.px, v), "z"),
+    "central_moments": (lambda bp, v: central_moments(bp.px, v), "z"),
+    "moment_recurrence": (lambda bp, v: moment_recurrence(bp.px, 2, v), "z"),
+    "bound_t2": (lambda bp, v: bound_t2(bp.px, _F1, v, grid_n=1024), "z"),
+    "bound_lipschitz": (lambda bp, v: bound_lipschitz(bp.px, 1.0, 1.0, v), "z"),
+    "bound_kfunctional": (lambda bp, v: bound_kfunctional(bp.px, _F1, v, 2.0, grid_n=1024), "z"),
+    "apply_biv": (lambda bp, v: apply_biv(bp, _G1, v, 0.4), "z"),
+    "apply_biv_y": (lambda bp, v: apply_biv(bp, _G1, 0.4, v), "y"),
+    "apply_biv_kernel": (lambda bp, v: apply_biv_kernel(biv_kernel_integrals(bp, _G1), v, 0.4), "z"),
+    "apply_biv_kernel_y": (lambda bp, v: apply_biv_kernel(biv_kernel_integrals(bp, _G1), 0.4, v), "y"),
+    "biv_moments": (lambda bp, v: biv_moments(bp, v, 0.4), "z"),
+    "biv_moments_y": (lambda bp, v: biv_moments(bp, 0.4, v), "y"),
+    "bound_partial_y": (lambda bp, v: bound_partial(bp, _G1, 0.4, v), "y"),
+    "bound_complete_y": (lambda bp, v: bound_complete(bp, _G1, 0.4, v), "y"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ONE_POINT))
+@pytest.mark.parametrize("points", [[0.1, 0.9], []], ids=["two", "none"])
+def test_a_one_point_function_takes_one_point(case, points):
+    # two points gave the result at the first one, a raw TypeError or
+    # fields that are arrays, and no point a raw IndexError
+    call, name = _ONE_POINT[case]
+    bp = make_biv(mx=6, my=6)
+    with pytest.raises(DomainError, match=rf"^{name} must be one point, got {len(points)} values$"):
+        call(bp, points)
+    assert repr(call(bp, np.array([0.3]))) == repr(call(bp, 0.3))
+
+
+@pytest.mark.parametrize("px, py", [(1, 2), (make_biv().px, None), ((10, 2.0, 3.0, 0.9, 2), make_biv().py)])
+def test_bivariate_params_take_operator_params(px, py):
+    # BivariateParams(1, 2) ended in a raw AttributeError at the first use
+    with pytest.raises(DomainError, match="^p[xy] must be an OperatorParams, got "):
+        BivariateParams(px, py)

@@ -9,9 +9,7 @@ from fracbk import (
     BivariateParams,
     DomainError,
     OperatorParams,
-    UnsupportedOrderError,
     apply,
-    apply_grid,
     apply_kernel,
     biv_kernel_integrals,
     central_moments,
@@ -20,6 +18,7 @@ from fracbk import (
     kernel_integrals,
     moment_coeff,
     moment_recurrence,
+    operator_values,
     parse_source,
     raw_moments,
     special_case,
@@ -113,7 +112,7 @@ class TestApply:
         params = OperatorParams(m=9, eta=2.0, gamma=2.0, alpha=0.3, s=2)
         f = parse_source("z*(1-z)")
         zs = np.linspace(0.0, 1.0, 7)
-        grid = apply_grid(params, f, zs)
+        grid = operator_values(kernel_integrals(params, f), zs)
         pointwise = [apply(params, f, float(z)) for z in zs]
         assert np.allclose(grid, pointwise, atol=1e-15)
 
@@ -193,13 +192,20 @@ class TestLMoments:
 
     def test_unsupported_order(self):
         params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=0.5, s=2)
-        with pytest.raises(UnsupportedOrderError):
+        with pytest.raises(DomainError, match="i must be <= 2, got 3"):
             moment_recurrence(params, 3, 0.5)
 
     def test_point_validation(self):
         params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=0.5, s=2)
         with pytest.raises(DomainError):
             moment_recurrence(params, 1, 1.2)
+
+    @pytest.mark.parametrize("i", [True, 1.0, -1, 3])
+    def test_order_must_be_an_int_in_0_to_2(self, i):
+        # True was read as i = 1 and 1.0 ended in a raw TypeError
+        params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=0.5, s=2)
+        with pytest.raises(DomainError, match="^i must be "):
+            moment_recurrence(params, i, 0.3)
 
 
 class TestRawMoments:
@@ -273,7 +279,7 @@ class TestMomentRecurrence:
 
     def test_unsupported_order(self):
         params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=0.5, s=2)
-        with pytest.raises(UnsupportedOrderError):
+        with pytest.raises(DomainError, match="i must be <= 2, got 3"):
             moment_recurrence(params, 3, 0.5)
 
 
