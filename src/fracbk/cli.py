@@ -190,14 +190,16 @@ def _cmd_bounds(args) -> str:
         raise DomainError("--M and --kappa must be supplied together")
     zs = _parse_axis(args.z)
     params = _params(args)
-    et = error_table(params, f, zs, order=args.order)
-    meta = (f"bounds fn={args.fn}", _meta_params(params), f"grid={args.grid} order={args.order}")
-    rows = tuple(
-        (z, err, bound_t2(params, f, z, grid_n=args.grid),
+    # the bounds first: they check --grid before the error table is built
+    bounds = [
+        (bound_t2(params, f, z, grid_n=args.grid),
          "" if args.M is None else bound_lipschitz(params, args.M, args.kappa, z),
          "" if args.C is None else bound_kfunctional(params, f, z, args.C, grid_n=args.grid))
-        for z, _exact, _approx, err in et.rows
-    )
+        for z in zs
+    ]
+    et = error_table(params, f, zs, order=args.order)
+    meta = (f"bounds fn={args.fn}", _meta_params(params), f"grid={args.grid} order={args.order}")
+    rows = tuple((z, err, *bound) for (z, _exact, _approx, err), bound in zip(et.rows, bounds))
     columns = ("z", "actual_error", "bound_t2", "bound_lipschitz", "bound_kfunctional")
     return to_csv(Dataset(meta, columns, rows))
 

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -61,8 +62,11 @@ def check_real(name: str, value, low: float = 0.0, high: float = math.inf, close
 
 def check_points(zs, name: str = "z") -> np.ndarray:
     """The points as a 1-D float array, rejecting NaN and points off [0, 1]
-    as values of the variable `name`."""
-    zs = np.asarray(zs, dtype=float).reshape(-1)
+    as values of the variable `name`, and anything numpy cannot convert."""
+    try:
+        zs = np.asarray(zs, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be real numbers, got {reprlib.repr(zs)}") from exc
     # min and max carry a NaN through, so this also rejects NaN
     if zs.size and not (0.0 <= zs.min() and zs.max() <= 1.0):
         bad = zs[~((zs >= 0.0) & (zs <= 1.0))]

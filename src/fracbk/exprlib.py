@@ -228,6 +228,17 @@ def free_variables(expr: FunctionExpr) -> frozenset[str]:
     return frozenset(node.name for node in _walk(expr.root) if isinstance(node, Var))
 
 
+def _substitute(node: Node, mapping: dict) -> Node:
+    """node with each subtree that is a key of mapping replaced by its value."""
+    if node in mapping:
+        return mapping[node]
+    if isinstance(node, Neg):
+        return Neg(_substitute(node.operand, mapping))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _substitute(node.left, mapping), _substitute(node.right, mapping))
+    return Call(node.func, _substitute(node.arg, mapping)) if isinstance(node, Call) else node
+
+
 _CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
 
 
@@ -398,6 +409,14 @@ def enclose(expr: FunctionExpr, z_cells, y_cells=None) -> tuple[np.ndarray, np.n
     return np.broadcast_to(lo, shape).astype(float), np.broadcast_to(hi, shape).astype(float)
 
 
+def _cell_signs(expr: FunctionExpr, z_cells, y_cells=None) -> np.ndarray:
+    """The sign of the expression on each cell, as enclose takes cells: +1
+    or -1 where its enclosure is bounded and keeps that sign, and 0 where
+    the enclosure holds 0 or is unbounded (where abs of it may kink)."""
+    lo, hi = enclose(expr, z_cells, y_cells)
+    return ((lo > 0.0) & (hi < math.inf)).astype(np.int8) - ((hi < 0.0) & (lo > -math.inf))
+
+
 _ZERO, _ONE = Num(0.0), Num(1.0)
 _MAX_DERIVATIVE_NODES = 2000
 
@@ -555,7 +574,9 @@ def separate(expr: FunctionExpr) -> tuple[tuple[FunctionExpr, FunctionExpr], ...
     concatenate the terms, unary minus negates them, * multiplies them out,
     / by a subtree of one variable divides that variable's factors, and a
     power 1..16 of a mixed base multiplies it out.  Anything else of both
-    variables (abs(z-y), sin(z*y), (z+y)^0.5) gives None.  Pure-z terms
+    variables (abs(z-y), sin(z*y), (z+y)^0.5) gives None; abs(z-y)
+    separates only cell by cell, as z-y or y-z on each cell that
+    _cell_signs gives a sign (see operator_biv).  Pure-z terms
     merge into one, pure-y terms into another, terms with the same z-factor
     into one, and more than 16 terms give None.
     """

@@ -339,6 +339,15 @@ class TestBounds:
         assert err.startswith(f"fracbk: error: grid_n must be <= 65536, got {grid}")
         assert len(err.splitlines()) == 1
 
+    def test_bad_grid_exits_before_the_error_table(self, capsys, monkeypatch):
+        # the whole error table was built first: 2.2 s at m = 100000 on 1,001 points
+        calls = []
+        monkeypatch.setattr(fracbk.cli, "error_table", lambda *args, **kwargs: calls.append(args))
+        code, out, err = run_cli(capsys, "bounds", "--m", "100000", "--fn", "f1",
+                                 "--z", "0:1:1001", "--grid", "5")
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("fracbk: error: grid_n must be >= 101, got 5")
+
     def test_grid_at_the_cap_runs(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--m", "20", "--fn", "f1",
                                "--z", "0:1:3", "--C", "2", "--grid", "65536")

@@ -13,7 +13,7 @@ from fracbk import (
     get_function,
     parse_source,
 )
-from fracbk.exprlib import Num, _eval_node, enclose, free_variables, parse, second_derivative, separate, tokenize
+from fracbk.exprlib import Num, _cell_signs, _eval_node, enclose, free_variables, parse, second_derivative, separate, tokenize
 
 from conftest import expression_texts
 
@@ -297,6 +297,20 @@ class TestEnclose:
         lo, hi = enclose(parse_source("z*y"), (u[:-1, None], u[1:, None]), (u[None, :-1], u[None, 1:]))
         assert lo.shape == hi.shape == (4, 4)
         assert np.all(lo <= np.outer(u[:-1], u[:-1])) and np.all(hi >= np.outer(u[1:], u[1:]))
+
+    def test_cell_signs(self):
+        # on one axis, the kinks of abs(g) lie in the cells of sign 0, and a
+        # cell where g is unbounded (or only bounded on one side) has sign 0
+        cells = (np.array([0.0, 0.25, 0.5, 0.9]), np.array([0.25, 0.5, 0.9, 1.0]))
+        assert _cell_signs(parse_source("z-0.3"), cells).tolist() == [-1, 0, 1, 1]
+        assert _cell_signs(parse_source("1/(z-0.7)"), cells).tolist() == [-1, -1, 0, 1]
+        assert _cell_signs(parse_source("exp(1000*z)-1"), cells).tolist() == [0, 1, 0, 0]
+        # on two: z - y keeps its sign off the diagonal cells and their
+        # neighbours, which share a corner of the diagonal
+        u = np.linspace(0.0, 1.0, 9)
+        signs = _cell_signs(parse_source("z-y"), (u[:-1, None], u[1:, None]), (u[None, :-1], u[None, 1:]))
+        d = np.subtract.outer(np.arange(8), np.arange(8))
+        assert signs.dtype == np.int8 and np.array_equal(signs, np.sign(d) * (abs(d) >= 2))
 
     def test_y_without_y_cells_rejected(self):
         with pytest.raises(EvaluationError):

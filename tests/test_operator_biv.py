@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fracbk import (
@@ -42,7 +43,7 @@ from fracbk import (
 from fracbk import error_analysis, operator_biv, operator_uni
 from fracbk.error_analysis import _enclosed_modulus, _run_range, _shift_count
 from fracbk.exprlib import separate
-from fracbk.operator_uni import eval_function
+from fracbk.operator_uni import DEFAULT_ORDER, eval_function
 from fracbk.quadrature import _kernel_rule
 
 from conftest import draw_params, expression_texts
@@ -162,6 +163,15 @@ def _extended_tensor_sum(bp, F, order=64):
 
 
 _TWO_VARIABLE = expression_texts(max_leaves=6, variables=("z", "y"))
+_G = st.builds("({})*({})+({})".format, _TWO_VARIABLE, _TWO_VARIABLE, _TWO_VARIABLE)
+
+
+def _scale(bp, F):
+    """sum_r max|K[a_r]| max|K[b_r]| over the terms of F: the size of the
+    outer products whose sum the separated kernel rounds."""
+    return sum(np.max(np.abs(kernel_integrals(bp.px, a).values))
+               * np.max(np.abs(kernel_integrals(bp.py, lambda t: evaluate(b, t, t)).values))
+               for a, b in separate(F))
 
 
 class TestSeparatedKernel:
@@ -169,12 +179,10 @@ class TestSeparatedKernel:
     the per-row loop, which a callable wrapping F always takes."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(st.builds("({})*({})+({})".format, _TWO_VARIABLE, _TWO_VARIABLE, _TWO_VARIABLE),
-           st.integers(1, 12), st.integers(1, 12))
+    @given(_G, st.integers(1, 12), st.integers(1, 12))
     def test_matches_the_row_loop(self, src, m1, m2):
         F = parse_source(src)
-        terms = separate(F)
-        if terms is None:
+        if separate(F) is None:
             return
         bp = BivariateParams(OperatorParams(m1, 1.5, 2.3, 0.4, 2), OperatorParams(m2, 3.0, 1.0, 0.7, 3))
         outcomes = []
@@ -187,9 +195,7 @@ class TestSeparatedKernel:
         if isinstance(separated, type) or isinstance(looped, type):
             assert separated is looped, src
             return
-        scale = sum(np.max(np.abs(kernel_integrals(bp.px, a).values))
-                    * np.max(np.abs(kernel_integrals(bp.py, lambda t: evaluate(b, t, t)).values))
-                    for a, b in terms)
+        scale = _scale(bp, F)
         # the loop rounds F's intermediate values, which may dwarf its
         # factors' kernel integrals ((y/y-3/z)*(z/z)+3/z is off by 2.6e-7
         # near z = 0): held to a long double sum, the separated V may miss
@@ -199,8 +205,11 @@ class TestSeparatedKernel:
         loop_error = float(np.max(np.abs(looped - exact)))
         assert float(np.max(np.abs(separated - exact))) <= 1e-14 * scale + loop_error, src
 
-    @pytest.mark.parametrize("src", ["abs(z-y)", "sin(z*y)", "(z+y)^0.5"])
+    @pytest.mark.parametrize("src", ["sin(z*y)", "(z+y)^0.5", "abs(z-y)+abs(z-2*y)+abs(y-z*z)",
+                                     "abs(sin(z*y))", "abs(abs(z-y)-0.5)"])
     def test_inseparable_expression_takes_the_loop_bit_for_bit(self, src):
+        # three abs arguments, an argument that does not separate and a
+        # nested abs keep the loop on every cell
         bp = make_biv(mx=7, my=4, gamma=2.3)
         F = parse_source(src)
         looped = biv_kernel_integrals(bp, lambda z, y: evaluate(F, z, y)).values
@@ -211,6 +220,83 @@ class TestSeparatedKernel:
         ("exp(400*z)*exp(400*y)", QuadratureError),  # only the product does
         ("exp(800*z)*(y/(y-y))", EvaluationError),  # the loop fails in its first row
         ("(z-z)*exp(800*y)", EvaluationError),  # 0 * inf in the loop
+    ])
+    def test_failures_are_the_loops(self, src, error):
+        bp = make_biv(mx=5, my=5)
+        F = parse_source(src)
+        for f in (F, lambda z, y: evaluate(F, z, y)):
+            with pytest.raises(FracbkError) as info:
+                biv_kernel_integrals(bp, f)
+            assert type(info.value) is error
+
+
+# abs(g), g of the form of TestSeparatedKernel's expressions, next to any
+# two-variable text h
+_ABS_OF_SEPARABLE = st.one_of(
+    st.builds("abs({})".format, _G),
+    st.builds("abs({})+({})".format, _G, _TWO_VARIABLE),
+    st.builds("abs({})*abs({})".format, _G, _G),
+)
+
+
+class TestSignResolvedKernel:
+    """abs(g) of a separable g of z and y: the separated kernel of +-g on
+    the tensor cells where g keeps one sign, the row loop on the others."""
+
+    # most drawn texts separate, or keep no sign on any cell: only the
+    # others count, about one in six
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(_ABS_OF_SEPARABLE, st.integers(1, 12), st.integers(1, 12))
+    def test_matches_the_row_loop(self, src, m1, m2):
+        F = parse_source(src)
+        bp = BivariateParams(OperatorParams(m1, 1.5, 2.3, 0.4, 2), OperatorParams(m2, 3.0, 1.0, 0.7, 3))
+        assume(separate(F) is None and not operator_biv._sign_resolved(bp, F, DEFAULT_ORDER)[1].all())
+        resolved, separated = [], operator_biv._separated
+
+        def recording(bp, G, order):  # the sign patterns' expressions that separate
+            values = separated(bp, G, order)
+            if values is not None:
+                resolved.append(G)
+            return values
+
+        outcomes = []
+        with mock.patch.object(operator_biv, "_separated", recording):
+            for f in (F, lambda z, y: evaluate(F, z, y)):
+                try:
+                    outcomes.append(biv_kernel_integrals(bp, f).values)
+                except FracbkError as exc:
+                    outcomes.append(type(exc))
+        signed, looped = outcomes
+        if isinstance(signed, type) or isinstance(looped, type):
+            assert signed is looped, src
+            return
+        # the bound of TestSeparatedKernel, with the largest scale of the
+        # sign patterns' separated kernels
+        scale = max((_scale(bp, G) for G in resolved), default=0.0)
+        with np.errstate(all="ignore"):
+            exact = _extended_tensor_sum(bp, F)
+        loop_error = float(np.max(np.abs(looped - exact)))
+        assert float(np.max(np.abs(signed - exact))) <= 1e-14 * scale + loop_error, src
+
+    @pytest.mark.parametrize("m", [15, 120])
+    def test_mixed_cells_are_the_loops_bit_for_bit(self, m):
+        p = OperatorParams(m, 2.0, 2.3, 0.6, 3)
+        bp, F = BivariateParams(p, OperatorParams(m, 1.5, 3.0, 0.8, 2)), parse_source("abs(z-y)")
+        rest = operator_biv._sign_resolved(bp, F, DEFAULT_ORDER)[1]
+        assert 0 < rest.sum() <= 3 * (m + 1)  # the cells along the diagonal
+        signed = biv_kernel_integrals(bp, F).values
+        looped = biv_kernel_integrals(bp, lambda z, y: evaluate(F, z, y)).values
+        assert np.array_equal(signed[rest], looped[rest])
+        assert np.max(np.abs(signed - looped)) <= 1e-14 * np.max(np.abs(looped))
+
+    @pytest.mark.parametrize("src, error", [
+        ("exp(800*z)*abs(z-y+2)", QuadratureError),  # a factor overflows
+        ("exp(400*z)*exp(400*y)*abs(z-y)", QuadratureError),  # only the product does
+        ("abs(z-y)*(y/(y-y))", EvaluationError),  # the loop fails in its first row
+        ("(z-z)*exp(800*y)*abs(z-y)", EvaluationError),  # 0 * inf in the loop
+        ("exp(800*z)*abs(z-y)", EvaluationError),  # inf * 0 at nodes on the diagonal
+        ("abs(z-y)*abs(z-2*y)*sqrt(0.5-z)", EvaluationError),  # a later row, on signed cells
     ])
     def test_failures_are_the_loops(self, src, error):
         bp = make_biv(mx=5, my=5)
@@ -530,6 +616,9 @@ class TestBivariateBounds:
             assert bound_complete(bp, F, z, y) + 1e-9 >= actual
 
 
+_F1, _G1 = get_function("f1"), get_function("g1")
+
+
 @pytest.mark.parametrize("call", [
     lambda bp, F: apply_biv(bp, F, 0.5, 2.0),
     lambda bp, F: apply_biv_kernel(biv_kernel_integrals(bp, F), 0.5, 2.0),
@@ -544,6 +633,19 @@ def test_a_bad_y_point_is_reported_as_y(call):
     # these said "z must lie in [0, 1]" of a y point
     with pytest.raises(DomainError, match=r"^y must lie in \[0, 1\], got "):
         call(make_biv(mx=3, my=3), parse_source("z*y"))
+
+
+@pytest.mark.parametrize("points", ["x", [[0.1], [0.2, 0.3]], 1j], ids=["text", "ragged", "complex"])
+@pytest.mark.parametrize("call, name", [
+    (lambda bp, v: basis_row(bp.px, v), "z"),
+    (lambda bp, v: operator_uni.operator_values(kernel_integrals(bp.px, _F1), v), "z"),
+    (lambda bp, v: apply(bp.px, _F1, v), "z"),
+    (lambda bp, v: surface_values(bp, _G1, [0.5], v), "y"),
+], ids=["basis_row", "operator_values", "apply", "surface_values"])
+def test_points_numpy_cannot_convert_are_a_domain_error(call, name, points):
+    # these raised numpy's own ValueError or TypeError
+    with pytest.raises(DomainError, match=rf"^{name} must be real numbers, got "):
+        call(make_biv(mx=3, my=3), points)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -569,7 +671,6 @@ def test_a_bad_point_reaches_no_kernel(monkeypatch, call, name):
 
 # Every function of one point, as (call of the bivariate parameters and a
 # point, the variable the point is passed as); the other variable is 0.4.
-_F1, _G1 = get_function("f1"), get_function("g1")
 _ONE_POINT = {
     "bernstein_row": (lambda bp, v: bernstein_row(5, v), "z"),
     "basis_row": (lambda bp, v: basis_row(bp.px, v).weights, "z"),
