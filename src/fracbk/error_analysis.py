@@ -13,18 +13,20 @@ Interval enclosures (exprlib.enclose) of f on equal cells per axis give,
 for a run of cells, an interval holding every value f takes there, and any
 two points closer than delta along an axis lie in one run of
 ceil(delta/h) + 1 cells of width h along it.  The enclosures are built
-once per expression, cell count and number of axes, checked against f at
-the cell corners, and kept in a small cache; on one axis they are also
-merged pairwise into coarser levels, so that a large radius reads a short
-array; runs of at least 128 cells read them, so they keep the maxima of
-their 128-cell runs.  Each level also keeps the run ranges it has given,
-keyed by (runs, axes) with runs clipped to the axis length, so a repeated
-radius reads a dict: the values are the ones the engine would recompute,
-and they leave with the cache entry.  The two-axis moduli evaluate F at
-the cell corners and check them once more on every call, so that a traced
-run counts those evaluations.  omega_2 is at most delta^2 * sup |f''| (a
-symbolic second derivative, enclosed on fewer cells) and at most twice
-omega.
+8,192 cells at a time, once per expression, cell count and number of axes,
+checked against f at the cell corners, and kept in a small cache; on one
+axis they are also merged pairwise into coarser levels, so that a large
+radius reads a short array; runs of at least 128 cells read them, so they
+keep the maxima of their 128-cell runs, and shorter runs read the last
+expression's finest level as its 4-, 16- or 64-cell maxima.  Each level
+keeps the run ranges it has given, keyed by (runs, axes) with runs clipped
+to the axis length, so a repeated radius reads a dict: the values are the
+ones the engine would recompute, and they leave with the cache entry.  The
+two-axis moduli evaluate F at the cell corners and check them once more on
+every call, so that a traced run counts those evaluations.  omega_2 is at
+most delta^2 * sup |f''| (a symbolic second derivative, enclosed on fewer
+cells) and at most twice omega, whose pass is skipped where the runs
+through the widest cell alone make twice omega reach the first.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ _SECOND_CELLS = 1 << 12
 # A modulus reads the coarsest merged level on which its runs still span at
 # least this many cells, so a run is at most 2/_RUN_CELLS longer than delta.
 _RUN_CELLS = 128
+# Cells per enclose call in _levels: its 64 KiB temporaries reuse freed pages
+_CHUNK_CELLS = 1 << 13
 # _SHIFT_EPS and _shift_count give the grid shifts at radius delta on
 # grid_n points.  No modulus reads them: they stay only because the
 # benchmark tracer (bench/tracing.py) counts shifts with _shift_count.
@@ -162,15 +166,22 @@ def _resolution(f, grid_n: int | None) -> int:
 @functools.lru_cache(maxsize=8)
 def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
     """(values, width, ranges) per level: read-only enclosures ends = (hi, -lo)
-    of f on `cells` equal cells per axis of [0, 1]^ndim, checked against f
-    at the cell corners, then, on one axis, while at least 2*_RUN_CELLS
-    remain, the maxima of the _RUN_CELLS-cell runs of pairwise merged cells
-    (an odd last cell stays alone), all in one array, each table in one
-    _window_max pass over at most _RESOLUTION / 2 merged cells (512 KiB of
-    ends); ranges holds the level's _run_range values by (runs, axes)."""
+    of f on `cells` equal cells per axis of [0, 1]^ndim, enclosed
+    _CHUNK_CELLS cells (whole rows of the first axis) at a time, which gives
+    one call's ends as every interval operation works cell by cell, and
+    checked against f at the cell corners; then, on one axis, while at
+    least 2*_RUN_CELLS remain, the maxima of the _RUN_CELLS-cell runs of
+    pairwise merged cells (an odd last cell stays alone), all in one array,
+    each table in one _window_max pass over at most _RESOLUTION / 2 merged
+    cells (512 KiB of ends); ranges holds the level's _run_range values by
+    (runs, axes), and its _peak_range entry under None."""
     u = np.linspace(0.0, 1.0, cells + 1)
-    lo, hi = enclose(f, *((_on_axis(u[:-1], i, ndim), _on_axis(u[1:], i, ndim)) for i in range(ndim)))
-    ends = np.stack((hi, -lo))
+    ends = np.empty((2,) + (cells,) * ndim)
+    rows = max(_CHUNK_CELLS // cells ** (ndim - 1), 1)
+    for i in range(0, cells, rows):
+        cuts = [u[i : i + rows + 1]] + [u] * (ndim - 1)
+        lo, hi = enclose(f, *((_on_axis(c[:-1], k, ndim), _on_axis(c[1:], k, ndim)) for k, c in enumerate(cuts)))
+        ends[0, i : i + rows], ends[1, i : i + rows] = hi, -lo
     ends.setflags(write=False)
     _check_corners(f, ends)
     levels = [(ends, float(np.min(np.diff(u))), {})]
@@ -190,12 +201,38 @@ def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
     return tuple(levels)
 
 
-def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes) -> float:
+@functools.lru_cache(maxsize=1)
+def _finest_tables(f: FunctionExpr, cells: int) -> dict:
+    """The tables of 4-, 16- and 64-cell maxima of the finest one-axis level
+    of _levels, as in _window_max, by span: read-only, and kept for the last
+    (f, cells) only (3 MiB at 65,536 cells)."""
+    tables, table = {}, _levels(f, cells, 1)[0][0]
+    for span in (4, 16, 64):
+        table = tables[span] = _window_max(table, span, -1, span // 4)
+        table.setflags(write=False)
+    return tables
+
+
+def _peak_range(values: np.ndarray, ranges: dict, runs: int, axes, span: int) -> float:
+    """The largest range over the runs through the level's peak entry (its
+    largest hi - lo, kept in ranges under None): at most its run range."""
+    if None not in ranges:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ranges[None] = int(np.argmax(values[0] + values[1]))
+    start = max(ranges[None] - runs + span, 0)
+    return _run_range(values[:, start : start + 2 * (runs - span) + 1], runs, axes, span)
+
+
+def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes, cap: float = math.inf) -> float:
     """Upper bound on |f(v) - f(u)| over points u, v closer than delta along
     each of axes, on the coarsest level whose runs still span _RUN_CELLS
     cells at delta (or the finest): on cells at least `width` wide (the
     last may be narrower) such points lie in one run of ceil(delta/width)
-    + 1 cells per axis, and the run range bounds the difference."""
+    + 1 cells per axis, and the run range bounds the difference.  The
+    finest one-axis level is read as its _finest_tables table of the largest
+    span up to the run.  With a finite cap (one axis only), a miss returns
+    the lower _peak_range value where twice it reaches cap, as min(cap,
+    twice either value) is then cap."""
     levels = _levels(f, cells, ndim)
     if delta == 0.0:
         return 0.0
@@ -203,6 +240,13 @@ def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes
     (values, width, ranges), span = levels[index], (_RUN_CELLS if index else 1)
     key = (min(math.ceil(min(delta, 2.0) / width * (1.0 + 2.0**-40)) + 1, values.shape[-1] + span - 1), axes)
     if key not in ranges:
+        if cap < math.inf:
+            low = math.nextafter(_peak_range(values, ranges, *key, span), math.inf)
+            if 2.0 * low >= cap:
+                return low
+        if ndim == 1 and not index and key[0] >= 4:
+            span = max(s for s in (4, 16, 64) if s <= key[0])
+            values = _finest_tables(f, cells)[span]
         ranges[key] = _run_range(values, *key, span)
     value = ranges[key]
     return math.inf if math.isnan(value) else math.nextafter(value, math.inf)
@@ -243,7 +287,7 @@ def second_modulus(f, delta: float, grid_n: int | None = None) -> ModulusEstimat
     # roundings, an underflow to 0 included
     t = d * (d * s)
     curvature = t + 4.0 * math.ulp(t) if s else 0.0
-    return ModulusEstimate(delta, min(curvature, 2.0 * _enclosed_modulus(f, d, n, 1, (-1,))), n)
+    return ModulusEstimate(delta, min(curvature, 2.0 * _enclosed_modulus(f, d, n, 1, (-1,), curvature)), n)
 
 
 def partial_moduli(F, d1: float, d2: float) -> tuple[float, float]:

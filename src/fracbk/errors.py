@@ -64,6 +64,8 @@ def check_points(zs, name: str = "z") -> np.ndarray:
     """The points as a 1-D float array, rejecting NaN and points off [0, 1]
     as values of the variable `name`, and anything numpy cannot convert."""
     try:
+        if np.iscomplexobj(zs):  # numpy would drop the imaginary part with a warning
+            raise TypeError("complex points")
         zs = np.asarray(zs, dtype=float).reshape(-1)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be real numbers, got {reprlib.repr(zs)}") from exc

@@ -356,6 +356,31 @@ class TestBounds:
         assert len(csv_rows(out)[1]) == 3
 
 
+# Bound columns of `fracbk bounds ... --grid 65536 --M 1 --kappa 1 --C 2`,
+# written before the finest enclosure level was read through tables of
+# 4-, 16- and 64-cell maxima; actual_error is left out (its last bits follow
+# the BLAS thread count).  The expressions are enclosed with +, -, *, /,
+# abs and sqrt only, which IEEE rounds the same on every CPU.
+GOLDEN_BOUNDS = {
+    "bounds_f3_m30": ("--m", "30", "--fn", "f3", "--z", "0:1:41"),
+    "bounds_f4_m100000": ("--m", "100000", "--fn", "f4", "--z", "0:1:41"),
+    "bounds_abs_m3000": ("--m", "3000", "--eta", "2", "--gamma", "3", "--alpha", "0.9",
+                         "--fn", "abs(z-0.37)", "--z", "0:1:41"),
+    "bounds_sqrt_m100000": ("--m", "100000", "--fn", "sqrt(z)", "--z", "0:1:41"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BOUNDS))
+def test_bound_columns_match_the_golden_csv(capsys, name):
+    code, out, _ = run_cli(capsys, "bounds", *GOLDEN_BOUNDS[name], "--grid", "65536",
+                           "--M", "1", "--kappa", "1", "--C", "2")
+    assert code == 0
+    lines = [line if line.startswith("#") else ",".join(np.delete(line.split(","), 1))
+             for line in out.splitlines()]
+    golden = Path(__file__).parent / "golden" / f"{name}.csv"
+    assert "\n".join(lines) + "\n" == golden.read_text()
+
+
 class TestBivEval:
     def test_known_cell(self, capsys):
         code, out, _ = run_cli(

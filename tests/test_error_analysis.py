@@ -3,6 +3,8 @@ import itertools
 import math
 import tracemalloc
 import warnings
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +40,8 @@ from fracbk import (
 from conftest import draw_params, expression_texts
 from fracbk import error_analysis
 from fracbk.basis import _BLOCK_ELEMENTS
-from fracbk.error_analysis import _levels, _run_range, _shift_count
+from fracbk.error_analysis import _finest_tables, _levels, _run_range, _shift_count
+from fracbk.exprlib import enclose
 from oracles import second_difference_max, window_max, window_range
 
 
@@ -361,6 +364,111 @@ class TestMergedLevels:
                 runs = min(math.ceil(min(delta, 2.0) / w * (1.0 + 2.0**-40)) + 1, on.shape[-1])
                 expected = math.nextafter(window_range(on[0], -on[1], runs, (-1,)), math.inf)
                 assert modulus_continuity(f, delta, cells).value == expected, (k, delta)
+
+
+def _tables_of(ends):
+    """The tables _finest_tables builds on a finest level holding ends."""
+    with mock.patch.object(error_analysis, "_levels", lambda f, cells, ndim: ((ends, 1.0, {}),)):
+        return _finest_tables.__wrapped__(None, ends.shape[-1])
+
+
+class TestFinestTables:
+    """The finest one-axis level is read through its table of 4-, 16- or
+    64-cell maxima: the same sparse-table passes from a later start, so the
+    run range is the raw level's bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(64, 3000), st.integers(0, 2**32 - 1), st.booleans(),
+           st.lists(st.tuples(st.integers(0, 1), st.floats(0.0, 1.0, exclude_max=True),
+                              st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])), max_size=6),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    def test_tables_read_as_the_raw_level(self, n, seed, plateaus, specials, fractions):
+        rng = np.random.default_rng(seed)
+        # plateaus: long runs of equal entries, zeros of both signs among them
+        ends = np.repeat(rng.choice([-1.0, -0.0, 0.0, 2.0], (2, n // 8 + 1)), 8, axis=1)[:, :n] if plateaus \
+            else rng.standard_normal((2, n))
+        for row, at, value in specials:
+            ends[row, int(at * n)] = value
+        tables = _tables_of(ends)
+        assert sorted(tables) == [4, 16, 64]
+        for span in (4, 16, 64):
+            assert not tables[span].flags.writeable and tables[span].shape == (2, n - span + 1)
+        for runs in sorted({4, 15, 16, 63, 64, 65, n} | {4 + int(x * (n - 4)) for x in fractions}):
+            raw = repr(_run_range(ends, runs, (-1,)))
+            for span in (s for s in (4, 16, 64) if s <= runs):
+                assert repr(_run_range(tables[span], runs, (-1,), span)) == raw, (runs, span)
+
+    def test_largest_span_up_to_the_run_and_one_set_of_tables(self, monkeypatch):
+        read, engine = [], error_analysis._run_range
+        monkeypatch.setattr(error_analysis, "_run_range", lambda values, runs, axes, span=1:
+                            read.append((runs, span, values.shape[-1])) or engine(values, runs, axes, span))
+        f, g = parse_source("sin(9*z) + z"), parse_source("cos(9*z) - z")
+        expected = [(3, 1), (4, 4), (15, 4), (16, 16), (63, 16), (64, 64), (129, 64)]
+        for runs, _span in expected:
+            modulus_continuity(f, (runs - 1.5) / 65536)  # runs - 1.5 cell widths: `runs` cells
+        assert read == [(runs, span, 65537 - span) for runs, span in expected]
+        tables = weakref.ref(_finest_tables(f, 65536)[64])
+        modulus_continuity(g, 10 / 65536)
+        assert tables() is None  # f's tables left with g's query
+        assert _finest_tables.cache_info().currsize == 1
+
+
+_ONE_AXIS = ["sin(7*z)*cos(3*z)", "exp(2*z)/(1+z)", "sqrt(z) + abs(z-0.37)", "(z-0.2)^3 - 4*z^2",
+             "(z+0.5)^0.7 - (1+z)^-1.5"]
+_TWO_AXES = ["sin(7*z*y)*cos(3*y)", "exp(z-y)/(1+z*y)", "sqrt(z*y) + abs(z-y)", "(z-y)^3 - 4*z^2*y",
+             "(z+y+0.5)^0.7 - (1+z)^-1.5*y"]
+
+
+class TestChunkedLevels:
+    """_levels encloses its finest level in chunks of rows of the first cell
+    axis; every interval operation works cell by cell, so the ends are
+    those of one enclose call on all cells, bit for bit."""
+
+    @pytest.mark.parametrize("source, ndim, cells", [
+        *((s, 1, cells) for s in _ONE_AXIS for cells in (65536, 10001)),
+        *((s, 2, cells) for s in _TWO_AXES for cells in (256, 300)),
+    ])
+    def test_chunks_equal_one_enclose(self, source, ndim, cells):
+        f = parse_source(source)
+        u = np.linspace(0.0, 1.0, cells + 1)
+        z = (u[:-1], u[1:]) if ndim == 1 else (u[:-1, None], u[1:, None])
+        lo, hi = enclose(f, z, *[(u[:-1], u[1:])][: ndim - 1])
+        ends = _levels(f, cells, ndim)[0][0]
+        assert ends.shape == (2,) + (cells,) * ndim
+        assert ends.tobytes() == np.stack((hi, -lo)).tobytes()
+
+
+class TestCurvatureSkip:
+    """omega_2 is min(curvature, 2*omega): where the runs through the
+    level's peak entry already make twice omega reach the curvature, the
+    full pass is skipped, and the value is the one it would give."""
+
+    @staticmethod
+    def _fresh(f, delta, grid_n):
+        try:
+            for _values, _width, ranges in _levels(f, grid_n or 65536, 1):
+                ranges.clear()
+            return repr(second_modulus(f, delta, grid_n).value)
+        except EvaluationError as exc:
+            return str(exc)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(expression_texts(max_leaves=6), st.one_of(st.floats(0.0, 0.6), st.floats(0.0, 0.003)),
+           st.sampled_from([None, 1000]))
+    def test_equals_the_full_pass(self, src, delta, grid_n):
+        f = parse_source(src)
+        skipped = self._fresh(f, delta, grid_n)
+        with mock.patch.object(error_analysis, "_peak_range", lambda *args: math.nan):
+            assert self._fresh(f, delta, grid_n) == skipped, src
+
+    @pytest.mark.parametrize("source", ["f3", "f4", "exp(z)*sin(5*z)"])
+    @pytest.mark.parametrize("delta", [0.0005, 0.01, 0.1])
+    def test_skips_where_the_curvature_wins(self, source, delta):
+        f = get_function(source)
+        skipped = self._fresh(f, delta, None)
+        assert all(set(ranges) <= {None} for _values, _width, ranges in _levels(f, 65536, 1))
+        with mock.patch.object(error_analysis, "_peak_range", lambda *args: math.nan):
+            assert self._fresh(f, delta, None) == skipped
 
 
 def test_warm_modulus_temporaries_stay_bounded():

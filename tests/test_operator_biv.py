@@ -635,7 +635,8 @@ def test_a_bad_y_point_is_reported_as_y(call):
         call(make_biv(mx=3, my=3), parse_source("z*y"))
 
 
-@pytest.mark.parametrize("points", ["x", [[0.1], [0.2, 0.3]], 1j], ids=["text", "ragged", "complex"])
+@pytest.mark.parametrize("points", ["x", [[0.1], [0.2, 0.3]], 1j, np.array([0.5 + 1j]), np.array([0.5 + 0j])],
+                         ids=["text", "ragged", "complex", "complex-array", "complex-array-real-valued"])
 @pytest.mark.parametrize("call, name", [
     (lambda bp, v: basis_row(bp.px, v), "z"),
     (lambda bp, v: operator_uni.operator_values(kernel_integrals(bp.px, _F1), v), "z"),
@@ -643,7 +644,8 @@ def test_a_bad_y_point_is_reported_as_y(call):
     (lambda bp, v: surface_values(bp, _G1, [0.5], v), "y"),
 ], ids=["basis_row", "operator_values", "apply", "surface_values"])
 def test_points_numpy_cannot_convert_are_a_domain_error(call, name, points):
-    # these raised numpy's own ValueError or TypeError
+    # these raised numpy's own ValueError or TypeError; a complex array lost
+    # its imaginary part with only a ComplexWarning
     with pytest.raises(DomainError, match=rf"^{name} must be real numbers, got "):
         call(make_biv(mx=3, my=3), points)
 
