@@ -2,7 +2,7 @@
 
 Three bounds are available for the univariate operator:
 
-* ``bound_t2``          - second-modulus bound, valid for any continuous f;
+* ``bound_t2``          - 2*omega(f; sqrt(xi2)), a first-modulus bound, valid for any continuous f;
 * ``bound_lipschitz``   - for f in a Holder class with constant M, order kappa;
 * ``bound_kfunctional`` - K-functional form with an explicit constant C.
 

@@ -20,8 +20,7 @@ BUILTINS: dict[str, str] = {
 
 def get_function(name_or_expr: str) -> FunctionExpr:
     """Look up a built-in by name, or parse the string as an expression."""
-    source = BUILTINS.get(name_or_expr, name_or_expr)
-    return parse_source(source)
+    return parse_source(BUILTINS.get(name_or_expr, name_or_expr) if isinstance(name_or_expr, str) else name_or_expr)
 
 
 def is_bivariate(expr: FunctionExpr) -> bool:

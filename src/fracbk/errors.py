@@ -50,9 +50,11 @@ def check_int(name: str, value, low: float = 0, high: float = math.inf):
 
 
 def check_real(name: str, value, low: float = 0.0, high: float = math.inf, closed: bool = False):
-    """value if it is a finite real in (low, high], or [low, high] if closed."""
-    if not (isinstance(value, (float, numbers.Real)) and math.isfinite(value) and value <= high
-            and (low <= value if closed else low < value)):
+    """value if it is a finite real (never a bool) in (low, high], or
+    [low, high] if closed."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (float, numbers.Real)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and value <= high and (low <= value if closed else low < value)):
         bracket, sign = ("[", ">=") if closed else ("(", ">")
         where = f"in {bracket}{low:g}, {high:g}]" if high < math.inf else f"{sign} {low:g}"
         where = {"> 0": "positive", ">= 0": "non-negative"}.get(where, where)

@@ -111,10 +111,11 @@ def compare_rows(fn, m_values, eta, gamma, alpha, s, z_values, order=DEFAULT_ORD
                  bbk_gamma=None):
     """One row per m: the largest error over z_values for each comparator."""
     f = get_function(fn)
+    degrees = [int(check_int("m", m)) for m in m_values]
     return tuple(
-        (int(m), *(error_table(params, f, z_values, order).max_error
-                   for _tag, params in comparator_params(int(m), eta, gamma, alpha, s, bbk_gamma)))
-        for m in m_values
+        (m, *(error_table(params, f, z_values, order).max_error
+              for _tag, params in comparator_params(m, eta, gamma, alpha, s, bbk_gamma)))
+        for m in degrees
     )
 
 

@@ -8,7 +8,8 @@ and associating to the right), unary minus, parentheses, and the calls
 ``sin``, ``cos``, ``exp``, ``sqrt`` and ``abs``.  Evaluation accepts
 scalars or numpy arrays; enclose bounds an expression over cells (interval
 arithmetic), second_derivative differentiates it symbolically, and separate
-splits a function of z and y into a sum of products of one-variable ones.
+splits a function of z and y into a sum of products of one-variable ones
+(separate_cells: cell by cell, where each abs keeps a sign).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError
+from .errors import DomainError, EvaluationError, ParseError
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "sqrt", "abs")
 VARIABLE_NAMES = ("z", "y")
@@ -205,7 +206,10 @@ def parse(tokens: list[Token]) -> FunctionExpr:
 
 
 def parse_source(src: str) -> FunctionExpr:
-    """The expression tree of src; ParseError (with a position) if it is malformed."""
+    """The expression tree of src; ParseError (with a position) if it is
+    malformed, DomainError if it is not a string."""
+    if not isinstance(src, str):
+        raise DomainError(f"expression must be a string, got {src!r}")
     return parse(tokenize(src))
 
 
@@ -574,12 +578,34 @@ def separate(expr: FunctionExpr) -> tuple[tuple[FunctionExpr, FunctionExpr], ...
     concatenate the terms, unary minus negates them, * multiplies them out,
     / by a subtree of one variable divides that variable's factors, and a
     power 1..16 of a mixed base multiplies it out.  Anything else of both
-    variables (abs(z-y), sin(z*y), (z+y)^0.5) gives None; abs(z-y)
-    separates only cell by cell, as z-y or y-z on each cell that
-    _cell_signs gives a sign (see operator_biv).  Pure-z terms
-    merge into one, pure-y terms into another, terms with the same z-factor
-    into one, and more than 16 terms give None.
+    variables (abs(z-y), sin(z*y), (z+y)^0.5) gives None (abs(z-y)
+    separates cell by cell: separate_cells).  Pure-z terms merge into one,
+    pure-y terms into another, terms with the same z-factor into one, and
+    more than 16 terms give None.
     """
     terms = _terms(expr.root)
     return None if terms is None else tuple((FunctionExpr(a), FunctionExpr(b)) for a, b in terms)
+
+
+def separate_cells(expr: FunctionExpr, z_cells, y_cells):
+    """(pieces, rest) on cells as enclose takes them, or None where abs has
+    more than two distinct arguments g of both z and y.  A piece is (cells,
+    terms): on those cells every g keeps a sign s (_cell_signs), and terms
+    is separate() of expr with each abs(g) read as s*g; rest marks the cells
+    where some g may change sign.  Without such a g one piece covers all."""
+    args = tuple(dict.fromkeys(node.arg for node in _walk(expr.root)
+                               if isinstance(node, Call) and node.func == "abs" and len(_vars(node.arg)) == 2))
+    if len(args) > 2:
+        return None
+    if not args:
+        shape = np.broadcast(*z_cells, *y_cells).shape
+        return [(np.ones(shape, dtype=bool), separate(expr))], np.zeros(shape, dtype=bool)
+    signs = np.stack([_cell_signs(FunctionExpr(g), z_cells, y_cells) for g in args])
+    pieces = []
+    for pattern in itertools.product((1, -1), repeat=len(args)):
+        cells = np.all([s == sign for s, sign in zip(signs, pattern)], axis=0)
+        if cells.any():
+            resolved = {Call("abs", g): g if sign > 0 else Neg(g) for g, sign in zip(args, pattern)}
+            pieces.append((cells, separate(FunctionExpr(_substitute(expr.root, resolved)))))
+    return pieces, np.any(signs == 0, axis=0)
 

@@ -5,10 +5,11 @@ every point; a product grid is Bz @ V @ By.T for the basis matrices of its
 axes.  The tensor rule is the product of the two univariate kernel rules, so
 for an expression that is a sum of products a_r(z) b_r(y) (exprlib.separate)
 V is the sum of the outer products of the factors' univariate kernel
-integrals.  abs(g) of a separable g is +-g on the tensor cells where the
-enclosure of g keeps one sign, so such an expression takes those sums
-there; a callable, another inseparable expression, and the cells where g
-may change sign are evaluated on the tensor rule one row of V at a time.
+integrals.  exprlib.separate_cells splits the tensor cells into pieces on
+which every abs(g) of one or two g of z and y is +-g, each with its own
+such sum (an expression without them is one piece); a callable, another
+inseparable expression, and the cells where some g may change sign are
+evaluated on the tensor rule one row of V at a time.
 The error bounds read the partial and complete moduli of continuity, which
 error_analysis computes with the same engine as the univariate moduli (and
 which this module re-exports).
@@ -16,7 +17,6 @@ which this module re-exports).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +25,7 @@ import numpy as np
 from .basis import OperatorParams, basis_matrix, basis_row
 from .error_analysis import ErrorTable, complete_modulus, partial_moduli
 from .errors import DomainError, EvaluationError, QuadratureError, check_point, check_points
-from .exprlib import Call, FunctionExpr, Neg, _cell_signs, _substitute, _walk, evaluate, free_variables, separate
+from .exprlib import FunctionExpr, evaluate, separate_cells
 from .operator_uni import DEFAULT_ORDER, central_moments, eval_function, kernel_integrals, raw_moments
 from .quadrature import _kernel_rule
 
@@ -57,15 +57,10 @@ class BivMoments:
     e02: float
 
 
-def _separated(bp: BivariateParams, F, order: int) -> np.ndarray | None:
-    """sum_r outer(K_z[a_r], K_y[b_r]) for an expression F separated into
-    terms a_r(z) b_r(y); None for a callable, an inseparable expression, or
-    a factor or sum that fails or is not finite, where the per-row loop
-    runs and reports the failure (or has none: a regrouped product may
-    overflow where F does not)."""
-    terms = separate(F) if isinstance(F, FunctionExpr) else None
-    if terms is None:
-        return None
+def _separated(bp: BivariateParams, terms, order: int) -> np.ndarray | None:
+    """sum_r outer(K_z[a_r], K_y[b_r]) over separated terms (a_r, b_r); None
+    where a factor or the sum fails or is not finite, where the loop runs and
+    reports the failure (or has none: a regrouped product may overflow)."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             values = sum(np.outer(kernel_integrals(bp.px, a, order).values,
@@ -76,46 +71,28 @@ def _separated(bp: BivariateParams, F, order: int) -> np.ndarray | None:
     return values if np.all(np.isfinite(values)) else None
 
 
-def _sign_resolved(bp: BivariateParams, F, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(V, rest) for an expression F with abs(g) of one or two distinct g of
-    z and y: V on each tensor cell where every g keeps one sign is the
-    separated kernel of F with each abs(g) as that sign times g, and rest
-    marks the other cells; all cells for any other F, or where the kernel
-    of a sign pattern is not separated (_separated gives None)."""
-    shape = (bp.px.m + 1, bp.py.m + 1)
-    values, rest = np.empty(shape), np.ones(shape, dtype=bool)
-    args = () if not isinstance(F, FunctionExpr) else tuple(dict.fromkeys(
-        node.arg for node in _walk(F.root)
-        if isinstance(node, Call) and node.func == "abs" and len(free_variables(FunctionExpr(node.arg))) == 2))
-    if not 1 <= len(args) <= 2:
-        return values, rest
-    z, y = (np.arange(p.m + 2) / (p.m + 1.0) for p in (bp.px, bp.py))
-    signs = np.stack([_cell_signs(FunctionExpr(g), (z[:-1, None], z[1:, None]), (y[:-1], y[1:])) for g in args])
-    for pattern in itertools.product((1, -1), repeat=len(args)):
-        cells = np.all(signs == np.reshape(pattern, (-1, 1, 1)), axis=0)
-        if cells.any():
-            resolved = {Call("abs", g): g if sign > 0 else Neg(g) for g, sign in zip(args, pattern)}
-            separated = _separated(bp, FunctionExpr(_substitute(F.root, resolved)), order)
-            if separated is None:
-                return values, rest
-            values = np.where(cells, separated, values)
-    return values, np.any(signs == 0, axis=0)
-
-
 def biv_kernel_integrals(bp: BivariateParams, F, order: int = DEFAULT_ORDER) -> BivKernelIntegrals:
     """The (m1+1) x (m2+1) matrix of tensor kernel integrals of F.
 
-    A sum of outer products of univariate kernel integrals where F is an
-    expression that separates into terms a_r(z) b_r(y) (equal to the loop
-    up to rounding), or the same on the cells _sign_resolved gives; F on
-    the tensor rule, one row of V at a time, on the cells that remain.
+    On the cells of each piece of exprlib.separate_cells (every cell for
+    an expression without abs of a function of z and y) a sum of outer
+    products of univariate kernel integrals (equal to the loop up to
+    rounding); F on the tensor rule, one row of V at a time, on the rest,
+    and on every cell for a callable or where a piece is not separated.
     """
-    values = _separated(bp, F, order)
-    if values is None:
-        values, rest = _sign_resolved(bp, F, order)
-        px, py = bp.px, bp.py
-        tg1, w1 = _kernel_rule(px.eta, px.gamma, order)
-        tg2, w2 = _kernel_rule(py.eta, py.gamma, order)
+    px, py = bp.px, bp.py
+    values, rest = np.empty((px.m + 1, py.m + 1)), np.ones((px.m + 1, py.m + 1), dtype=bool)
+    z, y = (np.arange(p.m + 2) / (p.m + 1.0) for p in (px, py))
+    split = separate_cells(F, (z[:-1, None], z[1:, None]), (y[:-1], y[1:])) if isinstance(F, FunctionExpr) else None
+    if split is not None:
+        for cells, terms in split[0]:
+            if terms is None or (separated := _separated(bp, terms, order)) is None:
+                break
+            values = separated if cells.all() else np.where(cells, separated, values)
+        else:
+            rest = split[1]
+    if rest.any():
+        (tg1, w1), (tg2, w2) = (_kernel_rule(p.eta, p.gamma, order) for p in (px, py))
         x_args = (np.arange(px.m + 1)[:, None] + tg1[None, :]) / (px.m + 1.0)
         y_args = (np.arange(py.m + 1)[:, None] + tg2[None, :]) / (py.m + 1.0)
         for j1 in np.flatnonzero(rest.any(axis=1)):

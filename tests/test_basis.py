@@ -57,6 +57,10 @@ class TestOperatorParams:
             {"m": np.float64(5.0)},
             {"m": 2**53},  # m + 1.0 would round
             {"s": np.bool_(True)},
+            {"eta": True},  # built an operator with eta = 1
+            {"gamma": np.bool_(True)},
+            {"alpha": np.True_},  # said "alpha must be in [0, 1] and finite"
+            {"alpha": False},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -4,11 +4,13 @@ import pytest
 from fracbk import (
     BIVARIATE,
     BUILTINS,
+    DomainError,
     UNIVARIATE,
     ParseError,
     evaluate,
     get_function,
     is_bivariate,
+    parse_source,
 )
 
 CLOSURES_UNI = {
@@ -63,6 +65,14 @@ def test_invalid_expression_raises_parse_error():
         get_function("q+1")
     with pytest.raises(ParseError):
         get_function("sin(")
+
+
+@pytest.mark.parametrize("source", [3, None, 2.5, b"z", ["f1"]])
+def test_non_string_source_is_a_domain_error(source):
+    # 3 ended in a raw AttributeError and None in ParseError "empty expression"
+    for read in (get_function, parse_source):
+        with pytest.raises(DomainError, match="expression must be a string"):
+            read(source)
 
 
 def test_is_bivariate():

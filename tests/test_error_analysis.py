@@ -684,6 +684,15 @@ class TestBoundKFunctional:
         with pytest.raises(DomainError, match="C must be non-negative and finite"):
             bound_kfunctional(params, parse_source("sin(3*z)"), 0.5, C)
 
+    @pytest.mark.parametrize("C", [True, np.True_, np.bool_(False)])
+    def test_bool_constant_rejected(self, C):
+        # True was read as C = 1
+        params = OperatorParams(m=10, eta=2.0, gamma=2.0, alpha=0.8, s=2)
+        with pytest.raises(DomainError, match="C must be a real number, got"):
+            bound_kfunctional(params, parse_source("sin(3*z)"), 0.5, C)
+        with pytest.raises(DomainError, match="delta must be a real number, got"):
+            modulus_continuity(parse_source("sin(3*z)"), C)
+
     def test_zero_constant_is_first_modulus(self):
         params = OperatorParams(m=10, eta=2.0, gamma=2.0, alpha=0.8, s=2)
         f = parse_source("sin(3*z)")

@@ -168,6 +168,17 @@ class TestCompareRows:
         assert with_default[0][3] == pytest.approx(with_override[0][3], abs=1e-15)
         assert with_default[0][4] == pytest.approx(with_override[0][4], abs=1e-15)
 
+    @pytest.mark.parametrize("m", [2.5, True, np.float64(3.0), np.bool_(True), "3"])
+    def test_non_integer_degree_rejected(self, m):
+        # 2.5 gave the row of m = 2 and True that of m = 1
+        with pytest.raises(DomainError, match="m must be an int"):
+            compare_rows("f4", [10, m], 2.0, 3.0, 0.9, 2, [0.2])
+
+    def test_numpy_integer_degrees_accepted(self):
+        rows = compare_rows("f4", [np.int64(10), np.int32(20)], 2.0, 3.0, 0.9, 2, [0.2])
+        assert rows == compare_rows("f4", [10, 20], 2.0, 3.0, 0.9, 2, [0.2])
+        assert [type(row[0]) for row in rows] == [int, int]
+
     def test_comparator_tags_match_special_cases(self):
         pairs = comparator_params(12, 2.0, 3.0, 0.9, 3)
         tags = {tag: special_case(p) for tag, p in pairs}

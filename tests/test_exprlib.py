@@ -13,7 +13,10 @@ from fracbk import (
     get_function,
     parse_source,
 )
-from fracbk.exprlib import Num, _cell_signs, _eval_node, enclose, free_variables, parse, second_derivative, separate, tokenize
+from fracbk.exprlib import (
+    Num, _cell_signs, _eval_node, enclose, free_variables, parse, second_derivative, separate, separate_cells,
+    tokenize,
+)
 
 from conftest import expression_texts
 
@@ -401,3 +404,47 @@ class TestSeparate:
         z, y = rng.uniform(0.0, 1.0, 50), rng.uniform(0.0, 1.0, 50)
         total = sum(evaluate(a, z, y) * evaluate(b, z, y) for a, b in terms)
         assert total == pytest.approx(evaluate(F, z, y) + 0.0 * z, rel=1e-13, abs=1e-13)
+
+
+class TestSeparateCells:
+    u = np.linspace(0.0, 1.0, 9)
+    CELLS = ((u[:-1, None], u[1:, None]), (u[None, :-1], u[None, 1:]))
+    D = np.subtract.outer(np.arange(8), np.arange(8))  # z cell minus y cell
+
+    def pieces(self, F):
+        """The pieces of F, checked to be disjoint from its rest."""
+        pieces, rest = separate_cells(F, *self.CELLS)
+        assert not np.any(rest & np.logical_or.reduce([cells for cells, _terms in pieces]))
+        return pieces
+
+    @pytest.mark.parametrize("src", ["z*y", "g1", "abs(z-0.5)*y", "sin(z*y)", "3"])
+    def test_without_abs_of_both_variables_one_piece_covers_every_cell(self, src):
+        F = get_function(src)
+        (cells, terms), = self.pieces(F)
+        assert cells.shape == (8, 8) and cells.all() and terms == separate(F)
+        assert not separate_cells(F, *self.CELLS)[1].any()
+
+    def test_each_sign_of_g_is_one_piece(self):
+        # abs(z-y) is z-y below the diagonal cells and their neighbours,
+        # y-z above them, and keeps no sign on them
+        F = parse_source("2*abs(z-y)")
+        (below, plus), (above, minus) = self.pieces(F)
+        assert np.array_equal(below, self.D >= 2) and np.array_equal(above, self.D <= -2)
+        assert plus == separate(parse_source("2*(z-y)")) and minus == separate(parse_source("2*-(z-y)"))
+        assert np.array_equal(separate_cells(F, *self.CELLS)[1], abs(self.D) <= 1)
+
+    def test_two_g_give_a_piece_per_sign_pattern_that_holds_somewhere(self):
+        F = parse_source("abs(z-y)*abs(z+y-3)")  # z+y-3 < 0 on every cell
+        (below, plus), (above, minus) = self.pieces(F)
+        assert np.array_equal(below, self.D >= 2) and np.array_equal(above, self.D <= -2)
+        assert plus == separate(parse_source("(z-y)*-(z+y-3)"))
+        assert len(self.pieces(parse_source("abs(z-y)+abs(z+y-1)"))) == 4
+
+    def test_a_piece_that_does_not_separate_has_no_terms(self):
+        assert [terms for _cells, terms in self.pieces(parse_source("abs(z-y)+sin(z*y)"))] == [None, None]
+        # the inner abs is not resolved where the outer one is
+        assert {terms for _cells, terms in self.pieces(parse_source("abs(abs(z-y)-0.5)"))} == {None}
+
+    def test_more_than_two_g_give_none(self):
+        assert separate_cells(parse_source("abs(z-y)*abs(z-0.5*y)+abs(2*z-y)"), *self.CELLS) is None
+        assert separate_cells(parse_source("abs(z-y)+abs(2*(z-y))+abs(z-y)"), *self.CELLS) is not None

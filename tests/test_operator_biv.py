@@ -1,3 +1,4 @@
+import contextlib
 import math
 from unittest import mock
 
@@ -42,7 +43,7 @@ from fracbk import (
 
 from fracbk import error_analysis, operator_biv, operator_uni
 from fracbk.error_analysis import _enclosed_modulus, _run_range, _shift_count
-from fracbk.exprlib import separate
+from fracbk.exprlib import separate, separate_cells
 from fracbk.operator_uni import DEFAULT_ORDER, eval_function
 from fracbk.quadrature import _kernel_rule
 
@@ -166,12 +167,19 @@ _TWO_VARIABLE = expression_texts(max_leaves=6, variables=("z", "y"))
 _G = st.builds("({})*({})+({})".format, _TWO_VARIABLE, _TWO_VARIABLE, _TWO_VARIABLE)
 
 
-def _scale(bp, F):
-    """sum_r max|K[a_r]| max|K[b_r]| over the terms of F: the size of the
-    outer products whose sum the separated kernel rounds."""
+def _scale(bp, terms):
+    """sum_r max|K[a_r]| max|K[b_r]| over the terms (a_r, b_r): the size of
+    the outer products whose sum the separated kernel rounds."""
     return sum(np.max(np.abs(kernel_integrals(bp.px, a).values))
                * np.max(np.abs(kernel_integrals(bp.py, lambda t: evaluate(b, t, t)).values))
-               for a, b in separate(F))
+               for a, b in terms)
+
+
+def _tensor_cells(bp):
+    """The tensor cells of bp, as biv_kernel_integrals passes them to
+    separate_cells."""
+    z, y = (np.arange(p.m + 2) / (p.m + 1.0) for p in (bp.px, bp.py))
+    return (z[:-1, None], z[1:, None]), (y[:-1], y[1:])
 
 
 class TestSeparatedKernel:
@@ -195,7 +203,7 @@ class TestSeparatedKernel:
         if isinstance(separated, type) or isinstance(looped, type):
             assert separated is looped, src
             return
-        scale = _scale(bp, F)
+        scale = _scale(bp, separate(F))
         # the loop rounds F's intermediate values, which may dwarf its
         # factors' kernel integrals ((y/y-3/z)*(z/z)+3/z is off by 2.6e-7
         # near z = 0): held to a long double sum, the separated V may miss
@@ -251,29 +259,24 @@ class TestSignResolvedKernel:
     def test_matches_the_row_loop(self, src, m1, m2):
         F = parse_source(src)
         bp = BivariateParams(OperatorParams(m1, 1.5, 2.3, 0.4, 2), OperatorParams(m2, 3.0, 1.0, 0.7, 3))
-        assume(separate(F) is None and not operator_biv._sign_resolved(bp, F, DEFAULT_ORDER)[1].all())
-        resolved, separated = [], operator_biv._separated
-
-        def recording(bp, G, order):  # the sign patterns' expressions that separate
-            values = separated(bp, G, order)
-            if values is not None:
-                resolved.append(G)
-            return values
-
+        # the draws whose every piece gives a finite separated kernel
+        split = separate_cells(F, *_tensor_cells(bp))
+        pieces = split[0] if split is not None and separate(F) is None else []
+        assume(pieces and all(terms is not None and operator_biv._separated(bp, terms, DEFAULT_ORDER) is not None
+                              for _cells, terms in pieces))
         outcomes = []
-        with mock.patch.object(operator_biv, "_separated", recording):
-            for f in (F, lambda z, y: evaluate(F, z, y)):
-                try:
-                    outcomes.append(biv_kernel_integrals(bp, f).values)
-                except FracbkError as exc:
-                    outcomes.append(type(exc))
+        for f in (F, lambda z, y: evaluate(F, z, y)):
+            try:
+                outcomes.append(biv_kernel_integrals(bp, f).values)
+            except FracbkError as exc:
+                outcomes.append(type(exc))
         signed, looped = outcomes
         if isinstance(signed, type) or isinstance(looped, type):
             assert signed is looped, src
             return
         # the bound of TestSeparatedKernel, with the largest scale of the
-        # sign patterns' separated kernels
-        scale = max((_scale(bp, G) for G in resolved), default=0.0)
+        # pieces' separated kernels
+        scale = max(_scale(bp, terms) for _cells, terms in pieces)
         with np.errstate(all="ignore"):
             exact = _extended_tensor_sum(bp, F)
         loop_error = float(np.max(np.abs(looped - exact)))
@@ -283,12 +286,28 @@ class TestSignResolvedKernel:
     def test_mixed_cells_are_the_loops_bit_for_bit(self, m):
         p = OperatorParams(m, 2.0, 2.3, 0.6, 3)
         bp, F = BivariateParams(p, OperatorParams(m, 1.5, 3.0, 0.8, 2)), parse_source("abs(z-y)")
-        rest = operator_biv._sign_resolved(bp, F, DEFAULT_ORDER)[1]
+        rest = separate_cells(F, *_tensor_cells(bp))[1]
         assert 0 < rest.sum() <= 3 * (m + 1)  # the cells along the diagonal
         signed = biv_kernel_integrals(bp, F).values
         looped = biv_kernel_integrals(bp, lambda z, y: evaluate(F, z, y)).values
         assert np.array_equal(signed[rest], looped[rest])
         assert np.max(np.abs(signed - looped)) <= 1e-14 * np.max(np.abs(looped))
+
+    @pytest.mark.parametrize("src, calls", [
+        ("z*y", 1), ("abs(z-y+2)", 1), ("abs(z-y)", 2), ("abs(z-y)+abs(z+y-1)", 4),
+        ("abs(z-y)*abs(z-0.5*y)+abs(2*z-y)", 0),  # three g: the loop on every cell
+        ("abs(z-y)+sin(z*y)", 0),  # the pieces do not separate
+        ("exp(800*z)*abs(z-y+2)", 1),  # the one piece overflows
+    ])
+    def test_one_separated_kernel_per_piece(self, src, calls):
+        bp, F = make_biv(mx=7, my=5), parse_source(src)
+        spy = mock.Mock(wraps=operator_biv._separated)
+        with mock.patch.object(operator_biv, "_separated", spy), contextlib.suppress(QuadratureError):
+            biv_kernel_integrals(bp, F)
+        assert spy.call_count == calls
+        split = separate_cells(F, *_tensor_cells(bp))
+        if calls:
+            assert [c.args[1] for c in spy.call_args_list] == [terms for _cells, terms in split[0]]
 
     @pytest.mark.parametrize("src, error", [
         ("exp(800*z)*abs(z-y+2)", QuadratureError),  # a factor overflows
