@@ -41,8 +41,8 @@ import numpy as np
 from .basis import _BLOCK_ELEMENTS, OperatorParams
 from .dataset import Dataset, to_csv
 from .errors import DomainError, EvaluationError, check_int, check_points, check_real
-from .exprlib import FunctionExpr, enclose, second_derivative
-from .operator_uni import DEFAULT_ORDER, apply_kernel, central_moments, eval_function, kernel_integrals
+from .exprlib import FunctionExpr, enclose, eval_function, second_derivative
+from .operator_uni import DEFAULT_ORDER, apply_kernel, central_moments, kernel_integrals
 
 # Enclosure cells of [0, 1] for the moduli on one axis, by default and at
 # most, and per axis of [0, 1]^2 for the moduli on two.  Both are powers of

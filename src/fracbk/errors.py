@@ -62,15 +62,22 @@ def check_real(name: str, value, low: float = 0.0, high: float = math.inf, close
     return value
 
 
+def _real_array(values, name: str = "z", error: type = DomainError) -> np.ndarray:
+    """values as a float array of their shape; `error` for None, complex
+    values and anything numpy cannot convert (a ragged list, a string)."""
+    try:
+        array = np.asarray(values)
+        if values is None or array.dtype.kind == "c":  # numpy reads None as NaN and drops imaginary parts
+            raise TypeError(f"{type(values).__name__} values")
+        return array.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name} must be real numbers, got {reprlib.repr(values)}") from exc
+
+
 def check_points(zs, name: str = "z") -> np.ndarray:
     """The points as a 1-D float array, rejecting NaN and points off [0, 1]
-    as values of the variable `name`, and anything numpy cannot convert."""
-    try:
-        if np.iscomplexobj(zs):  # numpy would drop the imaginary part with a warning
-            raise TypeError("complex points")
-        zs = np.asarray(zs, dtype=float).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be real numbers, got {reprlib.repr(zs)}") from exc
+    as values of the variable `name`, and what _real_array rejects."""
+    zs = _real_array(zs, name).reshape(-1)
     # min and max carry a NaN through, so this also rejects NaN
     if zs.size and not (0.0 <= zs.min() and zs.max() <= 1.0):
         bad = zs[~((zs >= 0.0) & (zs <= 1.0))]

@@ -15,8 +15,9 @@ from .corpus import BUILTINS, UNIVARIATE, get_function
 from .dataset import Dataset, to_csv
 from .error_analysis import error_table
 from .errors import DomainError, check_int
+from .exprlib import eval_function
 from .operator_biv import BivariateParams, surface_values
-from .operator_uni import DEFAULT_ORDER, eval_function, kernel_integrals, operator_values
+from .operator_uni import DEFAULT_ORDER, kernel_integrals, operator_values
 
 NINE_POINTS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 

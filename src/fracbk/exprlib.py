@@ -5,8 +5,9 @@ variables ``z`` and ``y``.  Supported syntax: numbers in ASCII digits
 (``1``, ``2.5``, ``.5``; one that overflows a float is an error), the
 constant ``pi``, the operators ``+ - * / ^`` (with ``^`` binding tightest
 and associating to the right), unary minus, parentheses, and the calls
-``sin``, ``cos``, ``exp``, ``sqrt`` and ``abs``.  Evaluation accepts
-scalars or numpy arrays; enclose bounds an expression over cells (interval
+``sin``, ``cos``, ``exp``, ``sqrt`` and ``abs``.  evaluate takes scalars or
+arrays, and eval_function (how every layer applies a function to points)
+also a callable; enclose bounds an expression over cells (interval
 arithmetic), second_derivative differentiates it symbolically, and separate
 splits a function of z and y into a sum of products of one-variable ones
 (separate_cells: cell by cell, where each abs keeps a sign).
@@ -23,11 +24,10 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ParseError
+from .errors import DomainError, EvaluationError, ParseError, _real_array
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "sqrt", "abs")
 VARIABLE_NAMES = ("z", "y")
-CONSTANT_NAMES = ("pi",)
 
 # Binding strength of each binary operator for the parser.  Unary minus
 # binds between * / and ^ (as -z^2 is -(z^2)).
@@ -63,11 +63,6 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Const:
-    name: str
-
-
-@dataclass(frozen=True)
 class Neg:
     operand: "Node"
 
@@ -85,7 +80,7 @@ class Call:
     arg: "Node"
 
 
-Node = Union[Num, Var, Const, Neg, BinOp, Call]
+Node = Union[Num, Var, Neg, BinOp, Call]
 
 
 @dataclass(frozen=True)
@@ -186,8 +181,8 @@ class _Parser:
                 return Call(name, arg)
             if name in VARIABLE_NAMES:
                 return Var(name)
-            if name in CONSTANT_NAMES:
-                return Const(name)
+            if name == "pi":
+                return Num(math.pi)
             raise ParseError(f"unknown identifier {name!r}", tok.position)
         if tok.kind == "paren" and tok.lexeme == "(":
             node = self.parse_chain()
@@ -255,8 +250,6 @@ def _eval_node(node: Node, z, y):
         if y is None:
             raise EvaluationError("expression uses 'y' but no y value was supplied")
         return y
-    if isinstance(node, Const):
-        return math.pi
     if isinstance(node, Neg):
         return -_eval_node(node.operand, z, y)
     if isinstance(node, BinOp):
@@ -277,7 +270,9 @@ def _eval_node(node: Node, z, y):
 
 
 def evaluate(expr: FunctionExpr, z, y=None):
-    """Evaluate the expression at scalar or array arguments.
+    """Evaluate the expression at points read as check_points reads them, of
+    any shape and value: a float for scalars, an array for arrays unless the
+    expression is constant (eval_function broadcasts that).
 
     Scalars and the bases of powers are routed through numpy float64
     arithmetic so that invalid operations (division by zero, fractional
@@ -285,15 +280,29 @@ def evaluate(expr: FunctionExpr, z, y=None):
     values or infinities.  An overflow gives inf without a warning; the
     callers reject non-finite values.
     """
-    scalar = np.isscalar(z) and (y is None or np.isscalar(y))
-    zz = np.float64(z) if np.isscalar(z) else z
-    yy = np.float64(y) if (y is not None and np.isscalar(y)) else y
+    zz = _real_array(z)[()]  # [()] reads a 0-d array as a float64 scalar
+    yy = None if y is None else _real_array(y, "y")[()]
     try:
         with np.errstate(divide="raise", over="ignore", invalid="raise"):
             out = _eval_node(expr.root, zz, yy)
     except (ArithmeticError, ValueError) as exc:
         raise EvaluationError(f"evaluation failed: {exc}") from exc
-    return float(out) if scalar else out
+    return float(out) if np.ndim(zz) == 0 and np.ndim(yy) == 0 else out
+
+
+def eval_function(f, *args) -> np.ndarray:
+    """An expression or callable at broadcastable arrays z (and y), as floats
+    of the broadcast shape, so a constant function gives a full array;
+    DomainError for another f, EvaluationError for values not of that kind."""
+    if not (isinstance(f, FunctionExpr) or callable(f)):
+        raise DomainError(f"f must be an expression or a callable, got {type(f).__name__}")
+    vals = evaluate(f, *args) if isinstance(f, FunctionExpr) else f(*args)  # the callable's errors propagate
+    vals = _real_array(vals, "the values of f", EvaluationError)
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    try:
+        return vals if vals.shape == shape else np.broadcast_to(vals, shape)
+    except ValueError as exc:
+        raise EvaluationError(f"f must give values of shape {shape}, got shape {vals.shape}") from exc
 
 
 # Interval evaluation (Moore, Kearfott & Cloud 2009).  An interval is a pair
@@ -364,9 +373,8 @@ def _power(base, exponent: Node, cells):
 
 
 def _interval(node: Node, cells):
-    if isinstance(node, (Num, Const)):
-        value = node.value if isinstance(node, Num) else math.pi
-        return value, value
+    if isinstance(node, Num):
+        return node.value, node.value
     if isinstance(node, Var):
         if node.name == "y" and len(cells) < 2:
             raise EvaluationError("expression uses 'y' but no y cells were supplied")
@@ -447,7 +455,7 @@ def _derivative(node: Node, var: str) -> Node | None:
     """d node / d var by the sum, product, quotient, power and chain rules;
     exactly _ZERO for a subtree without var, None where no rule applies
     (abs of a varying argument, a varying exponent)."""
-    if isinstance(node, (Num, Const)):
+    if isinstance(node, Num):
         return _ZERO
     if isinstance(node, Var):
         return _ONE if node.name == var else _ZERO

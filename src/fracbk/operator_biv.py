@@ -25,8 +25,8 @@ import numpy as np
 from .basis import OperatorParams, basis_matrix, basis_row
 from .error_analysis import ErrorTable, complete_modulus, partial_moduli
 from .errors import DomainError, EvaluationError, QuadratureError, check_point, check_points
-from .exprlib import FunctionExpr, evaluate, separate_cells
-from .operator_uni import DEFAULT_ORDER, central_moments, eval_function, kernel_integrals, raw_moments
+from .exprlib import FunctionExpr, eval_function, evaluate, separate_cells
+from .operator_uni import DEFAULT_ORDER, central_moments, kernel_integrals, raw_moments
 from .quadrature import _kernel_rule
 
 

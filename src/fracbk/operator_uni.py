@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import _BLOCK_ELEMENTS, OperatorParams, _row_blocks, basis_row
 from .errors import QuadratureError, check_int, check_point, check_points
-from .exprlib import FunctionExpr, evaluate
+from .exprlib import eval_function
 from .quadrature import _kernel_rule
 from .specfun import moment_coeff
 
@@ -39,14 +39,6 @@ class MomentSet:
 class CentralMoments:
     zeta: float
     xi2: float
-
-
-def eval_function(f, *args) -> np.ndarray:
-    """An expression or callable at broadcastable arrays z (and y), as floats
-    of the broadcast shape, so a constant function gives a full array."""
-    vals = np.asarray(evaluate(f, *args) if isinstance(f, FunctionExpr) else f(*args), dtype=float)
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-    return vals if vals.shape == shape else np.broadcast_to(vals, shape)
 
 
 def kernel_integrals(params: OperatorParams, f, order: int = DEFAULT_ORDER) -> KernelIntegrals:

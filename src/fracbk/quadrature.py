@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureError, check_int, check_real
+from .exprlib import eval_function
 
 
 # a rule solves a dense order x order matrix: 128 MB at this bound
@@ -86,19 +87,9 @@ def gauss_jacobi_rule(eta: float, order: int) -> QuadratureRule:
 
 
 def integrate(rule: QuadratureRule, g) -> float:
-    """Apply the rule to g, i.e. approximate eta * int_0^1 (1-t)^(eta-1) g(t) dt."""
-    nodes = rule.nodes
-    vals = None
-    try:
-        out = g(nodes)
-    except (TypeError, ValueError):
-        out = None
-    if out is not None:
-        arr = np.asarray(out, dtype=float)
-        if arr.shape == nodes.shape:
-            vals = arr
-    if vals is None:
-        vals = np.array([float(g(t)) for t in nodes])
+    """Apply the rule to g, an expression or a vectorised callable taken at all
+    the nodes at once: approximately eta * int_0^1 (1-t)^(eta-1) g(t) dt."""
+    vals = eval_function(g, rule.nodes)
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("integrand produced non-finite values")
     return float(rule.weights @ vals)

@@ -1,15 +1,20 @@
-"""The CLI's error contract: whatever the input, `fracbk` exits 0, 2 (a
+"""The error contract.  Whatever the input, `fracbk` exits 0, 2 (a
 DomainError, a ParseError or a usage error) or 3 (another FracbkError), and
-no exception escapes `main`."""
+no exception escapes `main`; and every public function that takes a
+function or points returns or raises a FracbkError."""
 
 import contextlib
 import io
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracbk as fb
 from fracbk.cli import main
 from fracbk.exprlib import FUNCTION_NAMES
+
+from conftest import expression_texts
 
 
 def _expressions(variables):
@@ -92,3 +97,76 @@ def test_every_input_ends_in_a_known_exit_code(argv):
     assert code in (0, 2, 3), (code, err.getvalue())
     if code:
         assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+
+
+# Functions: expressions of z (and y), callables that never raise by
+# themselves (an error inside f is the caller's and propagates), and odd
+# values that are no function at all.
+_CALLABLES = [lambda *a: a[0], lambda *a: 1.0, lambda *a: np.ones(3), lambda *a: 1j * a[0],
+              lambda *a: None, lambda *a: "x", lambda *a: [[0.1], [0.2, 0.3]]]
+_ODD_F = st.one_of(st.text(max_size=4), st.sampled_from(["f1", "g1", "z", ""]), st.floats(), st.integers(),
+                   st.none(), st.lists(st.floats(), max_size=3))
+_F = st.one_of(expression_texts(6).map(fb.parse_source), expression_texts(6, ("z", "y")).map(fb.parse_source),
+               st.sampled_from(_CALLABLES), _ODD_F)
+# Points: valid ones, then NaN, +-inf and points off [0, 1], and odd values:
+# text, None, complex, ragged or mixed lists, an int past the float range
+_VALID_POINT = st.floats(0.0, 1.0)
+_POINTS = st.one_of(
+    _VALID_POINT, st.lists(_VALID_POINT, max_size=4), st.floats(), st.booleans(), st.text(max_size=3),
+    st.none(), st.complex_numbers(max_magnitude=2.0), st.just(10**400),
+    st.sampled_from([[[0.1], [0.2, 0.3]], [0.1, None], [0.1, "a"], [0.5j], [[0.1, 0.2], [0.3, 0.4]]]),
+    st.lists(st.one_of(_VALID_POINT, st.text(max_size=2), st.none()), max_size=3),
+)
+_LIB_PARAMS = st.builds(fb.OperatorParams, st.integers(1, 6), st.sampled_from([0.5, 1.0, 2.0]),
+                        st.sampled_from([1.0, 2.5, 3.0]), st.sampled_from([0.0, 0.9]), st.integers(0, 3))
+_KI_F = fb.parse_source("z*(z-0.5)")
+
+
+def _library_calls(p, f, z, y):
+    """Every public function that takes a function or points, on small sizes."""
+    bp, order = fb.BivariateParams(p, p), 8
+    return {
+        "apply": lambda: fb.apply(p, f, z, order),
+        "kernel_integrals": lambda: fb.kernel_integrals(p, f, order),
+        "error_table": lambda: fb.error_table(p, f, z, order),
+        "max_error": lambda: fb.max_error(p, f),
+        "modulus_continuity": lambda: fb.modulus_continuity(f, 0.1, 101),
+        "second_modulus": lambda: fb.second_modulus(f, 0.1, 101),
+        "bound_t2": lambda: fb.bound_t2(p, f, z, 101),
+        "bound_kfunctional": lambda: fb.bound_kfunctional(p, f, z, 1.0, 101),
+        "bound_lipschitz": lambda: fb.bound_lipschitz(p, 1.0, 1.0, z),
+        "apply_biv": lambda: fb.apply_biv(bp, f, z, y, order),
+        "biv_kernel_integrals": lambda: fb.biv_kernel_integrals(bp, f, order),
+        "surface_values": lambda: fb.surface_values(bp, f, z, y, order),
+        "surface_rows": lambda: fb.surface_rows(bp, f, z, y, order),
+        "partial_moduli": lambda: fb.partial_moduli(f, 0.1, 0.2),
+        "complete_modulus": lambda: fb.complete_modulus(f, 0.1),
+        "bound_partial": lambda: fb.bound_partial(bp, f, z, y),
+        "bound_complete": lambda: fb.bound_complete(bp, f, z, y),
+        "integrate": lambda: fb.integrate(fb.gauss_jacobi_rule(p.eta, order), f),
+        "compare_rows": lambda: fb.compare_rows(f, [2], p.eta, p.gamma, p.alpha, p.s, z, order),
+        "get_function": lambda: fb.get_function(f),
+        "evaluate": lambda: fb.evaluate(fb.parse_source("z*y+1"), z, y),
+        "apply_kernel": lambda: fb.apply_kernel(fb.kernel_integrals(p, _KI_F, order), z),
+        "operator_values": lambda: fb.operator_values(fb.kernel_integrals(p, _KI_F, order), z),
+        "apply_biv_kernel": lambda: fb.apply_biv_kernel(fb.biv_kernel_integrals(bp, _KI_F, order), z, y),
+        "raw_moments": lambda: fb.raw_moments(p, z),
+        "central_moments": lambda: fb.central_moments(p, z),
+        "moment_recurrence": lambda: fb.moment_recurrence(p, 2, z),
+        "biv_moments": lambda: fb.biv_moments(bp, z, y),
+        "basis_row": lambda: fb.basis_row(p, z),
+        "basis_matrix": lambda: fb.basis_matrix(p, z),
+        "bernstein_row": lambda: fb.bernstein_row(p.m, z),
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_LIB_PARAMS, _F, _POINTS, _POINTS)
+def test_every_library_call_returns_or_raises_a_fracbk_error(p, f, z, y):
+    for name, call in _library_calls(p, f, z, y).items():
+        try:
+            call()
+        except fb.FracbkError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the assertion names it
+            raise AssertionError(f"{name} raised {type(exc).__name__}: {exc}") from exc

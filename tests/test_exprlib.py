@@ -6,16 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracbk import (
+    BivariateParams,
+    DomainError,
     EvaluationError,
     FunctionExpr,
+    OperatorParams,
     ParseError,
+    apply,
+    apply_biv,
+    biv_kernel_integrals,
+    error_table,
     evaluate,
+    gauss_jacobi_rule,
     get_function,
+    integrate,
+    kernel_integrals,
+    max_error,
     parse_source,
+    surface_rows,
+    surface_values,
 )
 from fracbk.exprlib import (
-    Num, _cell_signs, _eval_node, enclose, free_variables, parse, second_derivative, separate, separate_cells,
-    tokenize,
+    Num, _cell_signs, _eval_node, enclose, eval_function, free_variables, parse, second_derivative, separate,
+    separate_cells, tokenize,
 )
 
 from conftest import expression_texts
@@ -196,7 +209,91 @@ class TestEvaluate:
         assert evaluate(expr, -4.0) == pytest.approx(2.0)
 
     def test_pi_constant(self):
-        assert evaluate(parse_source("pi"), 0.0) == pytest.approx(math.pi)
+        assert parse_source("pi") == FunctionExpr(Num(math.pi))
+        assert evaluate(parse_source("pi"), 0.0) == math.pi
+        assert enclose(parse_source("pi"), (0.0, 1.0)) == (math.pi, math.pi)
+
+    def test_points_are_read_as_check_points_reads_them(self):
+        # a list came back as the list object itself for "z", and "2*z" on
+        # it raised a raw TypeError
+        out = evaluate(parse_source("z"), [0.1, 0.2])
+        assert isinstance(out, np.ndarray) and out.dtype == float
+        assert np.array_equal(out, [0.1, 0.2])
+        assert np.array_equal(evaluate(parse_source("2*z"), [0.1, 0.2]), [0.2, 0.4])
+        assert evaluate(parse_source("z*y"), [[0.5], [1.0]], [2.0, -3.0]).tolist() == [[1.0, -1.5], [2.0, -3.0]]
+
+    def test_scalars_give_floats_and_arrays_their_shape(self):
+        for z in (0.5, np.float64(0.5), 1, np.array(0.5)):
+            out = evaluate(parse_source("z^2"), z)
+            assert type(out) is float, z
+        assert evaluate(parse_source("z^2"), np.zeros((2, 3))).shape == (2, 3)
+        # neither [0, 1] nor NaN is a rule of evaluate
+        assert evaluate(parse_source("z+1"), -4.0) == -3.0
+        assert math.isnan(evaluate(parse_source("z+1"), math.nan))
+
+    @pytest.mark.parametrize("z, y", [("abc", None), (1j, None), (None, None), ([0.1, "a"], None),
+                                      ([[0.1], [0.2, 0.3]], None), (10**400, None), (0.5, "abc"),
+                                      (0.5, [0.5j])])
+    def test_points_that_are_not_reals_are_a_domain_error(self, z, y):
+        name = "y" if y is not None else "z"
+        with pytest.raises(DomainError, match=rf"^{name} must be real numbers, got "):
+            evaluate(parse_source("z*y"), z, y)
+
+
+_F_ENTRY_POINTS = {
+    "apply": lambda p, f: apply(p, f, 0.5),
+    "kernel_integrals": lambda p, f: kernel_integrals(p, f),
+    "error_table": lambda p, f: error_table(p, f, [0.5]),
+    "max_error": lambda p, f: max_error(p, f),
+    "apply_biv": lambda p, f: apply_biv(BivariateParams(p, p), f, 0.5, 0.5),
+    "biv_kernel_integrals": lambda p, f: biv_kernel_integrals(BivariateParams(p, p), f),
+    "surface_values": lambda p, f: surface_values(BivariateParams(p, p), f, [0.5], [0.5]),
+    "surface_rows": lambda p, f: surface_rows(BivariateParams(p, p), f, [0.5], [0.5]),
+    "integrate": lambda p, f: integrate(gauss_jacobi_rule(p.eta, 8), f),
+}
+_TWO_ARGUMENTS = ("apply_biv", "biv_kernel_integrals", "surface_values", "surface_rows")
+
+
+class TestEvalFunction:
+    """eval_function is where every operator, table and quadrature meets f."""
+
+    P = OperatorParams(10, 2.0, 3.0, 0.9, 2)
+
+    @pytest.mark.parametrize("entry", sorted(_F_ENTRY_POINTS))
+    @pytest.mark.parametrize("f", ["f1", 3.0, None, [1.0], np.ones(3)])
+    def test_non_function_is_a_domain_error(self, entry, f):
+        # each of these ended in a raw TypeError ("'str' object is not callable")
+        with pytest.raises(DomainError, match="^f must be an expression or a callable, got "):
+            _F_ENTRY_POINTS[entry](self.P, f)
+
+    @pytest.mark.parametrize("entry", sorted(_F_ENTRY_POINTS))
+    @pytest.mark.parametrize("values", [lambda t: np.ones(3), lambda t: 1j * t, lambda t: None,
+                                        lambda t: "abc", lambda t: [t, t[:1]]])
+    def test_values_that_are_not_reals_of_the_points_shape_are_an_evaluation_error(self, entry, values):
+        # a wrong shape ended in a raw ValueError; complex values lost their
+        # imaginary part; None read as NaN
+        f = (lambda z, y: values(z)) if entry in _TWO_ARGUMENTS else values
+        with pytest.raises(EvaluationError, match="^(the values of f must be real numbers|f must give values of shape)"):
+            _F_ENTRY_POINTS[entry](self.P, f)
+
+    @pytest.mark.parametrize("entry", sorted(_F_ENTRY_POINTS))
+    def test_what_the_callable_raises_propagates(self, entry):
+        class Raised(Exception):
+            pass
+
+        def f(*args):
+            raise Raised("from f")
+
+        with pytest.raises(Raised, match="^from f$"):
+            _F_ENTRY_POINTS[entry](self.P, f)
+
+    def test_constants_broadcast_and_values_are_unchanged(self):
+        z = np.linspace(0.0, 1.0, 5)
+        assert np.array_equal(eval_function(parse_source("3"), z), np.full(5, 3.0))
+        assert np.array_equal(eval_function(lambda t, y: 3, z[:, None], z), np.full((5, 5), 3.0))
+        expr = parse_source("z*(z-4/7)*sin(pi*z)")
+        assert np.array_equal(eval_function(expr, z), evaluate(expr, z))
+        assert np.array_equal(eval_function(lambda t: t * t, z), z * z)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)

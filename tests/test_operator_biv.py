@@ -43,8 +43,8 @@ from fracbk import (
 
 from fracbk import error_analysis, operator_biv, operator_uni
 from fracbk.error_analysis import _enclosed_modulus, _run_range, _shift_count
-from fracbk.exprlib import separate, separate_cells
-from fracbk.operator_uni import DEFAULT_ORDER, eval_function
+from fracbk.exprlib import eval_function, separate, separate_cells
+from fracbk.operator_uni import DEFAULT_ORDER
 from fracbk.quadrature import _kernel_rule
 
 from conftest import draw_params, expression_texts

@@ -8,10 +8,12 @@ from scipy.special import roots_jacobi
 
 from fracbk import (
     DomainError,
+    EvaluationError,
     QuadratureError,
     gauss_jacobi_rule,
     integrate,
     moment_coeff,
+    parse_source,
     quadrature,
 )
 from fracbk.quadrature import _build_rule, _kernel_rule
@@ -239,6 +241,8 @@ class TestExactness:
 
 class TestIntegrate:
     def test_scalar_only_callable(self):
+        # g is called once with every node; what it raises reaches the
+        # caller (a scalar-only integrand used to be retried node by node)
         rule = gauss_jacobi_rule(2.0, 16)
 
         def g(t):
@@ -246,7 +250,18 @@ class TestIntegrate:
                 raise TypeError("scalar only")
             return t * t
 
-        assert integrate(rule, g) == pytest.approx(moment_coeff(2.0, 1.0, 2), rel=1e-13)
+        with pytest.raises(TypeError, match="^scalar only$"):
+            integrate(rule, g)
+
+    def test_expression_and_constant_integrands(self):
+        rule = gauss_jacobi_rule(2.0, 16)
+        assert integrate(rule, parse_source("z^2")) == pytest.approx(moment_coeff(2.0, 1.0, 2), rel=1e-13)
+        assert integrate(rule, lambda t: 3.0) == pytest.approx(3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("g", ["z", 2.0, None, lambda t: t[:2], lambda t: t + 1j])
+    def test_bad_integrand_is_a_fracbk_error(self, g):
+        with pytest.raises(DomainError if not callable(g) else EvaluationError):
+            integrate(gauss_jacobi_rule(2.0, 8), g)
 
     def test_non_finite_values_rejected(self):
         rule = gauss_jacobi_rule(1.0, 8)
