@@ -1,12 +1,14 @@
 """Command-line interface: ad-hoc evaluation plus preset table/figure output.
 
 Exit codes: 0 success, 2 usage error (bad flags, bad expression, bad domain),
-3 numeric failure during computation.
+3 numeric failure during computation.  A command writes nothing until every
+number is computed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -14,14 +16,9 @@ import numpy as np
 
 from .basis import OperatorParams
 from .corpus import get_function, is_bivariate
+from .dataset import Dataset, csv_blocks
 from .errors import DomainError, FracbkError, ParseError
-from .experiments import (
-    Dataset,
-    compare_rows,
-    figure_dataset,
-    table_dataset,
-    to_csv,
-)
+from .experiments import compare_rows, figure_dataset, table_dataset
 from .error_analysis import bound_kfunctional, bound_lipschitz, bound_t2, error_table
 from .operator_biv import BivariateParams, surface_rows
 from .operator_uni import DEFAULT_ORDER
@@ -132,14 +129,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(text: str, fh) -> None:  # one block; bench/tracing.py counts its bytes
+    fh.write(text)
+
+
+def _output(ds: Dataset, out: str | None) -> None:
+    """Open stdout or out once and write ds to it block by block."""
     try:
-        if out is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        else:
-            with open(out, "w") as fh:
-                fh.write(text)
+        with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
+            for block in csv_blocks(ds):
+                _write(block, fh)
+            fh.flush()
     except OSError as exc:
         if out is None:  # the reader has gone: keep the exit-time flush quiet
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -153,7 +153,7 @@ def _meta_params(params: OperatorParams) -> str:
             f"alpha={params.alpha} s={params.s}")
 
 
-def _cmd_eval(args) -> str:
+def _cmd_eval(args) -> Dataset:
     f = get_function(args.fn)
     if is_bivariate(f):
         raise DomainError("eval is univariate; use biv-eval for functions of z and y")
@@ -161,10 +161,10 @@ def _cmd_eval(args) -> str:
     params = _params(args)
     et = error_table(params, f, zs, order=args.order)
     comments = (f"eval fn={args.fn}", _meta_params(params), f"order={args.order}")
-    return et.to_csv(comments)
+    return et.dataset(comments)
 
 
-def _cmd_compare(args) -> str:
+def _cmd_compare(args) -> Dataset:
     f = get_function(args.fn)
     if is_bivariate(f):
         raise DomainError("compare is univariate; functions of y are not supported")
@@ -179,10 +179,10 @@ def _cmd_compare(args) -> str:
         f"base eta={args.eta} gamma={args.gamma} alpha={args.alpha} s={args.s}",
         f"z={args.z} order={args.order} bbk_gamma={args.bbk_gamma}",
     )
-    return to_csv(Dataset(meta, ("m", "rlbk", "bbk", "fbk", "rlgbk"), rows))
+    return Dataset(meta, ("m", "rlbk", "bbk", "fbk", "rlgbk"), rows)
 
 
-def _cmd_bounds(args) -> str:
+def _cmd_bounds(args) -> Dataset:
     f = get_function(args.fn)
     if is_bivariate(f):
         raise DomainError("bounds is univariate; functions of y are not supported")
@@ -201,23 +201,23 @@ def _cmd_bounds(args) -> str:
     meta = (f"bounds fn={args.fn}", _meta_params(params), f"grid={args.grid} order={args.order}")
     rows = tuple((z, err, *bound) for (z, _exact, _approx, err), bound in zip(et.rows, bounds))
     columns = ("z", "actual_error", "bound_t2", "bound_lipschitz", "bound_kfunctional")
-    return to_csv(Dataset(meta, columns, rows))
+    return Dataset(meta, columns, rows)
 
 
-def _cmd_biv_eval(args) -> str:
+def _cmd_biv_eval(args) -> Dataset:
     F = get_function(args.fn)
     bp = BivariateParams(_params(args), _params(args, "2"))
     zs = _parse_axis(args.z)
     ys = _parse_axis(args.y)
     comments = (f"biv-eval fn={args.fn}", f"axis1 {_meta_params(bp.px)}",
                 f"axis2 {_meta_params(bp.py)}", f"order={args.order}")
-    return surface_rows(bp, F, zs, ys, order=args.order).to_csv(comments)
+    return surface_rows(bp, F, zs, ys, order=args.order).dataset(comments)
 
 
 _HANDLERS = {
     "eval": _cmd_eval,
-    "table": lambda args: to_csv(table_dataset(args.which, args.order)),
-    "figure": lambda args: to_csv(figure_dataset(args.which, args.order)),
+    "table": lambda args: table_dataset(args.which, args.order),
+    "figure": lambda args: figure_dataset(args.which, args.order),
     "compare": _cmd_compare,
     "bounds": _cmd_bounds,
     "biv-eval": _cmd_biv_eval,
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        _write(_HANDLERS[args.command](args), args.out)
+        _output(_HANDLERS[args.command](args), args.out)
     except (ParseError, DomainError) as exc:
         print(f"fracbk: error: {exc}", file=sys.stderr)
         return 2

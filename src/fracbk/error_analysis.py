@@ -74,16 +74,23 @@ class ModulusEstimate:
 
 @dataclass(frozen=True, eq=False)
 class ErrorTable:
-    """Rows (z, [y,] exact, approx, abs_error) and their largest error."""
+    """Columns z, [y,] exact, approx, abs_error (a float array) and their largest error."""
 
-    rows: list
+    columns: np.ndarray
     max_error: float
 
-    def to_csv(self, comments: tuple[str, ...] = ()) -> str:
+    @property
+    def rows(self) -> list:
+        """The (z, [y,] exact, approx, abs_error) tuples of floats, built on each call."""
+        return list(map(tuple, self.columns.T.tolist()))
+
+    def dataset(self, comments: tuple[str, ...] = ()) -> Dataset:
         """The rows under their column names, then a max_error comment."""
-        columns = ("z", "y")[: len(self.rows[0]) - 3 if self.rows else 1] + ("exact", "approx", "abs_error")
-        footer = (f"max_error={self.max_error!r}",)
-        return to_csv(Dataset(tuple(comments), columns, tuple(self.rows), footer))
+        names = ("z", "y")[: len(self.columns) - 3] + ("exact", "approx", "abs_error")
+        return Dataset(tuple(comments), names, self.columns.T, (f"max_error={self.max_error!r}",))
+
+    def to_csv(self, comments: tuple[str, ...] = ()) -> str:
+        return to_csv(self.dataset(comments))
 
 
 def _shift_count(delta: float, grid_n: int) -> int:
@@ -345,12 +352,13 @@ def error_table(params: OperatorParams, f, z_values, order: int = DEFAULT_ORDER)
     benchmark's self-test (bench/tests) alters that function to prove that a
     wrong approximation on its bounds workload is caught.
     """
-    zs = check_points(z_values).tolist()
+    zs = check_points(z_values)
     ki = kernel_integrals(params, f, order)
-    exact = eval_function(f, np.array(zs)).tolist()
-    approx = [apply_kernel(ki, z) for z in zs]
-    rows = [(z, e, a, abs(e - a)) for z, e, a in zip(zs, exact, approx)]
-    return ErrorTable(rows, max((row[3] for row in rows), default=0.0))
+    columns = np.empty((4, zs.size))
+    columns[0], columns[1] = zs, eval_function(f, zs)
+    columns[2] = [apply_kernel(ki, z) for z in zs.tolist()]
+    np.abs(columns[1] - columns[2], out=columns[3])
+    return ErrorTable(columns, float(columns[3].max(initial=0.0)))
 
 
 def max_error(params: OperatorParams, f) -> float:

@@ -38,6 +38,14 @@ class QuadratureError(FracbkError):
     produced non-finite values."""
 
 
+def check_type(name: str, value, kind: type):
+    """value if it is an instance of kind, which the DomainError names."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def check_int(name: str, value, low: float = 0, high: float = math.inf):
     """value if it is an int or numpy integer (never a bool) in [low, high]."""
     if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):

@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ParseError, _real_array
+from .errors import DomainError, EvaluationError, ParseError, _real_array, check_type
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "sqrt", "abs")
 VARIABLE_NAMES = ("z", "y")
@@ -224,7 +224,8 @@ def _walk(node: Node):
 
 def free_variables(expr: FunctionExpr) -> frozenset[str]:
     """The variable names (z, y) that occur in the expression."""
-    return frozenset(node.name for node in _walk(expr.root) if isinstance(node, Var))
+    root = check_type("expr", expr, FunctionExpr).root
+    return frozenset(node.name for node in _walk(root) if isinstance(node, Var))
 
 
 def _substitute(node: Node, mapping: dict) -> Node:
@@ -280,6 +281,7 @@ def evaluate(expr: FunctionExpr, z, y=None):
     values or infinities.  An overflow gives inf without a warning; the
     callers reject non-finite values.
     """
+    check_type("expr", expr, FunctionExpr)
     zz = _real_array(z)[()]  # [()] reads a 0-d array as a float64 scalar
     yy = None if y is None else _real_array(y, "y")[()]
     try:
@@ -302,7 +304,8 @@ def eval_function(f, *args) -> np.ndarray:
     try:
         return vals if vals.shape == shape else np.broadcast_to(vals, shape)
     except ValueError as exc:
-        raise EvaluationError(f"f must give values of shape {shape}, got shape {vals.shape}") from exc
+        raise EvaluationError(f"f must be vectorised and give one value per point: expected shape "
+                              f"{shape}, got shape {vals.shape}") from exc
 
 
 # Interval evaluation (Moore, Kearfott & Cloud 2009).  An interval is a pair

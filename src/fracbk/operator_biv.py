@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import OperatorParams, basis_matrix, basis_row
 from .error_analysis import ErrorTable, complete_modulus, partial_moduli
-from .errors import DomainError, EvaluationError, QuadratureError, check_point, check_points
+from .errors import EvaluationError, QuadratureError, check_point, check_points, check_type
 from .exprlib import FunctionExpr, eval_function, evaluate, separate_cells
 from .operator_uni import DEFAULT_ORDER, central_moments, kernel_integrals, raw_moments
 from .quadrature import _kernel_rule
@@ -37,8 +37,7 @@ class BivariateParams:
 
     def __post_init__(self):
         for name, axis in (("px", self.px), ("py", self.py)):
-            if not isinstance(axis, OperatorParams):
-                raise DomainError(f"{name} must be an OperatorParams, got {type(axis).__name__}")
+            check_type(name, axis, OperatorParams)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +106,7 @@ def biv_kernel_integrals(bp: BivariateParams, F, order: int = DEFAULT_ORDER) -> 
 
 def apply_biv_kernel(ki: BivKernelIntegrals, z: float, y: float) -> float:
     """Bivariate operator value at one point (z, y) from a precomputed kernel matrix."""
+    check_type("ki", ki, BivKernelIntegrals)
     y = check_point(y, "y")
     bz = basis_row(ki.bp.px, z).weights
     by = basis_row(ki.bp.py, y).weights
@@ -155,8 +155,8 @@ def bound_partial(bp: BivariateParams, F, z: float, y: float) -> float:
 def surface_rows(bp: BivariateParams, F, zs, ys, order: int = DEFAULT_ORDER) -> ErrorTable:
     """The ErrorTable of row-major (z, y, exact, approx, abs_error) rows over the grid."""
     approx = surface_values(bp, F, zs, ys, order)
-    zv, yv = np.meshgrid(np.asarray(zs, dtype=float), np.asarray(ys, dtype=float), indexing="ij")
-    exact = eval_function(F, zv, yv)
-    err = np.abs(exact - approx)
-    rows = list(zip(*(a.ravel().tolist() for a in (zv, yv, exact, approx, err))))
-    return ErrorTable(rows, float(np.max(err)) if rows else 0.0)
+    columns = np.empty((5, *approx.shape))
+    columns[0], columns[1] = check_points(zs)[:, None], check_points(ys, "y")
+    columns[2], columns[3] = eval_function(F, columns[0], columns[1]), approx
+    np.abs(columns[2] - columns[3], out=columns[4])
+    return ErrorTable(columns.reshape(5, -1), float(columns[4].max(initial=0.0)))

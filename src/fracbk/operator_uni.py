@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import _BLOCK_ELEMENTS, OperatorParams, _row_blocks, basis_row
-from .errors import QuadratureError, check_int, check_point, check_points
+from .errors import QuadratureError, check_int, check_point, check_points, check_type
 from .exprlib import eval_function
 from .quadrature import _kernel_rule
 from .specfun import moment_coeff
@@ -62,6 +62,7 @@ def kernel_integrals(params: OperatorParams, f, order: int = DEFAULT_ORDER) -> K
 def operator_values(ki: KernelIntegrals, zs) -> np.ndarray:
     """Operator values at every point of zs: blocks of basis rows times the
     kernel integrals, so memory stays bounded for long rows."""
+    check_type("ki", ki, KernelIntegrals)
     zs = check_points(zs)
     out = np.empty(zs.size)
     for block, rows in _row_blocks(ki.params, zs):
@@ -71,6 +72,7 @@ def operator_values(ki: KernelIntegrals, zs) -> np.ndarray:
 
 def apply_kernel(ki: KernelIntegrals, z: float) -> float:
     """Operator value at one point z from precomputed kernel integrals."""
+    check_type("ki", ki, KernelIntegrals)
     return float(basis_row(ki.params, z).weights @ ki.values)
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureError, check_int, check_real
+from .errors import QuadratureError, check_int, check_real, check_type
 from .exprlib import eval_function
 
 
@@ -89,7 +89,7 @@ def gauss_jacobi_rule(eta: float, order: int) -> QuadratureRule:
 def integrate(rule: QuadratureRule, g) -> float:
     """Apply the rule to g, an expression or a vectorised callable taken at all
     the nodes at once: approximately eta * int_0^1 (1-t)^(eta-1) g(t) dt."""
-    vals = eval_function(g, rule.nodes)
+    vals = eval_function(g, check_type("rule", rule, QuadratureRule).nodes)
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("integrand produced non-finite values")
     return float(rule.weights @ vals)

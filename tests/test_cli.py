@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fracbk
-from fracbk.cli import main
+from fracbk.cli import _parse_axis, main
 
 
 def run_cli(capsys, *argv):
@@ -425,6 +425,35 @@ class TestBivEval:
         code, out, err = run_cli(capsys, "biv-eval", "--m", "3", "--fn", "z*y", "--z", z, "--y", y)
         assert (code, out) == (2, "")
         assert err == f"fracbk: error: {name} must lie in [0, 1], got 2.0\n"
+
+    @pytest.mark.parametrize("z, y", [("0.5", "0.25"), ("0:1:31", "0:1:33"), ("0:1:32", "0:1:32"),
+                                      ("0.5", "0:1:1025"), ("0:1:41", "0:1:41")],
+                             ids=["1x1", "31x33", "32x32", "1x1025", "41x41"])
+    def test_block_writes_give_the_table_text_on_stdout_and_out(self, capsys, tmp_path, z, y):
+        # the CSV goes out in blocks of rows: these row counts stay under a
+        # block, fill one exactly, and cross block ends at and off row ends
+        argv = ["biv-eval", "--m", "7", "--fn", "g2", "--z", z, "--y", y]
+        code, out, _ = run_cli(capsys, *argv)
+        path = tmp_path / "biv.csv"
+        assert main([*argv, "--out", str(path)]) == 0
+        p = fracbk.OperatorParams(7, 1.0, 1.0, 1.0, 2)
+        zs, ys = _parse_axis(z), _parse_axis(y)
+        table = fracbk.surface_rows(fracbk.BivariateParams(p, p), fracbk.get_function("g2"), zs, ys)
+        axis = "m=7 eta=1.0 gamma=1.0 alpha=1.0 s=2"
+        want = table.to_csv(("biv-eval fn=g2", f"axis1 {axis}", f"axis2 {axis}", "order=64"))
+        assert want.count("\n") == 4 + 1 + zs.size * ys.size + 1  # comments, header, rows, max_error
+        assert code == 0
+        assert out == want
+        assert path.read_bytes() == want.encode()
+
+    def test_a_numeric_failure_with_out_creates_no_file(self, capsys, tmp_path):
+        # every number is computed before the output is opened
+        path = tmp_path / "biv.csv"
+        code, out, err = run_cli(capsys, "biv-eval", "--m", "5", "--fn", "exp(800*z)*y",
+                                 "--z", "0:1:3", "--y", "0:1:3", "--out", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("fracbk: numeric failure: ") and len(err.splitlines()) == 1
+        assert not path.exists()
 
 
 # Run in a fresh interpreter so that modules imported by other tests (the

@@ -762,6 +762,19 @@ class TestErrorTable:
         assert table.rows[0][0] == 0.25
         assert table.rows[0][1] == 0.25
 
+    @pytest.mark.parametrize("zs", [[], [0.5], [0.0, 0.25, 1.0]])
+    def test_rows_are_tuples_of_python_floats(self, zs):
+        # the table keeps float columns; rows builds the tuples on request
+        params = OperatorParams(m=5, eta=2.0, gamma=3.0, alpha=0.9, s=2)
+        table = error_table(params, parse_source("z*(1-z)"), zs)
+        assert isinstance(table.rows, list) and len(table.rows) == len(zs)
+        for row in table.rows:
+            assert type(row) is tuple and len(row) == 4
+            assert all(type(v) is float for v in row)
+        assert [row[0] for row in table.rows] == zs
+        with pytest.raises(AttributeError):
+            table.rows = []
+
     def test_csv_round_trip(self):
         params = OperatorParams(m=7, eta=2.0, gamma=3.0, alpha=0.4, s=2)
         f = parse_source("z*(z-2/5)*(z-7/8)")

@@ -7,6 +7,7 @@ import contextlib
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,8 +123,10 @@ _LIB_PARAMS = st.builds(fb.OperatorParams, st.integers(1, 6), st.sampled_from([0
 _KI_F = fb.parse_source("z*(z-0.5)")
 
 
-def _library_calls(p, f, z, y):
-    """Every public function that takes a function or points, on small sizes."""
+def _library_calls(p, f, z, y, odd):
+    """Every public function that takes a function or points, on small
+    sizes, and the ones whose first argument is a record or an expression
+    with an odd value in its place."""
     bp, order = fb.BivariateParams(p, p), 8
     return {
         "apply": lambda: fb.apply(p, f, z, order),
@@ -147,6 +150,14 @@ def _library_calls(p, f, z, y):
         "compare_rows": lambda: fb.compare_rows(f, [2], p.eta, p.gamma, p.alpha, p.s, z, order),
         "get_function": lambda: fb.get_function(f),
         "evaluate": lambda: fb.evaluate(fb.parse_source("z*y+1"), z, y),
+        "is_bivariate": lambda: fb.is_bivariate(f),
+        "evaluate(odd)": lambda: fb.evaluate(odd, z, y),
+        "is_bivariate(odd)": lambda: fb.is_bivariate(odd),
+        "integrate(odd)": lambda: fb.integrate(odd, f),
+        "apply_kernel(odd)": lambda: fb.apply_kernel(odd, z),
+        "operator_values(odd)": lambda: fb.operator_values(odd, z),
+        "apply_biv_kernel(odd)": lambda: fb.apply_biv_kernel(odd, z, y),
+        "to_csv(odd)": lambda: fb.to_csv(odd),
         "apply_kernel": lambda: fb.apply_kernel(fb.kernel_integrals(p, _KI_F, order), z),
         "operator_values": lambda: fb.operator_values(fb.kernel_integrals(p, _KI_F, order), z),
         "apply_biv_kernel": lambda: fb.apply_biv_kernel(fb.biv_kernel_integrals(bp, _KI_F, order), z, y),
@@ -161,12 +172,33 @@ def _library_calls(p, f, z, y):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_LIB_PARAMS, _F, _POINTS, _POINTS)
-def test_every_library_call_returns_or_raises_a_fracbk_error(p, f, z, y):
-    for name, call in _library_calls(p, f, z, y).items():
+@given(_LIB_PARAMS, _F, _POINTS, _POINTS, _ODD_F)
+def test_every_library_call_returns_or_raises_a_fracbk_error(p, f, z, y, odd):
+    for name, call in _library_calls(p, f, z, y, odd).items():
         try:
             call()
         except fb.FracbkError:
             pass
         except Exception as exc:  # noqa: BLE001 - the assertion names it
             raise AssertionError(f"{name} raised {type(exc).__name__}: {exc}") from exc
+
+
+_FIRST_ARGUMENTS = {
+    "evaluate": (lambda a: fb.evaluate(a, 0.5), "expr must be a FunctionExpr"),
+    "is_bivariate": (lambda a: fb.is_bivariate(a), "expr must be a FunctionExpr"),
+    "integrate": (lambda a: fb.integrate(a, _KI_F), "rule must be a QuadratureRule"),
+    "apply_kernel": (lambda a: fb.apply_kernel(a, 0.5), "ki must be a KernelIntegrals"),
+    "operator_values": (lambda a: fb.operator_values(a, [0.5]), "ki must be a KernelIntegrals"),
+    "apply_biv_kernel": (lambda a: fb.apply_biv_kernel(a, 0.5, 0.5), "ki must be a BivKernelIntegrals"),
+    "to_csv": (lambda a: fb.to_csv(a), "ds must be a Dataset"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIRST_ARGUMENTS))
+@pytest.mark.parametrize("odd", ["z*y", None, 0.5, fb.OperatorParams(3, 1.0, 1.0, 1.0, 2)],
+                         ids=["str", "None", "float", "OperatorParams"])
+def test_a_first_argument_of_the_wrong_type_names_the_type(name, odd):
+    # each ended in a raw AttributeError
+    call, message = _FIRST_ARGUMENTS[name]
+    with pytest.raises(fb.DomainError, match=f"^{message}, got {type(odd).__name__}$"):
+        call(odd)

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbk import (
     DomainError,
@@ -11,6 +13,7 @@ from fracbk import (
     table_dataset,
     to_csv,
 )
+from fracbk.dataset import BLOCK_ROWS, csv_blocks
 from fracbk.experiments import NINE_POINTS, comparator_params
 from fracbk import special_case
 
@@ -213,6 +216,32 @@ class TestCsv:
     def test_footer_lines_follow_rows(self):
         ds = Dataset(("first", "second"), ("a", "b"), ((1, 0.5), (2, "")), ("end=1",))
         assert to_csv(ds) == "# first\n# second\na,b\n1,0.5\n2,\n# end=1\n"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_blocks_join_to_the_line_by_line_text(self, data):
+        # int, float, str and empty cells, or floats alone given as a 2-D
+        # array; row counts around the block size up to 3,000
+        floats = data.draw(st.booleans())
+        cells = st.floats() if floats else st.one_of(
+            st.integers(-10**20, 10**20), st.floats(), st.text("az_ .-", max_size=3), st.just(""))
+        width = data.draw(st.integers(1, 4))
+        pool = data.draw(st.lists(st.tuples(*[cells] * width), min_size=1, max_size=5))
+        n = data.draw(st.one_of(st.sampled_from([0, 1, 1023, 1024, 1025, 2048, 3000]), st.integers(0, 3000)))
+        rows = tuple(pool[i % len(pool)] for i in range(n))
+        meta = tuple(data.draw(st.lists(st.text("ab =", max_size=4), max_size=2)))
+        footer = tuple(data.draw(st.lists(st.text("ab =", max_size=4), max_size=2)))
+        names = tuple(f"c{k}" for k in range(width))
+        ds = Dataset(meta, names, np.array(rows, dtype=float).reshape(n, width) if floats else rows, footer)
+
+        blocks = list(csv_blocks(ds))
+        lines = [f"# {m}" for m in meta] + [",".join(names)]
+        lines += [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
+        lines += [f"# {f}" for f in footer]
+        assert "".join(blocks) == to_csv(ds) == "\n".join(lines) + "\n"
+        row_blocks = blocks[1:-1]  # then the footer, "" if there is none
+        assert len(row_blocks) == -(-n // BLOCK_ROWS)
+        assert all(b.endswith("\n") and b.count("\n") <= BLOCK_ROWS for b in row_blocks)
 
 
 # The preset CSVs as the seed implementation wrote them.  Comment and header

@@ -273,8 +273,16 @@ class TestEvalFunction:
         # a wrong shape ended in a raw ValueError; complex values lost their
         # imaginary part; None read as NaN
         f = (lambda z, y: values(z)) if entry in _TWO_ARGUMENTS else values
-        with pytest.raises(EvaluationError, match="^(the values of f must be real numbers|f must give values of shape)"):
+        with pytest.raises(EvaluationError, match="^(the values of f must be real numbers|f must be vectorised)"):
             _F_ENTRY_POINTS[entry](self.P, f)
+
+    def test_a_shape_error_states_the_contract_and_both_shapes(self):
+        # it used to name only the internal block: "f must give values of
+        # shape (11, 64), got shape (3,)"
+        with pytest.raises(EvaluationError) as info:
+            kernel_integrals(self.P, lambda t: np.ones(3))
+        assert str(info.value) == ("f must be vectorised and give one value per point: "
+                                   "expected shape (11, 64), got shape (3,)")
 
     @pytest.mark.parametrize("entry", sorted(_F_ENTRY_POINTS))
     def test_what_the_callable_raises_propagates(self, entry):

@@ -148,6 +148,8 @@ class TestApplyBiv:
         for z, y, exact, approx, err in table.rows:
             assert exact == pytest.approx(z * y, abs=1e-15)
             assert err == pytest.approx(abs(exact - approx), abs=1e-18)
+        assert all(type(row) is tuple and all(type(v) is float for v in row) for row in table.rows)
+        assert [row[:2] for row in table.rows] == [(z, y) for z in (0.2, 0.8) for y in (0.1, 0.5, 0.9)]
 
 
 def _extended_tensor_sum(bp, F, order=64):
