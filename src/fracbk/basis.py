@@ -156,5 +156,7 @@ def basis_matrix(params: OperatorParams, zs) -> np.ndarray:
 
 
 def basis_row(params: OperatorParams, z: float) -> BasisRow:
-    """All m+1 basis weights at z; one row of basis_matrix."""
-    return BasisRow(basis_matrix(params, [check_point(z)])[0])
+    """All m+1 basis weights at z; one row of basis_matrix, taken from its
+    one-point block."""
+    (_block, rows), = _row_blocks(params, np.array([check_point(z)]))
+    return BasisRow(rows[0])

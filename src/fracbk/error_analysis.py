@@ -18,7 +18,8 @@ checked against f at the cell corners, and kept in a small cache; on one
 axis they are also merged pairwise into coarser levels, so that a large
 radius reads a short array; runs of at least 128 cells read them, so they
 keep the maxima of their 128-cell runs, and shorter runs read the last
-expression's finest level as its 4-, 16- or 64-cell maxima.  Each level
+expression's finest level as its 4-, 16- or 64-cell maxima.  One doubling
+chain over the finest cells gives all of these tables.  Each level
 keeps the run ranges it has given, keyed by (runs, axes) with runs clipped
 to the axis length, so a repeated radius reads a dict: the values are the
 ones the engine would recompute, and they leave with the cache entry.  The
@@ -42,7 +43,7 @@ from .basis import _BLOCK_ELEMENTS, OperatorParams
 from .dataset import Dataset, to_csv
 from .errors import DomainError, EvaluationError, check_int, check_points, check_real
 from .exprlib import FunctionExpr, enclose, eval_function, second_derivative
-from .operator_uni import DEFAULT_ORDER, apply_kernel, central_moments, kernel_integrals
+from .operator_uni import _kernel_order, apply_kernel, central_moments, kernel_integrals
 
 # Enclosure cells of [0, 1] for the moduli on one axis, by default and at
 # most, and per axis of [0, 1]^2 for the moduli on two.  Both are powers of
@@ -107,15 +108,16 @@ def _window_max(values: np.ndarray, width: int, axis: int = -1, span: int = 1) -
     span * 2**j cells from i on, and one overlapping pair of such spans
     covers any width, so the cost is O(n log(width / span)).
     """
-    hi = np.moveaxis(values, axis, -1)
-    count = hi.shape[-1] + span - width
+    lead = (slice(None),) * (axis % values.ndim)
+    count = values.shape[axis] + span - width
+    hi = values
     while 2 * span <= width:
-        hi = np.maximum(hi[..., :-span], hi[..., span:])
+        hi = np.maximum(hi[lead + (slice(None, -span),)], hi[lead + (slice(span, None),)])
         span *= 2
     if span < width:
         rest = width - span
-        hi = np.maximum(hi[..., :count], hi[..., rest : rest + count])
-    return np.moveaxis(hi, -1, axis)
+        hi = np.maximum(hi[lead + (slice(None, count),)], hi[lead + (slice(rest, rest + count),)])
+    return hi
 
 
 def _on_axis(u: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -130,10 +132,10 @@ def _check_corners(f: FunctionExpr, ends: np.ndarray) -> None:
     values = eval_function(f, *(_on_axis(u, i, ndim) for i in range(ndim)))
     if not np.all(np.isfinite(values)):
         raise EvaluationError("function has non-finite values on the modulus grid")
-    for corner in itertools.product((slice(None, -1), slice(1, None)), repeat=values.ndim):
-        v = values[corner]
-        if not np.all((v <= ends[0]) & (-v <= ends[1])):
-            raise EvaluationError("an interval enclosure misses a value of the function")
+    corners = [values[c] for c in itertools.product((slice(None, -1), slice(1, None)), repeat=ndim)]
+    if not (np.all(functools.reduce(np.maximum, corners) <= ends[0])
+            and np.all(-functools.reduce(np.minimum, corners) <= ends[1])):
+        raise EvaluationError("an interval enclosure misses a value of the function")
 
 
 def _run_range(ends: np.ndarray, runs: int, axes, span: int = 1) -> float:
@@ -149,11 +151,11 @@ def _run_range(ends: np.ndarray, runs: int, axes, span: int = 1) -> float:
     step = max(_BLOCK_ELEMENTS * ends.shape[1] // ends.size, shared, 1)
     tops = []
     for i in range(0, ends.shape[1] - shared, step):
-        block = ends[:, i : i + step + shared]
+        block = window = ends[:, i : i + step + shared]
         for axis, width in widths.items():
-            block = _window_max(block, width, axis, span)
-        with np.errstate(over="ignore", invalid="ignore"):
-            tops.append(np.max(block[0] + block[1]))
+            window = _window_max(window, width, axis, span)
+        with np.errstate(over="ignore", invalid="ignore"):  # a window past a pass is new: sum in place
+            tops.append(np.max(np.add(window[0], window[1], out=None if window is block else window[0])))
     return float(np.max(tops))
 
 
@@ -178,10 +180,12 @@ def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
     one call's ends as every interval operation works cell by cell, and
     checked against f at the cell corners; then, on one axis, while at
     least 2*_RUN_CELLS remain, the maxima of the _RUN_CELLS-cell runs of
-    pairwise merged cells (an odd last cell stays alone), all in one array,
-    each table in one _window_max pass over at most _RESOLUTION / 2 merged
-    cells (512 KiB of ends); ranges holds the level's _run_range values by
-    (runs, axes), and its _peak_range entry under None."""
+    pairwise merged cells (an odd last cell stays alone), all in one array;
+    ranges holds the level's _run_range values by (runs, axes), and its
+    _peak_range entry under None.  The finest cells' doubling chain
+    (_span_tables) gives their 128-cell maxima; 128 merged cells from c are
+    the 256 cells below from 2c, so each merged table takes entries 2c and
+    2c + 128 of the table below (the last entry again at an odd end)."""
     u = np.linspace(0.0, 1.0, cells + 1)
     ends = np.empty((2,) + (cells,) * ndim)
     rows = max(_CHUNK_CELLS // cells ** (ndim - 1), 1)
@@ -192,32 +196,49 @@ def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
     ends.setflags(write=False)
     _check_corners(f, ends)
     levels = [(ends, float(np.min(np.diff(u))), {})]
+    if ndim > 1:
+        return tuple(levels)
     n, sizes = cells, []  # table entries per merged level, in one array so the heap does not fragment
-    while ndim == 1 and n >= 2 * _RUN_CELLS:
+    while n >= 2 * _RUN_CELLS:
         n = (n + 1) // 2
         sizes.append(n - _RUN_CELLS + 1)
+    table = _span_tables((f, cells), ends, _RUN_CELLS if sizes else 64)
     tables = np.empty((2, sum(sizes)))
     for start, size in zip(itertools.accumulate(sizes, initial=0), sizes):
-        if ends.shape[-1] % 2:
-            ends = np.concatenate((ends, ends[:, -1:]), axis=1)
-        ends = np.maximum(ends[:, ::2], ends[:, 1::2])
-        table = tables[:, start : start + size]
-        table[:] = _window_max(ends, _RUN_CELLS)
+        if table.shape[1] % 2 == 0:  # an odd count of cells below
+            table = np.concatenate((table, table[:, -1:]), axis=1)
+        table = np.maximum(table[:, : 2 * size : 2], table[:, _RUN_CELLS :: 2], out=tables[:, start : start + size])
         table.setflags(write=False)
         levels.append((table, 2.0 * levels[-1][1], {}))
     return tuple(levels)
 
 
-@functools.lru_cache(maxsize=1)
+# {(f, cells): {span: table}} of the last finest one-axis level built or read
+_FINEST = {}
+
+
+def _span_tables(key, ends: np.ndarray, top: int) -> np.ndarray:
+    """The table of top-cell maxima of ends, as in _window_max, doubling the
+    span from 1; its read-only 4-, 16- and 64-cell tables fill _FINEST."""
+    _FINEST.clear()  # first, so the last expression's tables are freed before these are built
+    finest, table, span = {}, ends, 1
+    while span < top:
+        table = np.maximum(table[:, :-span], table[:, span:])
+        span *= 2
+        if span in (4, 16, 64):
+            table.setflags(write=False)
+            finest[span] = table
+    _FINEST[key] = finest
+    return table
+
+
 def _finest_tables(f: FunctionExpr, cells: int) -> dict:
-    """The tables of 4-, 16- and 64-cell maxima of the finest one-axis level
-    of _levels, as in _window_max, by span: read-only, and kept for the last
-    (f, cells) only (3 MiB at 65,536 cells)."""
-    tables, table = {}, _levels(f, cells, 1)[0][0]
-    for span in (4, 16, 64):
-        table = tables[span] = _window_max(table, span, -1, span // 4)
-        table.setflags(write=False)
-    return tables
+    """The 4-, 16- and 64-cell tables of the finest one-axis level by span,
+    kept for the last (f, cells) only (3 MiB at 65,536 cells)."""
+    ends = _levels(f, cells, 1)[0][0]
+    if (f, cells) not in _FINEST:
+        _span_tables((f, cells), ends, 64)
+    return _FINEST[(f, cells)]
 
 
 def _peak_range(values: np.ndarray, ranges: dict, runs: int, axes, span: int) -> float:
@@ -345,15 +366,18 @@ def bound_kfunctional(params: OperatorParams, f, z: float, C: float, grid_n: int
     return C * w2 + modulus_continuity(f, abs(cm.zeta), grid_n).value
 
 
-def error_table(params: OperatorParams, f, z_values, order: int = DEFAULT_ORDER) -> ErrorTable:
+def error_table(params: OperatorParams, f, z_values, order: int | None = None) -> ErrorTable:
     """Pointwise exact/approximate values and absolute errors over z_values.
 
-    The operator values come from apply_kernel, one point at a time: the
-    benchmark's self-test (bench/tests) alters that function to prove that a
-    wrong approximation on its bounds workload is caught.
+    The kernel integrals take `order` nodes; None takes the lowest order
+    whose quadrature error bound is at most half an ulp of sup |f|, and 64
+    where there is no such bound (a callable, abs, sqrt at 0).  The operator
+    values come from apply_kernel, one point at a time: the benchmark's
+    self-test (bench/tests) alters that function to prove that a wrong
+    approximation on its bounds workload is caught.
     """
     zs = check_points(z_values)
-    ki = kernel_integrals(params, f, order)
+    ki = kernel_integrals(params, f, _kernel_order(params, f) if order is None else order)
     columns = np.empty((4, zs.size))
     columns[0], columns[1] = zs, eval_function(f, zs)
     columns[2] = [apply_kernel(ki, z) for z in zs.tolist()]

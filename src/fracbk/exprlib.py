@@ -87,6 +87,14 @@ Node = Union[Num, Var, Neg, BinOp, Call]
 class FunctionExpr:
     root: Node
 
+    def __hash__(self) -> int:  # taken once: every cache keyed on the expression asks
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash(self.root)
+        return self.__dict__["_hash"]
+
+    def __reduce__(self):  # without the hash, which differs between processes
+        return FunctionExpr, (self.root,)
+
 
 def tokenize(src: str) -> list[Token]:
     if not src or not src.strip():
@@ -326,7 +334,11 @@ def _unbounded_where(mask, lo, hi):
 
 
 def _corners(op, a, b, ulps: int = 1):
-    """Hull of op over the four end pairs: exact for a monotone op."""
+    """Hull of op over the four end pairs: exact for a monotone op.  An
+    operand that is one float (a Num, an integer exponent) makes two."""
+    if any(isinstance(x[0], float) and x[0] == x[1] for x in (a, b)):
+        c = (op(a[0], b[0]), op(a[1], b[1]))
+        return _outward(np.minimum(*c), np.maximum(*c), ulps)
     c = (op(a[0], b[0]), op(a[0], b[1]), op(a[1], b[0]), op(a[1], b[1]))
     lo = np.minimum(np.minimum(c[0], c[1]), np.minimum(c[2], c[3]))
     hi = np.maximum(np.maximum(c[0], c[1]), np.maximum(c[2], c[3]))

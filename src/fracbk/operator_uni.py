@@ -3,11 +3,14 @@
 The operator applies the blending basis row at z to kernel integrals that do
 not depend on z, so the integrals are computed once per function and reused
 across evaluation points.  Closed forms are provided for the images of
-1, t, t^2 and the first two central moments.
+1, t, t^2 and the first two central moments.  _certificate bounds the
+quadrature error of the kernel integrals from the closed-form kernel
+moments, and _kernel_order picks the lowest order that bound allows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,11 +18,14 @@ import numpy as np
 
 from .basis import _BLOCK_ELEMENTS, OperatorParams, _row_blocks, basis_row
 from .errors import QuadratureError, check_int, check_point, check_points, check_type
-from .exprlib import eval_function
+from .exprlib import (_MAX_DERIVATIVE_NODES, FunctionExpr, Node, _derivative, _size_at_most, enclose,
+                      eval_function, free_variables)
 from .quadrature import _kernel_rule
 from .specfun import moment_coeff
 
 DEFAULT_ORDER = 64
+# Orders a certificate may choose, its Taylor terms, and enclosure cells
+_CERTIFIED_ORDERS, _TAYLOR_TERMS, _DERIVATIVE_CELLS, _EPS = (8, 16, 32), 12, 256, 2.0**-52
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +63,76 @@ def kernel_integrals(params: OperatorParams, f, order: int = DEFAULT_ORDER) -> K
         values[start : start + step] = vals @ weights
     values.setflags(write=False)
     return KernelIntegrals(params, values)
+
+
+@functools.lru_cache(maxsize=2)  # the last two: _derivative_sup asks in increasing k
+def _nth_derivative(f: FunctionExpr, k: int) -> Node | None:
+    """f^(k) in z; None where no rule applies or past _MAX_DERIVATIVE_NODES."""
+    if k == 0:
+        return f.root
+    d = _nth_derivative(f, k - 1)
+    d = None if d is None else _derivative(d, "z")
+    return d if d is not None and _size_at_most(d, _MAX_DERIVATIVE_NODES) else None
+
+
+@functools.lru_cache(maxsize=1024)
+def _derivative_sup(f: FunctionExpr, k: int) -> float:
+    """S_k >= sup |f^(k)| on [0, 1] from enclose on _DERIVATIVE_CELLS cells;
+    inf where f^(k) has no tree or is unbounded."""
+    d, u = _nth_derivative(f, k), np.linspace(0.0, 1.0, _DERIVATIVE_CELLS + 1)
+    s = math.inf if d is None else float(np.max(np.abs(enclose(FunctionExpr(d), (u[:-1], u[1:])))))
+    return math.inf if math.isnan(s) else s
+
+
+@functools.lru_cache(maxsize=256, typed=True)  # the rule's points depend on gamma's type
+def _moment_misses(eta: float, gamma: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(e, c) for k <= _TAYLOR_TERMS: c_k = moment_coeff(eta, gamma, k) and
+    e_k >= |Q_n(s^k) - c_k| for the order-n rule at its points s: the miss,
+    the sum's rounding ((n + 8) eps) and c_k's, eps (1 + sum over the three
+    lgamma arguments x >= 1 of 4|lgamma x| + 1 + 2x(0.6 + log x)): exp,
+    lgamma, the sums, and x's own rounding, as |digamma x| <= 0.6 + log x."""
+    tg, weights = _kernel_rule(eta, gamma, n)
+    k = np.arange(_TAYLOR_TERMS + 1)
+    sums = weights @ tg[:, None] ** k
+    c = np.array([moment_coeff(eta, gamma, i) for i in range(k.size)])
+    x = np.array([np.full(k.size, eta + 1.0), gamma * k + 1.0, eta + gamma * k + 1.0])
+    lg = np.reshape([abs(math.lgamma(v)) for v in x.ravel().tolist()], x.shape)
+    rel = 1.0 + np.sum(4.0 * lg + 1.0 + 2.0 * x * (0.6 + np.log(x)), axis=0)
+    return np.abs(sums - c) + (n + 8) * _EPS * sums + rel * _EPS * c, c
+
+
+def _certificate(f: FunctionExpr, eta: float, gamma: float, m: int, n: int) -> float:
+    """A bound on |Q_n - K_j| over the rows j of the order-n kernel integrals
+    of the expression f, beyond the rounding of f's values and of the
+    weights' sum that every order has.  With h = 1/(m+1), Taylor's theorem
+    and weights >= 0 give for any K the bound sum_{1 <= k < K} S_k h^k e_k
+    / k! + 2 S_K h^K (c_K + e_K) / K! (_derivative_sup, _moment_misses).
+    K grows from 1 until a bound is at most half an ulp of S_0, the k < K
+    sum (a floor under every larger K) exceeds that, or K passes
+    _TAYLOR_TERMS; the least bound, raised 2^-40 for its own rounding."""
+    target = 0.5 * math.ulp(_derivative_sup(f, 0))
+    e, c = _moment_misses(eta, gamma, n)
+    h, head, best = 1.0 / (m + 1.0), 0.0, math.inf
+    for k in range(1, _TAYLOR_TERMS + 1):
+        term = _derivative_sup(f, k) * h**k / math.factorial(k)
+        best = min(best, head + 2.0 * term * (c[k] + e[k]))
+        head += term * e[k]
+        if best <= target or head > target:
+            break
+    return best * (1.0 + 2.0**-40)
+
+
+def _kernel_order(params: OperatorParams, f) -> int:
+    """The least of _CERTIFIED_ORDERS whose _certificate is at most half an
+    ulp of S_0, else DEFAULT_ORDER (a callable, an expression of y, abs,
+    sqrt at 0, a derivative past _MAX_DERIVATIVE_NODES: no bound at all)."""
+    if not isinstance(f, FunctionExpr) or free_variables(f) - {"z"}:
+        return DEFAULT_ORDER
+    s0 = _derivative_sup(f, 0)
+    if max(s0, _derivative_sup(f, 1)) == math.inf:  # every bound takes S_1
+        return DEFAULT_ORDER
+    return next((n for n in _CERTIFIED_ORDERS
+                 if _certificate(f, params.eta, params.gamma, params.m, n) <= 0.5 * math.ulp(s0)), DEFAULT_ORDER)
 
 
 def operator_values(ki: KernelIntegrals, zs) -> np.ndarray:

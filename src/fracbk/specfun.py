@@ -5,6 +5,7 @@ double range.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import check_int, check_real
@@ -27,4 +28,9 @@ def moment_coeff(eta: float, gamma: float, k: int) -> float:
     check_real("eta", eta)
     check_real("gamma", gamma)
     check_int("k", k)
+    return _moment_coeff(eta, gamma, k)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _moment_coeff(eta: float, gamma: float, k: int) -> float:
     return math.exp(_log_gamma(eta + 1.0) + _log_gamma(gamma * k + 1.0) - _log_gamma(eta + gamma * k + 1.0))

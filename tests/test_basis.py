@@ -351,6 +351,17 @@ class TestBasisMatrix:
         for z in PARITY_POINTS + _band_edges(m):
             assert np.array_equal(bernstein_row(m, z), _reference_bernstein_row(m, z))
 
+    @pytest.mark.parametrize("m", [1, 4, 15, 250, 1700, 4437, 87333])
+    def test_basis_row_is_the_matrix_row(self, m):
+        # basis_row takes its one-point block of _row_blocks; the matrix
+        # copies the same block into its rows
+        for s, alpha in ((0, 0.5), (2, 0.35), (3, 0.0), (m + 1, 0.9)):
+            params = make_params(m, s, alpha)
+            for z in (0.0, 1.0, 0.5, 1e-300, 0.3, 1.0 - 2.0**-53, 0.876):
+                row = basis_row(params, z).weights
+                assert row.shape == (m + 1,)
+                assert row.tobytes() == basis_matrix(params, [z])[0].tobytes(), (s, alpha, z)
+
     @pytest.mark.parametrize("n", [1600, 1700, 3 * 10**4, 2 * 10**5])
     def test_reference_rows_vanish_outside_the_band(self, n):
         # the rows are computed only on the band, so the full rows must hold

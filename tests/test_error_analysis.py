@@ -366,10 +366,57 @@ class TestMergedLevels:
                 assert modulus_continuity(f, delta, cells).value == expected, (k, delta)
 
 
+def _synthetic_levels(ends):
+    """_levels on one axis of a finest level holding ends (enclose and the
+    corner check replaced), from a fresh cache and _FINEST slot."""
+    cells = ends.shape[-1]
+
+    def fake_enclose(f, z_cells):
+        at = np.rint(z_cells[0] * cells).astype(int)
+        return -ends[1, at], ends[0, at]
+
+    with mock.patch.object(error_analysis, "enclose", fake_enclose), \
+            mock.patch.object(error_analysis, "_check_corners", lambda f, ends: None), \
+            mock.patch.dict(error_analysis._FINEST, clear=True):
+        _levels.cache_clear()
+        levels = _levels(parse_source("z"), cells, 1)
+        finest = error_analysis._FINEST[(parse_source("z"), cells)]
+    _levels.cache_clear()
+    return levels, finest
+
+
+class TestDoublingChain:
+    """_levels builds the 4-, 16- and 64-cell tables and every merged level
+    from one doubling chain; the tables are those of pairwise merged cells
+    and _window_max byte for byte, signed zeros, inf and NaN included."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([101, 127, 255, 256, 257, 511, 1001, 1025, 4097, 65535]), st.integers(0, 2**32 - 1),
+           st.booleans(), st.lists(st.tuples(st.integers(0, 1), st.floats(0.0, 1.0, exclude_max=True),
+                                             st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])),
+                                   max_size=6))
+    def test_tables_equal_merge_and_window(self, cells, seed, plateaus, specials):
+        rng = np.random.default_rng(seed)
+        ends = np.repeat(rng.choice([-1.0, -0.0, 0.0, 2.0], (2, cells // 8 + 1)), 8, axis=1)[:, :cells] if plateaus \
+            else rng.standard_normal((2, cells))
+        for row, at, value in specials:
+            ends[row, int(at * cells)] = value
+        levels, finest = _synthetic_levels(ends)
+        assert levels[0][0].tobytes() == ends.tobytes()
+        for span in (4, 16, 64):
+            assert finest[span].tobytes() == window_max(ends, span).tobytes()
+            assert finest[span].tobytes() == _tables_of(ends)[span].tobytes()
+        assert len(levels) - 1 == sum(1 for k in range(1, 20) if -(-cells // 2 ** (k - 1)) >= 256)
+        for k, (table, _width, _ranges) in enumerate(levels[1:], 1):
+            assert not table.flags.writeable
+            assert table.tobytes() == window_max(_merged_cells(ends, k), 128).tobytes(), k
+
+
 def _tables_of(ends):
     """The tables _finest_tables builds on a finest level holding ends."""
-    with mock.patch.object(error_analysis, "_levels", lambda f, cells, ndim: ((ends, 1.0, {}),)):
-        return _finest_tables.__wrapped__(None, ends.shape[-1])
+    with mock.patch.object(error_analysis, "_levels", lambda f, cells, ndim: ((ends, 1.0, {}),)), \
+            mock.patch.dict(error_analysis._FINEST, clear=True):
+        return _finest_tables(None, ends.shape[-1])
 
 
 class TestFinestTables:
@@ -410,7 +457,7 @@ class TestFinestTables:
         tables = weakref.ref(_finest_tables(f, 65536)[64])
         modulus_continuity(g, 10 / 65536)
         assert tables() is None  # f's tables left with g's query
-        assert _finest_tables.cache_info().currsize == 1
+        assert list(error_analysis._FINEST) == [(g, 65536)]
 
 
 _ONE_AXIS = ["sin(7*z)*cos(3*z)", "exp(2*z)/(1+z)", "sqrt(z) + abs(z-0.37)", "(z-0.2)^3 - 4*z^2",

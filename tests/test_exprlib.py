@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from fracbk import (
     surface_values,
 )
 from fracbk.exprlib import (
-    Num, _cell_signs, _eval_node, enclose, eval_function, free_variables, parse, second_derivative, separate,
+    Num, _cell_signs, _corners, _outward, _eval_node, enclose, eval_function, free_variables, parse, second_derivative, separate,
     separate_cells, tokenize,
 )
 
@@ -423,6 +425,39 @@ class TestEnclose:
     def test_y_without_y_cells_rejected(self):
         with pytest.raises(EvaluationError):
             enclose(parse_source("z+y"), (np.zeros(1), np.ones(1)))
+
+    @pytest.mark.parametrize("op", [np.multiply, np.divide, np.power])
+    def test_point_operand_takes_two_products(self, op, rng):
+        # a Num or an integer exponent is a point: its two products give the
+        # hull of the four bit for bit, signed zeros, inf and NaN included
+        lo = rng.standard_normal(64)
+        cells = [lo, lo + rng.random(64)]
+        for i, value in enumerate([0.0, -0.0, math.inf, -math.inf, math.nan]):
+            cells[i % 2][i] = value
+        with np.errstate(all="ignore"):
+            for c in (2.0, -3.0, 0.5, 0.0, 4.0):
+                for a, b in ((cells, (c, c)), ((c, c), cells)):
+                    got = _corners(op, a, b)
+                    c0, c1, c2, c3 = (op(a[i], b[j]) for i in (0, 1) for j in (0, 1))
+                    want = _outward(np.minimum(np.minimum(c0, c1), np.minimum(c2, c3)),
+                                    np.maximum(np.maximum(c0, c1), np.maximum(c2, c3)))
+                    assert all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(got, want)), c
+
+
+class TestFunctionExprHash:
+    def test_hash_is_the_trees_and_taken_once(self):
+        f = parse_source("(1-z)*cos(2*pi*z)")
+        assert hash(f) == hash(f.root) == hash(parse_source("(1-z)*cos(2*pi*z)"))
+        assert f.__dict__["_hash"] == hash(f.root)
+        assert f == parse_source("(1-z)*cos(2*pi*z)") and repr(f).startswith("FunctionExpr(root=")
+
+    def test_pickle_leaves_the_hash_behind(self):
+        f = parse_source("sin(z) + y")
+        hash(f)
+        state = pickle.dumps(f)
+        assert b"_hash" not in state
+        g = pickle.loads(state)
+        assert g == f and hash(g) == hash(f) and copy.deepcopy(f) == f
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

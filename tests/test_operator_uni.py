@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -8,13 +9,17 @@ from fracbk import (
     DEFAULT_ORDER,
     BivariateParams,
     DomainError,
+    EvaluationError,
     OperatorParams,
+    QuadratureError,
     apply,
     apply_kernel,
     biv_kernel_integrals,
     central_moments,
+    error_table,
     evaluate,
     gauss_jacobi_rule,
+    get_function,
     kernel_integrals,
     moment_coeff,
     moment_recurrence,
@@ -24,7 +29,13 @@ from fracbk import (
     special_case,
 )
 
-from conftest import draw_params
+from fracbk.exprlib import enclose, eval_function
+from fracbk.operator_uni import _certificate, _derivative_sup, _kernel_order, _moment_misses
+from fracbk.quadrature import _kernel_rule
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import draw_params, expression_texts
 
 
 class TestKernelIntegrals:
@@ -312,3 +323,104 @@ class TestSpecialCase:
         # alpha=1, eta=1, gamma=1, s=2 satisfies both; FBK is checked first.
         params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=1.0, s=2)
         assert special_case(params) == "FBK"
+
+
+# The bench's eta values, and gammas and degrees from integer to non-integer,
+# from 11 to 100,001 rows
+_ETAS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0)
+_GAMMAS = (1.0, 1.654, 2.3, 3.0, 3.88, 4.71)
+_MS = (10, 40, 250, 2000, 22539, 100000)
+_EPS = 2.0**-52
+
+
+def _rows_and_rounding(f, eta, gamma, m, order, rows):
+    """The points and weights of rows of the order-`order` kernel
+    integrals, and a bound on the rounding of those rows as kernel_integrals
+    sums them: the width of f's enclosure at each point (the same operations
+    widened outward, so it holds the computed and the exact value), the
+    points' own rounding (2 eps S_1), the sum of order products
+    ((order + 2) eps S_0) and the weights' sum off 1."""
+    tg, w = _kernel_rule(eta, gamma, order)
+    x = (rows[:, None] + tg) / (m + 1.0)
+    lo, hi = enclose(f, (x, x))
+    s0, s1 = _derivative_sup(f, 0), _derivative_sup(f, 1)
+    rounding = float(np.max(hi - lo)) + 2 * _EPS * s1 + ((order + 2) * _EPS + abs(math.fsum(w) - 1.0)) * s0
+    return x, w, rounding
+
+
+def _check_auto_order(f, eta, gamma, m):
+    """|K(auto) - K(256)| <= certificate + rounding on 17 rows, the order-256
+    rows summed in long double; returns the order chosen."""
+    params = OperatorParams(m, eta, gamma, 0.5, 2)
+    order = _kernel_order(params, f)
+    if order == DEFAULT_ORDER:
+        return order
+    rows = np.unique(np.linspace(0, m, 17).astype(int))
+    x, w, ref_rounding = _rows_and_rounding(f, eta, gamma, m, 256, rows)
+    reference = (eval_function(f, x).astype(np.longdouble) * w).sum(axis=1)
+    rounding = _rows_and_rounding(f, eta, gamma, m, order, rows)[2] + ref_rounding
+    cert = _certificate(f, eta, gamma, m, order)
+    assert cert <= 0.5 * math.ulp(_derivative_sup(f, 0))
+    diff = float(np.max(np.abs(kernel_integrals(params, f, order).values[rows] - reference)))
+    assert diff <= cert + rounding, (eta, gamma, m, order, diff, cert, rounding)
+    return order
+
+
+class TestCertifiedOrder:
+    """error_table integrates at the lowest order whose moment-based bound on
+    the quadrature error (_certificate) is at most half an ulp of sup |f|."""
+
+    @pytest.mark.parametrize("source", ["f1", "f2", "f3", "f4", "0.3 - 1.2*z + 0.7*z^2",
+                                        "-1.752353 + -1.101878*z + 0.133*z^2"])
+    def test_auto_order_within_the_certificate(self, source):
+        f = get_function(source)
+        orders = [_check_auto_order(f, eta, gamma, m) for eta in _ETAS for gamma in _GAMMAS for m in _MS]
+        assert set(orders) >= {8, 16, DEFAULT_ORDER}  # certified at large m, not at m = 10
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(expression_texts(), st.sampled_from(_ETAS), st.sampled_from(_GAMMAS), st.sampled_from(_MS))
+    def test_auto_order_within_the_certificate_drawn(self, text, eta, gamma, m):
+        f = parse_source(text)
+        try:
+            kernel_integrals(OperatorParams(10, eta, gamma, 0.5, 2), f, 8)
+        except (EvaluationError, QuadratureError):
+            return  # not integrable on [0, 1]
+        _check_auto_order(f, eta, gamma, m)
+
+    @pytest.mark.parametrize("f", [parse_source("abs(z-0.37)"), parse_source("sqrt(z)"),
+                                   parse_source("exp(z)*abs(z-0.5)"), lambda t: np.cos(t)])
+    def test_no_certificate_keeps_order_64_bit_for_bit(self, f):
+        params = OperatorParams(100000, 2.0, 3.0, 0.5, 2)
+        assert _kernel_order(params, f) == DEFAULT_ORDER
+        zs = np.linspace(0.0, 1.0, 11)
+        assert error_table(params, f, zs).columns.tobytes() == error_table(params, f, zs, 64).columns.tobytes()
+
+    def test_large_m_takes_a_low_order(self):
+        f2 = get_function("f2")
+        assert _kernel_order(OperatorParams(50802, 0.75, 1.654, 0.5, 2), f2) == 8
+        assert _kernel_order(OperatorParams(10, 0.75, 1.654, 0.5, 2), f2) == DEFAULT_ORDER
+        params = OperatorParams(22539, 2.0, 2.816, 0.5, 2)
+        zs = np.linspace(0.0, 1.0, 5)
+        auto = error_table(params, f2, zs)
+        assert auto.columns.tobytes() == error_table(params, f2, zs, _kernel_order(params, f2)).columns.tobytes()
+
+    def test_explicit_orders_and_kernel_integrals_keep_64(self):
+        assert inspect.signature(kernel_integrals).parameters["order"].default == DEFAULT_ORDER == 64
+        assert inspect.signature(error_table).parameters["order"].default is None
+
+    @pytest.mark.parametrize("order", [8, 16, 32, 64])
+    def test_moment_misses_hold_the_exact_misses(self, order):
+        # e_k is at least |Q_n(s^k) - c_k| with the rule's float points and
+        # weights summed exactly and c_k to 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for eta in _ETAS:
+            for gamma in (*_GAMMAS, 4.999):
+                e, c = _moment_misses(eta, gamma, order)
+                tg, w = _kernel_rule(eta, gamma, order)
+                for k in range(len(e)):
+                    q = mpmath.fsum(mpmath.mpf(wi) * mpmath.mpf(ti) ** k for wi, ti in zip(w, tg))
+                    g = mpmath.mpf(gamma) * k + 1
+                    exact = mpmath.gamma(mpmath.mpf(eta) + 1) * mpmath.gamma(g) / mpmath.gamma(mpmath.mpf(eta) + g)
+                    assert abs(q - exact) <= e[k], (eta, gamma, k)
+                    assert c[k] == moment_coeff(eta, gamma, k)

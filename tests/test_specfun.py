@@ -76,6 +76,16 @@ class TestMomentCoeff:
                 exact = 1 / math.comb(top - 1, eta)
                 assert moment_coeff(float(eta), gamma, k) == pytest.approx(exact, rel=1e-9, abs=0.0)
 
+    def test_memoized_after_the_checks(self):
+        # a cached value is still reached only through the argument checks,
+        # and an int argument keeps its own entry (typed cache)
+        first = moment_coeff(2.5, 3.1, 2)
+        assert moment_coeff(2.5, 3.1, 2) == first
+        assert moment_coeff(2, 3.0, 1) == moment_coeff(2.0, 3.0, 1)
+        for eta, gamma, k in ((2.5, 3.1, -2), (math.nan, 3.1, 2), (2.5, 3.1, 2.0), (True, 3.1, 2)):
+            with pytest.raises(DomainError):
+                moment_coeff(eta, gamma, k)
+
     def test_bounded_on_random_draws(self, rng):
         for _ in range(200):
             eta = float(rng.uniform(0.05, 8.0))
