@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_int, check_point, check_points, check_real
+from .errors import check_int, check_point, check_points, check_real, check_type
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,7 @@ def _row_blocks(params: OperatorParams, zs: np.ndarray):
 def basis_matrix(params: OperatorParams, zs) -> np.ndarray:
     """The basis rows at every point of zs, shape (len(zs), m+1), built in
     blocks of at most _BLOCK_ELEMENTS weights to bound the temporaries."""
+    check_type("params", params, OperatorParams)
     zs = check_points(zs)
     out = np.empty((zs.size, params.m + 1))
     for block, rows in _row_blocks(params, zs):
@@ -158,5 +159,6 @@ def basis_matrix(params: OperatorParams, zs) -> np.ndarray:
 def basis_row(params: OperatorParams, z: float) -> BasisRow:
     """All m+1 basis weights at z; one row of basis_matrix, taken from its
     one-point block."""
+    check_type("params", params, OperatorParams)
     (_block, rows), = _row_blocks(params, np.array([check_point(z)]))
     return BasisRow(rows[0])

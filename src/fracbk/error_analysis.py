@@ -25,9 +25,9 @@ to the axis length, so a repeated radius reads a dict: the values are the
 ones the engine would recompute, and they leave with the cache entry.  The
 two-axis moduli evaluate F at the cell corners and check them once more on
 every call, so that a traced run counts those evaluations.  omega_2 is at
-most delta^2 * sup |f''| (a symbolic second derivative, enclosed on fewer
-cells) and at most twice omega, whose pass is skipped where the runs
-through the widest cell alone make twice omega reach the first.
+most delta^2 * sup |f''| (exprlib.derivative_sup, on fewer cells) and at
+most twice omega, whose pass is skipped where the runs through the widest
+cell alone make twice omega reach the first.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ import numpy as np
 
 from .basis import _BLOCK_ELEMENTS, OperatorParams
 from .dataset import Dataset, to_csv
-from .errors import DomainError, EvaluationError, check_int, check_points, check_real
-from .exprlib import FunctionExpr, enclose, eval_function, second_derivative
+from .errors import DomainError, EvaluationError, check_int, check_points, check_real, check_type
+from .exprlib import FunctionExpr, derivative_sup, enclose, eval_function
 from .operator_uni import _kernel_order, apply_kernel, central_moments, kernel_integrals
 
 # Enclosure cells of [0, 1] for the moduli on one axis, by default and at
@@ -280,18 +280,6 @@ def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes
     return math.inf if math.isnan(value) else math.nextafter(value, math.inf)
 
 
-@functools.lru_cache(maxsize=8)
-def _second_derivative_sup(f: FunctionExpr, cells: int) -> float:
-    """sup |f''| over [0, 1] from enclosures on `cells` cells; inf where the
-    expression has no second derivative or it is unbounded."""
-    d2 = second_derivative(f)
-    if d2 is None:
-        return math.inf
-    edges = np.linspace(0.0, 1.0, cells + 1)
-    lo, hi = enclose(d2, (edges[:-1], edges[1:]))
-    return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
-
-
 def modulus_continuity(f, delta: float, grid_n: int | None = None) -> ModulusEstimate:
     """sup |f(u+h) - f(u)| over 0 < h <= delta: an upper bound from
     enclosures of the expression f on grid_n cells (default and at most
@@ -310,7 +298,7 @@ def second_modulus(f, delta: float, grid_n: int | None = None) -> ModulusEstimat
     d = min(delta, 0.5)  # u and u + 2h both lie in [0, 1]
     if d == 0.0:
         return ModulusEstimate(delta, 0.0, n)
-    s = _second_derivative_sup(f, min(n, _SECOND_CELLS))
+    s = derivative_sup(f, 2, min(n, _SECOND_CELLS))
     # d*(d*s) is inf for s = inf at any d > 0; 4 ulps cover its two
     # roundings, an underflow to 0 included
     t = d * (d * s)
@@ -376,6 +364,7 @@ def error_table(params: OperatorParams, f, z_values, order: int | None = None) -
     self-test (bench/tests) alters that function to prove that a wrong
     approximation on its bounds workload is caught.
     """
+    check_type("params", params, OperatorParams)
     zs = check_points(z_values)
     ki = kernel_integrals(params, f, _kernel_order(params, f) if order is None else order)
     columns = np.empty((4, zs.size))

@@ -8,8 +8,9 @@ and associating to the right), unary minus, parentheses, and the calls
 ``sin``, ``cos``, ``exp``, ``sqrt`` and ``abs``.  evaluate takes scalars or
 arrays, and eval_function (how every layer applies a function to points)
 also a callable; enclose bounds an expression over cells (interval
-arithmetic), second_derivative differentiates it symbolically, and separate
-splits a function of z and y into a sum of products of one-variable ones
+arithmetic), derivative differentiates it in z and derivative_sup bounds
+|f^(k)| from one cached chain f, f', f'', ..., and separate splits a
+function of z and y into a sum of products of one-variable ones
 (separate_cells: cell by cell, where each abs keeps a sign).
 """
 
@@ -507,13 +508,30 @@ def _size_at_most(node: Node, limit: int) -> bool:
     return next(itertools.islice(_walk(node), limit, None), None) is None
 
 
-def second_derivative(expr: FunctionExpr, var: str = "z") -> FunctionExpr | None:
-    """The symbolic second derivative in var; None where no rule applies or
-    it has more than _MAX_DERIVATIVE_NODES nodes (deep nesting grows it
-    fast, and evaluating it would cost more than it saves)."""
-    d = _derivative(expr.root, var)
-    d2 = None if d is None else _derivative(d, var)
-    return FunctionExpr(d2) if d2 is not None and _size_at_most(d2, _MAX_DERIVATIVE_NODES) else None
+@functools.lru_cache(maxsize=16)  # the last expression's chain, so each tree is built once
+def _chain(expr: FunctionExpr, k: int) -> Node | None:
+    """The k-th z-derivative's tree, uncapped: _derivative of the (k-1)-th."""
+    if k == 0:
+        return expr.root
+    d = _chain(expr, k - 1)
+    return None if d is None else _derivative(d, "z")
+
+
+def derivative(expr: FunctionExpr, k: int) -> FunctionExpr | None:
+    """The k-th symbolic derivative in z, built from the (k-1)-th whatever
+    its size; None where no rule applies or past _MAX_DERIVATIVE_NODES
+    nodes (deep nesting grows it fast, and evaluating it costs too much)."""
+    d = _chain(expr, k)
+    return FunctionExpr(d) if d is not None and _size_at_most(d, _MAX_DERIVATIVE_NODES) else None
+
+
+@functools.lru_cache(maxsize=1024)
+def derivative_sup(expr: FunctionExpr, k: int, cells: int) -> float:
+    """An upper bound on sup |f^(k)| over [0, 1] from enclose on `cells`
+    equal cells; inf where derivative gives no tree or it is unbounded."""
+    d, u = derivative(expr, k), np.linspace(0.0, 1.0, cells + 1)
+    s = math.inf if d is None else float(np.max(np.abs(enclose(d, (u[:-1], u[1:])))))
+    return math.inf if math.isnan(s) else s
 
 
 _MAX_RANK = 16

@@ -79,6 +79,7 @@ def biv_kernel_integrals(bp: BivariateParams, F, order: int = DEFAULT_ORDER) -> 
     rounding); F on the tensor rule, one row of V at a time, on the rest,
     and on every cell for a callable or where a piece is not separated.
     """
+    check_type("bp", bp, BivariateParams)
     px, py = bp.px, bp.py
     values, rest = np.empty((px.m + 1, py.m + 1)), np.ones((px.m + 1, py.m + 1), dtype=bool)
     z, y = (np.arange(p.m + 2) / (p.m + 1.0) for p in (px, py))
@@ -123,6 +124,7 @@ def apply_biv(bp: BivariateParams, F, z: float, y: float, order: int = DEFAULT_O
 def surface_values(bp: BivariateParams, F, zs, ys, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Operator values on the product grid zs x ys, shape (len(zs), len(ys)); the
     basis rows, and so the checks of zs and then ys, come before the kernel."""
+    check_type("bp", bp, BivariateParams)
     bz, by = basis_matrix(bp.px, zs), basis_matrix(bp.py, check_points(ys, "y"))
     return bz @ biv_kernel_integrals(bp, F, order).values @ by.T
 
@@ -130,6 +132,7 @@ def surface_values(bp: BivariateParams, F, zs, ys, order: int = DEFAULT_ORDER) -
 def biv_moments(bp: BivariateParams, z: float, y: float) -> BivMoments:
     """Closed-form images of the monomials z^u y^v, u+v <= 2, which factor
     into products of univariate moments."""
+    check_type("bp", bp, BivariateParams)
     y = check_point(y, "y")
     mx = raw_moments(bp.px, z)
     my = raw_moments(bp.py, y)
@@ -138,6 +141,7 @@ def biv_moments(bp: BivariateParams, z: float, y: float) -> BivMoments:
 
 def bound_complete(bp: BivariateParams, F, z: float, y: float) -> float:
     """Error bound 4*omega_complete(F; sqrt(xi2_x + xi2_y))."""
+    check_type("bp", bp, BivariateParams)
     y = check_point(y, "y")
     d = math.sqrt(central_moments(bp.px, z).xi2 + central_moments(bp.py, y).xi2)
     return 4.0 * complete_modulus(F, d)
@@ -145,6 +149,7 @@ def bound_complete(bp: BivariateParams, F, z: float, y: float) -> float:
 
 def bound_partial(bp: BivariateParams, F, z: float, y: float) -> float:
     """Error bound 2*(omega_1(F; sqrt(xi2_x)) + omega_2(F; sqrt(xi2_y)))."""
+    check_type("bp", bp, BivariateParams)
     y = check_point(y, "y")
     d1 = math.sqrt(central_moments(bp.px, z).xi2)
     d2 = math.sqrt(central_moments(bp.py, y).xi2)

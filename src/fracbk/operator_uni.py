@@ -5,7 +5,8 @@ not depend on z, so the integrals are computed once per function and reused
 across evaluation points.  Closed forms are provided for the images of
 1, t, t^2 and the first two central moments.  _certificate bounds the
 quadrature error of the kernel integrals from the closed-form kernel
-moments, and _kernel_order picks the lowest order that bound allows.
+moments and exprlib.derivative_sup, and _kernel_order picks the lowest
+order that bound allows.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 
 from .basis import _BLOCK_ELEMENTS, OperatorParams, _row_blocks, basis_row
 from .errors import QuadratureError, check_int, check_point, check_points, check_type
-from .exprlib import (_MAX_DERIVATIVE_NODES, FunctionExpr, Node, _derivative, _size_at_most, enclose,
-                      eval_function, free_variables)
+from .exprlib import FunctionExpr, derivative_sup, eval_function, free_variables
 from .quadrature import _kernel_rule
 from .specfun import moment_coeff
 
@@ -52,6 +52,7 @@ def kernel_integrals(params: OperatorParams, f, order: int = DEFAULT_ORDER) -> K
     sums over the order nodes of the kernel rule (graded at t=0 for a
     non-integer gamma, see quadrature), with the integrand evaluated on
     blocks of rows of at most _BLOCK_ELEMENTS values, as the basis rows are."""
+    check_type("params", params, OperatorParams)
     tg, weights = _kernel_rule(params.eta, params.gamma, order)
     values = np.empty(params.m + 1)
     step = max(1, _BLOCK_ELEMENTS // order)
@@ -63,25 +64,6 @@ def kernel_integrals(params: OperatorParams, f, order: int = DEFAULT_ORDER) -> K
         values[start : start + step] = vals @ weights
     values.setflags(write=False)
     return KernelIntegrals(params, values)
-
-
-@functools.lru_cache(maxsize=2)  # the last two: _derivative_sup asks in increasing k
-def _nth_derivative(f: FunctionExpr, k: int) -> Node | None:
-    """f^(k) in z; None where no rule applies or past _MAX_DERIVATIVE_NODES."""
-    if k == 0:
-        return f.root
-    d = _nth_derivative(f, k - 1)
-    d = None if d is None else _derivative(d, "z")
-    return d if d is not None and _size_at_most(d, _MAX_DERIVATIVE_NODES) else None
-
-
-@functools.lru_cache(maxsize=1024)
-def _derivative_sup(f: FunctionExpr, k: int) -> float:
-    """S_k >= sup |f^(k)| on [0, 1] from enclose on _DERIVATIVE_CELLS cells;
-    inf where f^(k) has no tree or is unbounded."""
-    d, u = _nth_derivative(f, k), np.linspace(0.0, 1.0, _DERIVATIVE_CELLS + 1)
-    s = math.inf if d is None else float(np.max(np.abs(enclose(FunctionExpr(d), (u[:-1], u[1:])))))
-    return math.inf if math.isnan(s) else s
 
 
 @functools.lru_cache(maxsize=256, typed=True)  # the rule's points depend on gamma's type
@@ -106,15 +88,15 @@ def _certificate(f: FunctionExpr, eta: float, gamma: float, m: int, n: int) -> f
     of the expression f, beyond the rounding of f's values and of the
     weights' sum that every order has.  With h = 1/(m+1), Taylor's theorem
     and weights >= 0 give for any K the bound sum_{1 <= k < K} S_k h^k e_k
-    / k! + 2 S_K h^K (c_K + e_K) / K! (_derivative_sup, _moment_misses).
+    / k! + 2 S_K h^K (c_K + e_K) / K! (derivative_sup, _moment_misses).
     K grows from 1 until a bound is at most half an ulp of S_0, the k < K
     sum (a floor under every larger K) exceeds that, or K passes
     _TAYLOR_TERMS; the least bound, raised 2^-40 for its own rounding."""
-    target = 0.5 * math.ulp(_derivative_sup(f, 0))
+    target = 0.5 * math.ulp(derivative_sup(f, 0, _DERIVATIVE_CELLS))
     e, c = _moment_misses(eta, gamma, n)
     h, head, best = 1.0 / (m + 1.0), 0.0, math.inf
     for k in range(1, _TAYLOR_TERMS + 1):
-        term = _derivative_sup(f, k) * h**k / math.factorial(k)
+        term = derivative_sup(f, k, _DERIVATIVE_CELLS) * h**k / math.factorial(k)
         best = min(best, head + 2.0 * term * (c[k] + e[k]))
         head += term * e[k]
         if best <= target or head > target:
@@ -125,11 +107,11 @@ def _certificate(f: FunctionExpr, eta: float, gamma: float, m: int, n: int) -> f
 def _kernel_order(params: OperatorParams, f) -> int:
     """The least of _CERTIFIED_ORDERS whose _certificate is at most half an
     ulp of S_0, else DEFAULT_ORDER (a callable, an expression of y, abs,
-    sqrt at 0, a derivative past _MAX_DERIVATIVE_NODES: no bound at all)."""
+    sqrt at 0, a derivative too large for exprlib.derivative: no bound at all)."""
     if not isinstance(f, FunctionExpr) or free_variables(f) - {"z"}:
         return DEFAULT_ORDER
-    s0 = _derivative_sup(f, 0)
-    if max(s0, _derivative_sup(f, 1)) == math.inf:  # every bound takes S_1
+    s0 = derivative_sup(f, 0, _DERIVATIVE_CELLS)
+    if max(s0, derivative_sup(f, 1, _DERIVATIVE_CELLS)) == math.inf:  # every bound takes S_1
         return DEFAULT_ORDER
     return next((n for n in _CERTIFIED_ORDERS
                  if _certificate(f, params.eta, params.gamma, params.m, n) <= 0.5 * math.ulp(s0)), DEFAULT_ORDER)
@@ -172,6 +154,7 @@ def _bracket(params: OperatorParams) -> float:
 
 def raw_moments(params: OperatorParams, z: float) -> MomentSet:
     """Closed-form operator images of e0, e1, e2."""
+    check_type("params", params, OperatorParams)
     z = check_point(z)
     m = params.m
     mp1 = m + 1.0
@@ -189,6 +172,7 @@ def central_moments(params: OperatorParams, z: float) -> CentralMoments:
     ((z-c1)^2 + (c2-c1^2) + z(1-z)*bracket)/(m+1)^2, which is non-negative
     term by term (c2 >= c1^2 by the Cauchy-Schwarz inequality).
     """
+    check_type("params", params, OperatorParams)
     z = check_point(z)
     mp1 = params.m + 1.0
     c1 = moment_coeff(params.eta, params.gamma, 1)
@@ -203,6 +187,7 @@ def moment_recurrence(params: OperatorParams, i: int, z: float) -> float:
     coefficients: sum_n C(i,n) m^n L(e_n;z) c_{i-n} / (m+1)^i, where the
     basis part alone (no Kantorovich shift) maps e_0, e_1, e_2 to 1, z and
     z^2 + z(1-z)*bracket/m^2."""
+    check_type("params", params, OperatorParams)
     check_int("i", i, 0, 2)  # the basis moments stop at e_2
     z = check_point(z)
     m = params.m
@@ -214,6 +199,7 @@ def moment_recurrence(params: OperatorParams, i: int, z: float) -> float:
 def special_case(params: OperatorParams) -> str:
     """Tag for parameter settings that reduce to operators from the
     literature; first match wins in the order FBK, OZK, RLBK, BBK."""
+    check_type("params", params, OperatorParams)
     gamma1 = params.gamma == 1.0
     eta1 = params.eta == 1.0
     s2 = params.s == 2

@@ -38,10 +38,11 @@ from fracbk import (
 )
 
 from conftest import draw_params, expression_texts
-from fracbk import error_analysis
+from fracbk import error_analysis, exprlib
 from fracbk.basis import _BLOCK_ELEMENTS
 from fracbk.error_analysis import _finest_tables, _levels, _run_range, _shift_count
-from fracbk.exprlib import enclose
+from fracbk.exprlib import BinOp, FunctionExpr, Num, Var, enclose
+from fracbk.operator_uni import DEFAULT_ORDER, _kernel_order
 from oracles import second_difference_max, window_max, window_range
 
 
@@ -746,6 +747,43 @@ class TestBoundKFunctional:
         zeta = central_moments(params, 0.5).zeta
         bound = bound_kfunctional(params, f, 0.5, 0.0, grid_n=4001)
         assert bound == modulus_continuity(f, abs(zeta), 4001).value
+
+
+class TestOneDerivativeChain:
+    """The kernel-order certificate (sups on 256 cells) and omega_2 (on
+    4,096) read one chain of symbolic derivatives, exprlib.derivative."""
+
+    def test_each_tree_is_differentiated_once(self, monkeypatch):
+        depth, trees = [0], []
+        inner = exprlib._derivative
+
+        def counted(node, var):  # records the top-level calls only
+            if not depth[0]:
+                trees.append(node)
+            depth[0] += 1
+            try:
+                return inner(node, var)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(exprlib, "_derivative", counted)
+        params = OperatorParams(50802, 0.75, 1.654, 0.5, 2)
+        f = parse_source("(1-z)*cos(2*pi*z) + 0.000123*z")  # in no cache yet
+        assert _kernel_order(params, f) == 8
+        built = list(trees)
+        assert len(built) >= 2  # the certificate built f'' from f'
+        bound_kfunctional(params, f, 0.5, 1.0, 4096)
+        assert trees == built and len(set(trees)) == len(trees)  # omega_2 read the certificate's f''
+
+    def test_a_first_derivative_past_the_cap(self):
+        # z*C for a balanced sum C of 2,048 ones has 4,097 nodes: f' is C,
+        # past the cap, so there is no certificate, and f'' is 0
+        C = Num(1.0)
+        for _ in range(11):
+            C = BinOp("+", C, C)
+        f = FunctionExpr(BinOp("*", Var("z"), C))
+        assert _kernel_order(OperatorParams(50802, 0.75, 1.654, 0.5, 2), f) == DEFAULT_ORDER
+        assert second_modulus(f, 0.1, 4096).value == 0.0
 
 
 def test_moduli_and_bounds_take_expressions_and_evaluation_takes_callables():

@@ -183,6 +183,10 @@ def test_every_library_call_returns_or_raises_a_fracbk_error(p, f, z, y, odd):
             raise AssertionError(f"{name} raised {type(exc).__name__}: {exc}") from exc
 
 
+_P = fb.OperatorParams(3, 1.0, 1.0, 1.0, 2)
+_BP = fb.BivariateParams(_P, _P)
+_F1, _G1 = fb.get_function("f1"), fb.get_function("g1")
+_PARAMS, _BIV = "params must be an OperatorParams", "bp must be a BivariateParams"
 _FIRST_ARGUMENTS = {
     "evaluate": (lambda a: fb.evaluate(a, 0.5), "expr must be a FunctionExpr"),
     "is_bivariate": (lambda a: fb.is_bivariate(a), "expr must be a FunctionExpr"),
@@ -191,14 +195,36 @@ _FIRST_ARGUMENTS = {
     "operator_values": (lambda a: fb.operator_values(a, [0.5]), "ki must be a KernelIntegrals"),
     "apply_biv_kernel": (lambda a: fb.apply_biv_kernel(a, 0.5, 0.5), "ki must be a BivKernelIntegrals"),
     "to_csv": (lambda a: fb.to_csv(a), "ds must be a Dataset"),
+    "kernel_integrals": (lambda a: fb.kernel_integrals(a, _F1), _PARAMS),
+    "error_table": (lambda a: fb.error_table(a, _F1, [0.5]), _PARAMS),
+    "max_error": (lambda a: fb.max_error(a, _F1), _PARAMS),
+    "basis_row": (lambda a: fb.basis_row(a, 0.5), _PARAMS),
+    "basis_matrix": (lambda a: fb.basis_matrix(a, [0.5]), _PARAMS),
+    "apply": (lambda a: fb.apply(a, _F1, 0.5), _PARAMS),
+    "central_moments": (lambda a: fb.central_moments(a, 0.5), _PARAMS),
+    "raw_moments": (lambda a: fb.raw_moments(a, 0.5), _PARAMS),
+    "moment_recurrence": (lambda a: fb.moment_recurrence(a, 2, 0.5), _PARAMS),
+    "special_case": (lambda a: fb.special_case(a), _PARAMS),
+    "bound_t2": (lambda a: fb.bound_t2(a, _F1, 0.5), _PARAMS),
+    "bound_lipschitz": (lambda a: fb.bound_lipschitz(a, 1.0, 1.0, 0.5), _PARAMS),
+    "bound_kfunctional": (lambda a: fb.bound_kfunctional(a, _F1, 0.5, 1.0), _PARAMS),
+    "biv_kernel_integrals": (lambda a: fb.biv_kernel_integrals(a, _G1), _BIV),
+    "surface_values": (lambda a: fb.surface_values(a, _G1, [0.5], [0.5]), _BIV),
+    "surface_rows": (lambda a: fb.surface_rows(a, _G1, [0.5], [0.5]), _BIV),
+    "apply_biv": (lambda a: fb.apply_biv(a, _G1, 0.5, 0.5), _BIV),
+    "biv_moments": (lambda a: fb.biv_moments(a, 0.5, 0.5), _BIV),
+    "bound_partial": (lambda a: fb.bound_partial(a, _G1, 0.5, 0.5), _BIV),
+    "bound_complete": (lambda a: fb.bound_complete(a, _G1, 0.5, 0.5), _BIV),
 }
+_RECORD = object()  # an OperatorParams, or a BivariateParams where an OperatorParams is due
 
 
 @pytest.mark.parametrize("name", sorted(_FIRST_ARGUMENTS))
-@pytest.mark.parametrize("odd", ["z*y", None, 0.5, fb.OperatorParams(3, 1.0, 1.0, 1.0, 2)],
-                         ids=["str", "None", "float", "OperatorParams"])
+@pytest.mark.parametrize("odd", ["z*y", None, 0.5, _RECORD], ids=["str", "None", "float", "record"])
 def test_a_first_argument_of_the_wrong_type_names_the_type(name, odd):
     # each ended in a raw AttributeError
     call, message = _FIRST_ARGUMENTS[name]
+    if odd is _RECORD:
+        odd = _BP if message == _PARAMS else _P
     with pytest.raises(fb.DomainError, match=f"^{message}, got {type(odd).__name__}$"):
         call(odd)

@@ -29,8 +29,8 @@ from fracbk import (
     surface_values,
 )
 from fracbk.exprlib import (
-    Num, _cell_signs, _corners, _outward, _eval_node, enclose, eval_function, free_variables, parse, second_derivative, separate,
-    separate_cells, tokenize,
+    Num, _cell_signs, _corners, _outward, _eval_node, derivative, derivative_sup, enclose, eval_function, free_variables,
+    parse, separate, separate_cells, tokenize,
 )
 
 from conftest import expression_texts
@@ -482,7 +482,7 @@ def test_enclosure_holds_every_sampled_point(src, seed):
         assert not np.any(outside), (src, points[outside], values[outside])
 
 
-class TestSecondDerivative:
+class TestDerivative:
     @pytest.mark.parametrize("src, expected", [
         ("z^3", lambda z: 6.0 * z),
         ("sin(2*z)", lambda z: -4.0 * np.sin(2.0 * z)),
@@ -494,8 +494,8 @@ class TestSecondDerivative:
         ("2^z", None),
         ("abs(z-0.3)", None),
     ])
-    def test_matches_closed_form(self, src, expected):
-        d2 = second_derivative(parse_source(src))
+    def test_second_derivative_matches_closed_form(self, src, expected):
+        d2 = derivative(parse_source(src), 2)
         if expected is None:
             assert d2 is None
             return
@@ -503,7 +503,19 @@ class TestSecondDerivative:
         assert evaluate(d2, z) == pytest.approx(expected(z), rel=1e-12, abs=1e-12)
 
     def test_constant_subtrees_vanish(self):
-        assert second_derivative(parse_source("abs(-2)*z + 3")) == FunctionExpr(Num(0.0))
+        assert derivative(parse_source("abs(-2)*z + 3"), 2) == FunctionExpr(Num(0.0))
+
+    def test_chain_starts_at_the_expression(self):
+        f = parse_source("z^4 - 2*z")
+        assert derivative(f, 0) == f
+        assert [evaluate(derivative(f, k), 0.5) for k in range(1, 6)] == [-1.5, 3.0, 12.0, 24.0, 0.0]
+
+    @pytest.mark.parametrize("src, k, sup", [("z^3", 1, 3.0), ("sin(2*z)", 2, 4.0), ("z^3", 4, 0.0),
+                                             ("abs(z-0.3)", 1, math.inf), ("sqrt(z)", 1, math.inf)])
+    def test_sup_bounds_the_derivative(self, src, k, sup):
+        # at least the true sup, and within 1% of it on 256 cells
+        got = derivative_sup(parse_source(src), k, 256)
+        assert sup <= got <= 1.01 * sup
 
 
 class TestSeparate:

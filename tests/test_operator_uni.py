@@ -29,8 +29,8 @@ from fracbk import (
     special_case,
 )
 
-from fracbk.exprlib import enclose, eval_function
-from fracbk.operator_uni import _certificate, _derivative_sup, _kernel_order, _moment_misses
+from fracbk.exprlib import derivative_sup, enclose, eval_function
+from fracbk.operator_uni import _DERIVATIVE_CELLS, _certificate, _kernel_order, _moment_misses
 from fracbk.quadrature import _kernel_rule
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -343,7 +343,7 @@ def _rows_and_rounding(f, eta, gamma, m, order, rows):
     tg, w = _kernel_rule(eta, gamma, order)
     x = (rows[:, None] + tg) / (m + 1.0)
     lo, hi = enclose(f, (x, x))
-    s0, s1 = _derivative_sup(f, 0), _derivative_sup(f, 1)
+    s0, s1 = derivative_sup(f, 0, _DERIVATIVE_CELLS), derivative_sup(f, 1, _DERIVATIVE_CELLS)
     rounding = float(np.max(hi - lo)) + 2 * _EPS * s1 + ((order + 2) * _EPS + abs(math.fsum(w) - 1.0)) * s0
     return x, w, rounding
 
@@ -360,7 +360,7 @@ def _check_auto_order(f, eta, gamma, m):
     reference = (eval_function(f, x).astype(np.longdouble) * w).sum(axis=1)
     rounding = _rows_and_rounding(f, eta, gamma, m, order, rows)[2] + ref_rounding
     cert = _certificate(f, eta, gamma, m, order)
-    assert cert <= 0.5 * math.ulp(_derivative_sup(f, 0))
+    assert cert <= 0.5 * math.ulp(derivative_sup(f, 0, _DERIVATIVE_CELLS))
     diff = float(np.max(np.abs(kernel_integrals(params, f, order).values[rows] - reference)))
     assert diff <= cert + rounding, (eta, gamma, m, order, diff, cert, rounding)
     return order
