@@ -24,10 +24,9 @@ keeps the run ranges it has given, keyed by (runs, axes) with runs clipped
 to the axis length, so a repeated radius reads a dict: the values are the
 ones the engine would recompute, and they leave with the cache entry.  The
 two-axis moduli evaluate F at the cell corners and check them once more on
-every call, so that a traced run counts those evaluations.  omega_2 is at
-most delta^2 * sup |f''| (exprlib.derivative_sup, on fewer cells) and at
-most twice omega, whose pass is skipped where the runs through the widest
-cell alone make twice omega reach the first.
+every call, so that a traced run counts those evaluations.  omega_2 is the
+smaller of delta^2 * sup |f''| (exprlib.derivative_sup, on fewer cells)
+and twice omega, read from the same cached run ranges.
 """
 
 from __future__ import annotations
@@ -181,11 +180,11 @@ def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
     checked against f at the cell corners; then, on one axis, while at
     least 2*_RUN_CELLS remain, the maxima of the _RUN_CELLS-cell runs of
     pairwise merged cells (an odd last cell stays alone), all in one array;
-    ranges holds the level's _run_range values by (runs, axes), and its
-    _peak_range entry under None.  The finest cells' doubling chain
-    (_span_tables) gives their 128-cell maxima; 128 merged cells from c are
-    the 256 cells below from 2c, so each merged table takes entries 2c and
-    2c + 128 of the table below (the last entry again at an odd end)."""
+    ranges holds the level's _run_range values by (runs, axes).  The
+    finest cells' doubling chain (_span_tables) gives their 128-cell maxima;
+    128 merged cells from c are the 256 cells below from 2c, so each merged
+    table takes entries 2c and 2c + 128 of the table below (the last entry
+    again at an odd end)."""
     u = np.linspace(0.0, 1.0, cells + 1)
     ends = np.empty((2,) + (cells,) * ndim)
     rows = max(_CHUNK_CELLS // cells ** (ndim - 1), 1)
@@ -241,26 +240,14 @@ def _finest_tables(f: FunctionExpr, cells: int) -> dict:
     return _FINEST[(f, cells)]
 
 
-def _peak_range(values: np.ndarray, ranges: dict, runs: int, axes, span: int) -> float:
-    """The largest range over the runs through the level's peak entry (its
-    largest hi - lo, kept in ranges under None): at most its run range."""
-    if None not in ranges:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ranges[None] = int(np.argmax(values[0] + values[1]))
-    start = max(ranges[None] - runs + span, 0)
-    return _run_range(values[:, start : start + 2 * (runs - span) + 1], runs, axes, span)
-
-
-def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes, cap: float = math.inf) -> float:
+def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes) -> float:
     """Upper bound on |f(v) - f(u)| over points u, v closer than delta along
     each of axes, on the coarsest level whose runs still span _RUN_CELLS
     cells at delta (or the finest): on cells at least `width` wide (the
     last may be narrower) such points lie in one run of ceil(delta/width)
     + 1 cells per axis, and the run range bounds the difference.  The
     finest one-axis level is read as its _finest_tables table of the largest
-    span up to the run.  With a finite cap (one axis only), a miss returns
-    the lower _peak_range value where twice it reaches cap, as min(cap,
-    twice either value) is then cap."""
+    span up to the run.  The run range is kept in the level's ranges."""
     levels = _levels(f, cells, ndim)
     if delta == 0.0:
         return 0.0
@@ -268,10 +255,6 @@ def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes
     (values, width, ranges), span = levels[index], (_RUN_CELLS if index else 1)
     key = (min(math.ceil(min(delta, 2.0) / width * (1.0 + 2.0**-40)) + 1, values.shape[-1] + span - 1), axes)
     if key not in ranges:
-        if cap < math.inf:
-            low = math.nextafter(_peak_range(values, ranges, *key, span), math.inf)
-            if 2.0 * low >= cap:
-                return low
         if ndim == 1 and not index and key[0] >= 4:
             span = max(s for s in (4, 16, 64) if s <= key[0])
             values = _finest_tables(f, cells)[span]
@@ -303,7 +286,7 @@ def second_modulus(f, delta: float, grid_n: int | None = None) -> ModulusEstimat
     # roundings, an underflow to 0 included
     t = d * (d * s)
     curvature = t + 4.0 * math.ulp(t) if s else 0.0
-    return ModulusEstimate(delta, min(curvature, 2.0 * _enclosed_modulus(f, d, n, 1, (-1,), curvature)), n)
+    return ModulusEstimate(delta, min(curvature, 2.0 * _enclosed_modulus(f, d, n, 1, (-1,))), n)
 
 
 def partial_moduli(F, d1: float, d2: float) -> tuple[float, float]:

@@ -62,7 +62,7 @@ def _values(fn, p, u, order) -> np.ndarray:
 
 def _dataset(spec, order, coords, data, prefix, extra=()) -> Dataset:
     """Columns z (and y), the extra data columns, then one per sweep value,
-    named prefix + parameter initial + value."""
+    named prefix + parameter initial + value; the rows are a 2-D float array."""
     kind, number, fn, base, sweep_name, sweep = spec
     fixed = " ".join(f"{k}={v:g}" for k, v in base.items())
     meta = (f"{kind} {number}", f"function {fn} = {BUILTINS[fn]}",
@@ -70,8 +70,7 @@ def _dataset(spec, order, coords, data, prefix, extra=()) -> Dataset:
             f"{sweep_name} values: {', '.join(str(v) for v in sweep)}", f"order={order}")
     columns = ("z", "y")[: len(coords)] + extra
     columns += tuple(f"{prefix}{sweep_name[0]}{str(v).replace('.', '')}" for v in sweep)
-    rows = tuple(zip(*(a.ravel().tolist() for a in (*coords, *data))))
-    return Dataset(meta, columns, rows)
+    return Dataset(meta, columns, np.stack([np.ravel(a) for a in (*coords, *data)], axis=1, dtype=float))
 
 
 def _table(spec, order) -> Dataset:

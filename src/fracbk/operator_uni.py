@@ -11,7 +11,6 @@ order that bound allows.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -66,7 +65,6 @@ def kernel_integrals(params: OperatorParams, f, order: int = DEFAULT_ORDER) -> K
     return KernelIntegrals(params, values)
 
 
-@functools.lru_cache(maxsize=256, typed=True)  # the rule's points depend on gamma's type
 def _moment_misses(eta: float, gamma: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(e, c) for k <= _TAYLOR_TERMS: c_k = moment_coeff(eta, gamma, k) and
     e_k >= |Q_n(s^k) - c_k| for the order-n rule at its points s: the miss,

@@ -41,7 +41,7 @@ from conftest import draw_params, expression_texts
 from fracbk import error_analysis, exprlib
 from fracbk.basis import _BLOCK_ELEMENTS
 from fracbk.error_analysis import _finest_tables, _levels, _run_range, _shift_count
-from fracbk.exprlib import BinOp, FunctionExpr, Num, Var, enclose
+from fracbk.exprlib import BinOp, FunctionExpr, Num, Var, derivative_sup, enclose
 from fracbk.operator_uni import DEFAULT_ORDER, _kernel_order
 from oracles import second_difference_max, window_max, window_range
 
@@ -486,37 +486,47 @@ class TestChunkedLevels:
         assert ends.tobytes() == np.stack((hi, -lo)).tobytes()
 
 
-class TestCurvatureSkip:
-    """omega_2 is min(curvature, 2*omega): where the runs through the
-    level's peak entry already make twice omega reach the curvature, the
-    full pass is skipped, and the value is the one it would give."""
+class TestCurvatureOrTwiceOmega:
+    """omega_2 is min(curvature, 2*omega), omega read from the same cached
+    run ranges as modulus_continuity."""
 
     @staticmethod
-    def _fresh(f, delta, grid_n):
+    def _cold(call, f, grid_n):
+        """repr of call() on cold run ranges, or its EvaluationError's text."""
         try:
             for _values, _width, ranges in _levels(f, grid_n or 65536, 1):
                 ranges.clear()
-            return repr(second_modulus(f, delta, grid_n).value)
+            return repr(call())
         except EvaluationError as exc:
             return str(exc)
+
+    @staticmethod
+    def _curvature(f, d, grid_n):
+        # t + 4 ulps, or 0 where sup |f''| is 0
+        s = derivative_sup(f, 2, min(grid_n or 65536, 4096))
+        t = d * (d * s)
+        return t + 4.0 * math.ulp(t) if s else 0.0
+
+    def _expected(self, f, delta, grid_n):
+        d = min(delta, 0.5)
+        if d == 0.0:  # the second modulus at 0 is 0, without evaluating f
+            return 0.0
+        return min(self._curvature(f, d, grid_n), 2 * modulus_continuity(f, d, grid_n).value)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(expression_texts(max_leaves=6), st.one_of(st.floats(0.0, 0.6), st.floats(0.0, 0.003)),
            st.sampled_from([None, 1000]))
-    def test_equals_the_full_pass(self, src, delta, grid_n):
+    def test_equals_the_smaller_bound(self, src, delta, grid_n):
         f = parse_source(src)
-        skipped = self._fresh(f, delta, grid_n)
-        with mock.patch.object(error_analysis, "_peak_range", lambda *args: math.nan):
-            assert self._fresh(f, delta, grid_n) == skipped, src
+        got = self._cold(lambda: second_modulus(f, delta, grid_n).value, f, grid_n)
+        assert got == self._cold(lambda: self._expected(f, delta, grid_n), f, grid_n), src
 
     @pytest.mark.parametrize("source", ["f3", "f4", "exp(z)*sin(5*z)"])
     @pytest.mark.parametrize("delta", [0.0005, 0.01, 0.1])
-    def test_skips_where_the_curvature_wins(self, source, delta):
+    def test_the_curvature_decides(self, source, delta):
         f = get_function(source)
-        skipped = self._fresh(f, delta, None)
-        assert all(set(ranges) <= {None} for _values, _width, ranges in _levels(f, 65536, 1))
-        with mock.patch.object(error_analysis, "_peak_range", lambda *args: math.nan):
-            assert self._fresh(f, delta, None) == skipped
+        got = self._cold(lambda: second_modulus(f, delta).value, f, None)
+        assert got == repr(self._curvature(f, delta, None))
 
 
 def test_warm_modulus_temporaries_stay_bounded():

@@ -54,6 +54,12 @@ class TestTableShapes:
         ds7 = table_dataset(7)
         assert ds7.columns == ("z", "y", "err_s9", "err_s6", "err_s3")
 
+    @pytest.mark.parametrize("which", [1, 2, 3, 5, 6, 7])
+    def test_rows_are_one_float_array(self, which):
+        # the float path of csv_blocks; table 4 keeps tuples for its int m column
+        rows = table_dataset(which).rows
+        assert isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
+
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             table_dataset(0)
@@ -100,6 +106,11 @@ class TestFigureShapes:
         ds = figure_dataset(4)
         assert ds.columns == ("z", "y", "phi", "op_m10", "op_m30", "op_m90")
         assert len(ds.rows) == 41 * 41
+
+    @pytest.mark.parametrize("which", range(1, 7))
+    def test_rows_are_one_float_array(self, which):
+        rows = figure_dataset(which).rows
+        assert isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
