@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from fracbk import (
     DomainError,
@@ -79,67 +78,57 @@ class TestOperatorParams:
         assert np.array_equal(basis_row(p, 0.3).weights, basis_row(plain, 0.3).weights)
 
 
-def _gammaln_row(n, z):
-    """The Bernstein row as computed from scipy's gammaln, for reference."""
-    j = np.arange(n + 1)
-    logc = math.lgamma(n + 1) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
-    return np.exp(logc + j * math.log(z) + (n - j) * math.log1p(-z))
+def _mpmath_weights(n, z, j0, j1):
+    """Bernstein weights of degree n at the float z for columns j0..j1,
+    to 40 digits: the weight at j0 from mpmath's binomial, the rest by the
+    exact ratios of neighbouring weights."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z, w = mpmath.mpf(z), 1 - mpmath.mpf(z)
+        weight = mpmath.binomial(n, j0) * z**j0 * w ** (n - j0)
+        weights = [weight]
+        for j in range(j0 + 1, j1 + 1):
+            weight = weight * (n - j + 1) / j * z / w
+            weights.append(weight)
+        return weights
 
 
-@pytest.fixture
-def fresh_log_factorials(monkeypatch):
-    """Start from a small log-factorial table so growth is exercised."""
-    monkeypatch.setattr(basis, "_LOG_FACTORIAL", basis._LOG_FACTORIAL[:16].copy())
+MPMATH_DEGREES = [1, 2, 10, 100, 1000, 10**4, 10**5, 10**6]
 
 
-class TestLogFactorialRows:
-    @pytest.mark.parametrize("n", [1, 2, 10, 250, 10**4, 10**5])
-    @pytest.mark.parametrize("z", [1e-3, 0.1, 0.37, 0.5, 0.9, 0.999])
-    def test_matches_gammaln_formula(self, n, z):
-        # math.lgamma and gammaln may disagree by an ulp of log(k!), which is
-        # an absolute error in the exponent and so a relative one in the
-        # weight: up to 3 ulp of log(n!) (1e-10 relative at n=1e5).
-        got = bernstein_row(n, z)
-        ref = _gammaln_row(n, z)
-        live = ref > 1e-300
-        rel = np.abs(got[live] - ref[live]) / ref[live]
-        assert np.max(rel) <= 1e-13 + 4.0 * np.spacing(math.lgamma(n + 1.0))
-        assert np.all(got[~live] <= 1e-290)
+def _check_against_mpmath(n, z):
+    """Every weight within 6 sd of the mode within 1e-13 relative of 40
+    digits (5e-13 at n = 10**6), and the row's exact sum within 4 ulps of 1."""
+    row = bernstein_row(n, z)
+    mode, sd = min(math.floor((n + 1) * z), n), math.sqrt(n * z * (1.0 - z))
+    j0, j1 = max(0, math.floor(mode - 6.0 * sd)), min(n, math.ceil(mode + 6.0 * sd))
+    exact = _mpmath_weights(n, z, j0, j1)
+    rel = max(float(abs(row[j] - ref) / ref) for j, ref in zip(range(j0, j1 + 1), exact))
+    assert rel <= (1e-13 if n <= 10**5 else 5e-13), (z, rel)
+    assert abs(math.fsum(row) - 1.0) <= 4.0 * np.spacing(1.0), z
 
-    def test_table_entries_are_lgamma(self, fresh_log_factorials):
-        table = basis._log_factorials(300)
-        assert table.size >= 301
-        assert all(table[k] == math.lgamma(k + 1.0) for k in range(table.size))
 
-    def test_growth_order_does_not_change_rows(self, fresh_log_factorials):
-        big = bernstein_row(10**5, 0.37)
-        small = bernstein_row(10, 0.37)
-        assert np.array_equal(bernstein_row(10**5, 0.37), big)
-        basis._LOG_FACTORIAL = basis._LOG_FACTORIAL[:16].copy()
-        assert np.array_equal(bernstein_row(10, 0.37), small)
-        bernstein_row(5000, 0.37)
-        assert np.array_equal(bernstein_row(10**5, 0.37), big)
+class TestBernsteinRow:
+    @pytest.mark.parametrize("z", [1e-300, 0.01, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-16])
+    @pytest.mark.parametrize("n", MPMATH_DEGREES)
+    def test_matches_mpmath_weights(self, n, z):
+        _check_against_mpmath(n, z)
 
-    def test_growth_is_bounded_and_amortised(self, fresh_log_factorials):
-        basis._log_factorials(20)
-        assert basis._LOG_FACTORIAL.size == 32
-        basis._log_factorials(100)
-        assert basis._LOG_FACTORIAL.size == 101
-        basis._log_factorials(10**5)
-        assert basis._LOG_FACTORIAL.size == 10**5 + 1
-        basis._log_factorials(10**5 + 1)
-        assert basis._LOG_FACTORIAL.size == 2 * (10**5 + 1)
-
-    def test_table_is_read_only(self):
-        with pytest.raises(ValueError):
-            basis._log_factorials(10)[3] = 0.0
+    @pytest.mark.parametrize("n", MPMATH_DEGREES)
+    def test_matches_mpmath_weights_at_band_edges(self, n):
+        for z in _band_edges(n):
+            _check_against_mpmath(n, z)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(DomainError):
             bernstein_row(-1, 0.5)
 
+    def test_degree_past_exact_floats_rejected(self):
+        # the walk computes n + 1.0; at n = 2**53 this spent seconds building
+        # a table of log(k!) before it ran out of memory
+        with pytest.raises(DomainError, match="n must be <="):
+            bernstein_row(2**53, 0.5)
 
-class TestBernsteinRow:
     @pytest.mark.parametrize("n", [2.5, 2.0, True])
     def test_degree_not_an_int(self, n):
         # 2.5 used to raise a raw IndexError and True a raw ValueError
@@ -298,28 +287,15 @@ def test_partition_and_nonnegativity(m):
             assert np.all(np.abs(W.sum(axis=1) - 1.0) <= 1e-12)
 
 
-# The one-point basis row as computed before basis_matrix existed: log z and
-# log1p(-z) from math, the blend assembled in place.  basis_matrix must give
-# these rows bit for bit.
-def _reference_bernstein_row(n, z):
-    if n == 0:
-        return np.ones(1)
-    if z == 0.0 or z == 1.0:
-        row = np.zeros(n + 1)
-        row[0 if z == 0.0 else n] = 1.0
-        return row
-    lf = basis._log_factorials(n)
-    j = np.arange(n + 1)
-    logc = lf[n] - lf[: n + 1] - lf[n::-1]
-    return np.exp(logc + j * math.log(z) + (n - j) * math.log1p(-z))
-
-
+# The basis row assembled in place from one-point Bernstein rows, each
+# walked alone.  Every block of basis_matrix, whatever its points, and every
+# path to a row must give these rows bit for bit.
 def _reference_basis_row(params, z):
     m, s, alpha = params.m, params.s, params.alpha
     if m < s:
-        return _reference_bernstein_row(m, z)
-    weights = alpha * _reference_bernstein_row(m, z)
-    sub = _reference_bernstein_row(m - s, z)
+        return bernstein_row(m, z)
+    weights = alpha * bernstein_row(m, z)
+    sub = bernstein_row(m - s, z)
     weights[s:] += (1.0 - alpha) * z * sub
     weights[: m - s + 1] += (1.0 - alpha) * (1.0 - z) * sub
     return weights
@@ -348,8 +324,10 @@ class TestBasisMatrix:
                 assert np.array_equal(basis_matrix(params, points), ref)
                 for z, row in zip(points, ref):
                     assert np.array_equal(basis_row(params, z).weights, row)
-        for z in PARITY_POINTS + _band_edges(m):
-            assert np.array_equal(bernstein_row(m, z), _reference_bernstein_row(m, z))
+        # m < s: the classical rows, walked as one block
+        points = PARITY_POINTS + _band_edges(m)
+        ref = np.array([bernstein_row(m, z) for z in points])
+        assert np.array_equal(basis_matrix(make_params(m, m + 1, 0.5), points), ref)
 
     @pytest.mark.parametrize("m", [1, 4, 15, 250, 1700, 4437, 87333])
     def test_basis_row_is_the_matrix_row(self, m):
@@ -364,23 +342,28 @@ class TestBasisMatrix:
 
     @pytest.mark.parametrize("n", [1600, 1700, 3 * 10**4, 2 * 10**5])
     def test_reference_rows_vanish_outside_the_band(self, n):
-        # the rows are computed only on the band, so the full rows must hold
-        # exactly 0.0 everywhere else
+        # each row is walked only near its mode, so it must hold exactly 0.0
+        # beyond sqrt(400n) + 1 of n*z, and its block's band must hold it
+        h = math.sqrt(400.0 * n) + 1.0
         zs = np.concatenate((np.linspace(0.0, 1.0, 41), _band_edges(n), [1e-300, 1.0 - 1e-16]))
         for z in zs.tolist():
-            cols, _ = basis._bernstein_band(n, basis._log_points([z]))
-            ref = _reference_bernstein_row(n, z)
+            (cols,), _ = basis._bernstein_rows((n,), np.array([z]))
+            ref = bernstein_row(n, z)
+            j = np.arange(n + 1)
             assert 0 < cols.stop - cols.start <= n + 1
             assert not ref[: cols.start].any() and not ref[cols.stop :].any(), z
+            assert not ref[np.abs(j - n * z) > h].any(), z
         # two points share one band, from the lower end of the first to the
-        # upper end of the second
-        pair = basis._log_points([0.25, 0.3])
-        assert np.array_equal(basis._bernstein_matrix(n, pair)[1],
-                              np.array([_reference_bernstein_row(n, z) for z in (0.25, 0.3)]))
+        # upper end of the second; two degrees walk together as each alone
+        pair = np.array([0.25, 0.3])
+        _, rows = basis._bernstein_rows((n, n // 2), pair)
+        assert np.array_equal(rows[0], np.array([bernstein_row(n, z) for z in (0.25, 0.3)]))
+        assert np.array_equal(rows[1, :, : n // 2 + 1], np.array([bernstein_row(n // 2, z) for z in (0.25, 0.3)]))
+        assert not rows[1, :, n // 2 + 1 :].any()
 
     def test_bitwise_equal_on_many_points(self):
-        # numpy's vectorised logarithms differ from math's in the last bit
-        # at a small share of points, so a dense sample tells them apart.
+        # 2,502 points walked as one block (or as a few blocks) give the
+        # rows each point gets alone
         rng = np.random.default_rng(7)
         zs = np.concatenate((rng.uniform(0.0, 1.0, 2000), rng.uniform(0.0, 1e-3, 500), [0.0, 1.0]))
         for m, s, alpha in ((40, 3, 0.35), (7, 0, 0.9), (5, 9, 0.5)):
