@@ -18,7 +18,7 @@ from .basis import OperatorParams
 from .corpus import get_function, is_bivariate
 from .dataset import Dataset, csv_blocks
 from .errors import DomainError, FracbkError, ParseError
-from .experiments import compare_rows, figure_dataset, table_dataset
+from .experiments import _COMPARATORS, compare_rows, figure_dataset, table_dataset
 from .error_analysis import bound_kfunctional, bound_lipschitz, bound_t2, error_table
 from .operator_biv import BivariateParams, surface_rows
 from .operator_uni import DEFAULT_ORDER
@@ -179,7 +179,7 @@ def _cmd_compare(args) -> Dataset:
         f"base eta={args.eta} gamma={args.gamma} alpha={args.alpha} s={args.s}",
         f"z={args.z} order={args.order} bbk_gamma={args.bbk_gamma}",
     )
-    return Dataset(meta, ("m", "rlbk", "bbk", "fbk", "rlgbk"), rows)
+    return Dataset(meta, ("m", *_COMPARATORS), rows)
 
 
 def _cmd_bounds(args) -> Dataset:

@@ -17,9 +17,11 @@ from .error_analysis import error_table
 from .errors import DomainError, check_int
 from .exprlib import eval_function
 from .operator_biv import BivariateParams, surface_values
-from .operator_uni import DEFAULT_ORDER, kernel_integrals, operator_values
+from .operator_uni import _REDUCTIONS, DEFAULT_ORDER, kernel_integrals, operator_values
 
 NINE_POINTS = tuple(round(0.1 * k, 1) for k in range(1, 10))
+# The columns of the comparison after m: three reductions, then the base operator
+_COMPARATORS = ("rlbk", "bbk", "fbk", "rlgbk")
 
 # (function, fixed parameters, swept parameter, its values) of the
 # bivariate presets, each shown both as a table and as a figure; the
@@ -94,17 +96,13 @@ def _figure(spec, order) -> Dataset:
 
 
 def comparator_params(m, eta, gamma, alpha, s, bbk_gamma=None):
-    """Derive the four comparison operators from one base parameter set.
-
-    rlgbk keeps the base parameters; rlbk sets gamma=1, s=2; bbk sets eta=1
-    (gamma overridable); fbk sets gamma=eta=1, s=2.
+    """Derive the four comparison operators from one base parameter set:
+    rlbk, bbk and fbk take the values their operator_uni._REDUCTIONS entry
+    fixes (bbk's gamma overridable); rlgbk keeps the base parameters.
     """
-    return (
-        ("rlbk", OperatorParams(m, eta, 1.0, alpha, 2)),
-        ("bbk", OperatorParams(m, 1.0, gamma if bbk_gamma is None else bbk_gamma, alpha, s)),
-        ("fbk", OperatorParams(m, 1.0, 1.0, alpha, 2)),
-        ("rlgbk", OperatorParams(m, eta, gamma, alpha, s)),
-    )
+    base, fixed = dict(m=m, eta=eta, gamma=gamma, alpha=alpha, s=s), dict(_REDUCTIONS)
+    fixed["BBK"] = dict(gamma=gamma if bbk_gamma is None else bbk_gamma, **fixed["BBK"])
+    return tuple((tag, OperatorParams(**{**base, **fixed.get(tag.upper(), {})})) for tag in _COMPARATORS)
 
 
 def compare_rows(fn, m_values, eta, gamma, alpha, s, z_values, order=DEFAULT_ORDER,
@@ -123,14 +121,9 @@ def _table4(order: int) -> Dataset:
     eta, gamma, alpha, s = 2.0, 3.0, 0.9, 2
     m_values = (10, 20, 40, 80)
     rows = compare_rows("f4", m_values, eta, gamma, alpha, s, [0.2], order, bbk_gamma=2.0)
-    meta = (
-        "table 4",
-        f"function f4 = {BUILTINS['f4']}",
-        f"base eta={eta} gamma={gamma} alpha={alpha} s={s}",
-        "errors at z=0.2; bbk comparator uses gamma=2",
-        f"order={order}",
-    )
-    return Dataset(meta, ("m", "rlbk", "bbk", "fbk", "rlgbk"), rows)
+    meta = ("table 4", f"function f4 = {BUILTINS['f4']}", f"base eta={eta} gamma={gamma} alpha={alpha} s={s}",
+            "errors at z=0.2; bbk comparator uses gamma=2", f"order={order}")
+    return Dataset(meta, ("m", *_COMPARATORS), rows)
 
 
 def _preset(kind: str, which: int, count: int, order: int, build) -> Dataset:

@@ -3,10 +3,10 @@
 The operator applies the blending basis row at z to kernel integrals that do
 not depend on z, so the integrals are computed once per function and reused
 across evaluation points.  Closed forms are provided for the images of
-1, t, t^2 and the first two central moments.  _certificate bounds the
-quadrature error of the kernel integrals from the closed-form kernel
-moments and exprlib.derivative_sup, and _kernel_order picks the lowest
-order that bound allows.
+every t^i up to i = 16 and the first two central moments.  _certificate
+bounds the quadrature error of the kernel integrals from the closed-form
+kernel moments and exprlib.derivative_sup, and _kernel_order picks the
+lowest order that bound allows.
 """
 
 from __future__ import annotations
@@ -140,14 +140,10 @@ def apply(params: OperatorParams, f, z: float, order: int = DEFAULT_ORDER) -> fl
 
 
 def _bracket(params: OperatorParams) -> float:
-    """The factor multiplying z(1-z) in the second moment.
-
-    For m >= s it is m + (1-alpha)s(s-1); below the blending threshold the
-    basis is the classical Bernstein row, whose second moment uses m alone.
-    """
-    if params.m >= params.s:
-        return params.m + (1.0 - params.alpha) * params.s * (params.s - 1.0)
-    return float(params.m)
+    """The factor of z(1-z) in the second moment: m + (1-alpha)s(s-1), or m
+    alone below the blending threshold, where the basis is the classical row."""
+    m, s = params.m, params.s
+    return m + (1.0 - params.alpha) * s * (s - 1.0) if m >= s else float(m)
 
 
 def raw_moments(params: OperatorParams, z: float) -> MomentSet:
@@ -180,33 +176,42 @@ def central_moments(params: OperatorParams, z: float) -> CentralMoments:
     return CentralMoments(zeta, xi2)
 
 
+def _power_sums(d: int, i: int, z: float, shift: int = 0) -> list:
+    """[sum_j (j + shift)^n B_{d,j}(z) for n <= i], by the binomial theorem
+    from sum_j j^t B_{d,j}(z) = sum_l S(t, l) d!/(d-l)! z^l (S: Stirling
+    numbers of the second kind), each integer term exact; all terms >= 0."""
+    sums, stirling = [], [1]  # S(t, 0..t)
+    for _t in range(i + 1):
+        sums.append(sum(float(S * math.perm(d, l)) * z**l for l, S in enumerate(stirling)))
+        stirling = [l * a + b for l, (a, b) in enumerate(zip(stirling + [0], [0] + stirling))]
+    return [sum(float(math.comb(n, t) * shift ** (n - t)) * sums[t] for t in range(n + 1)) for n in range(i + 1)]
+
+
 def moment_recurrence(params: OperatorParams, i: int, z: float) -> float:
-    """Operator image of e_i built from the basis moments and kernel
-    coefficients: sum_n C(i,n) m^n L(e_n;z) c_{i-n} / (m+1)^i, where the
-    basis part alone (no Kantorovich shift) maps e_0, e_1, e_2 to 1, z and
-    z^2 + z(1-z)*bracket/m^2."""
+    """Operator image of e_i: sum_n C(i,n) c_{i-n} A_n / (m+1)^i, with A_n
+    = sum_j j^n w_j(z) the power sums of the basis row (_power_sums of its
+    Bernstein rows, blended as in basis._row_blocks).  Up to i = 16 every
+    integer term stays inside the float range for m < 2^53."""
     check_type("params", params, OperatorParams)
-    check_int("i", i, 0, 2)  # the basis moments stop at e_2
+    check_int("i", i, 0, 16)
     z = check_point(z)
-    m = params.m
-    basis = (1.0, z, z * z + z * (1.0 - z) * _bracket(params) / m**2)
-    c = [moment_coeff(params.eta, params.gamma, i - n) for n in range(i + 1)]
-    return sum(math.comb(i, n) * m**n * basis[n] * c[n] for n in range(i + 1)) / (m + 1.0) ** i
+    m, s, alpha = params.m, params.s, params.alpha
+    a = _power_sums(m, i, z)
+    if m >= s:  # alpha B_m + (1-alpha) ((1-z) B_{m-s} + z B_{m-s} shifted by s)
+        a = [alpha * x + (1.0 - alpha) * ((1.0 - z) * y + z * w)
+             for x, y, w in zip(a, _power_sums(m - s, i, z), _power_sums(m - s, i, z, s))]
+    c = [moment_coeff(params.eta, params.gamma, k) for k in range(i + 1)]
+    return sum(math.comb(i, n) * c[i - n] * a[n] for n in range(i + 1)) / (m + 1.0) ** i
+
+
+# Operators from the literature, in match order, and the parameter values each fixes
+_REDUCTIONS = (("FBK", dict(eta=1.0, gamma=1.0, s=2)), ("OZK", dict(eta=1.0, alpha=1.0, s=2)),
+               ("RLBK", dict(gamma=1.0, s=2)), ("BBK", dict(eta=1.0)))
 
 
 def special_case(params: OperatorParams) -> str:
     """Tag for parameter settings that reduce to operators from the
-    literature; first match wins in the order FBK, OZK, RLBK, BBK."""
+    literature: the first of _REDUCTIONS whose values params holds."""
     check_type("params", params, OperatorParams)
-    gamma1 = params.gamma == 1.0
-    eta1 = params.eta == 1.0
-    s2 = params.s == 2
-    if gamma1 and eta1 and s2:
-        return "FBK"
-    if params.alpha == 1.0 and eta1 and s2:
-        return "OZK"
-    if gamma1 and s2:
-        return "RLBK"
-    if eta1:
-        return "BBK"
-    return "none"
+    return next((tag for tag, fixed in _REDUCTIONS
+                 if all(getattr(params, k) == v for k, v in fixed.items())), "none")

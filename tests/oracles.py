@@ -2,10 +2,11 @@
 
 adaptive_reference integrates against the fractional kernel by adaptive
 Simpson subdivision, basis_weight evaluates one basis weight from the
-three-term formula, window_range takes the range over every run of cells
-one offset at a time, and second_difference_max the largest second
-difference of grid values one shift at a time; none shares code with the
-library paths.
+three-term formula, binomial_power_polys gives the power sums of a
+Bernstein row as integer polynomials in z, window_range takes the range
+over every run of cells one offset at a time, and second_difference_max
+the largest second difference of grid values one shift at a time; none
+shares code with the library paths.
 """
 
 import math
@@ -100,6 +101,20 @@ def basis_weight(params, j: int, z: float) -> float:
     t2 = (1.0 - alpha) * _term(_log_binomial(m - s, j), z, j, m - s - j + 1)
     t3 = alpha * _term(_log_binomial(m, j), z, j, m - j)
     return t1 + t2 + t3
+
+
+def binomial_power_polys(d: int, k: int) -> list:
+    """Integer coefficients, lowest power first, of the polynomials
+    sum_j j^n C(d,j) z^j (1-z)^(d-j) in z for n <= k, from the binomial
+    moments' recurrence mu_{n+1} = d z mu_n + z(1-z) mu_n'."""
+    polys = [[1]]
+    for _ in range(k):
+        nxt = [0] * (len(polys[-1]) + 1)
+        for i, c in enumerate(polys[-1]):
+            nxt[i] += i * c
+            nxt[i + 1] += (d - i) * c
+        polys.append(nxt)
+    return polys
 
 
 def window_max(values, width: int, axis: int = -1):

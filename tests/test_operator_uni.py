@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_params, expression_texts
+from oracles import binomial_power_polys
 
 
 class TestKernelIntegrals:
@@ -203,16 +205,16 @@ class TestLMoments:
 
     def test_unsupported_order(self):
         params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=0.5, s=2)
-        with pytest.raises(DomainError, match="i must be <= 2, got 3"):
-            moment_recurrence(params, 3, 0.5)
+        with pytest.raises(DomainError, match="i must be <= 16, got 17"):
+            moment_recurrence(params, 17, 0.5)
 
     def test_point_validation(self):
         params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=0.5, s=2)
         with pytest.raises(DomainError):
             moment_recurrence(params, 1, 1.2)
 
-    @pytest.mark.parametrize("i", [True, 1.0, -1, 3])
-    def test_order_must_be_an_int_in_0_to_2(self, i):
+    @pytest.mark.parametrize("i", [True, 1.0, -1, 17])
+    def test_order_must_be_an_int_in_0_to_16(self, i):
         # True was read as i = 1 and 1.0 ended in a raw TypeError
         params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=0.5, s=2)
         with pytest.raises(DomainError, match="^i must be "):
@@ -290,8 +292,54 @@ class TestMomentRecurrence:
 
     def test_unsupported_order(self):
         params = OperatorParams(m=10, eta=1.0, gamma=1.0, alpha=0.5, s=2)
-        with pytest.raises(DomainError, match="i must be <= 2, got 3"):
-            moment_recurrence(params, 3, 0.5)
+        with pytest.raises(DomainError, match="i must be <= 16, got 17"):
+            moment_recurrence(params, 17, 0.5)
+
+    def test_against_mpmath(self):
+        # every image up to e_8 within 1e-15 relative of the same sum taken
+        # to 40 digits with the same c_k, from the binomial power sums of
+        # oracles.binomial_power_polys; (eta, gamma) cycles through five pairs
+        mpmath = pytest.importorskip("mpmath")
+        grid = itertools.product(_MPMATH_DEGREES, (0, 1, 2, 3, 9, None), (0.0, 0.35, 1.0), _MPMATH_POINTS)
+        with mpmath.workdps(40):
+            for (m, s, alpha, z), (eta, gamma) in zip(grid, itertools.cycle(_MPMATH_KERNELS)):
+                params = OperatorParams(m, eta, gamma, alpha, m + 1 if s is None else s)
+                for k, ref in enumerate(_mpmath_images(mpmath, params, 8, z)):
+                    got = moment_recurrence(params, k, z)
+                    assert abs(got - ref) <= 1e-15 * ref, (params, k, z, got, ref)
+
+    @pytest.mark.parametrize("s", [3, 2**52, 2**53 - 1])
+    def test_highest_order_finite_at_largest_degree(self, s):
+        params = OperatorParams(2**53 - 1, 2.0, 3.0, 0.35, s)
+        for z in (0.0, 0.37, 1.0):
+            assert 0.0 < moment_recurrence(params, 16, z) < math.inf
+
+
+_MPMATH_DEGREES = (1, 2, 5, 40, 250, 4437, 10**5, 10**6)
+_MPMATH_POINTS = (0.0, 1e-9, 0.01, 0.37, 0.5, 0.9, 1.0)
+_MPMATH_KERNELS = ((2.0, 3.0), (0.75, 1.654), (1.0, 1.0), (3.0, 2.0), (0.5, 4.71))
+
+
+def _mpmath_images(mpmath, params, k, z):
+    """R(e_i; z) for i <= k at the working precision: the basis power sums
+    A_n from the binomial ones (the degree-(m-s) row's shifted by s by the
+    binomial theorem), blended as the basis rows are, then
+    sum_n C(i,n) c_{i-n} A_n / (m+1)^i."""
+    m, s, z = params.m, params.s, mpmath.mpf(z)
+
+    def power_sums(d, shift):
+        raw = [mpmath.polyval(p[::-1], z) for p in binomial_power_polys(d, k)]
+        return [mpmath.fsum(math.comb(n, t) * mpmath.mpf(shift) ** (n - t) * raw[t] for t in range(n + 1))
+                for n in range(k + 1)]
+
+    a = power_sums(m, 0)
+    if m >= s:
+        alpha = mpmath.mpf(params.alpha)
+        a = [alpha * x + (1 - alpha) * ((1 - z) * y + z * w)
+             for x, y, w in zip(a, power_sums(m - s, 0), power_sums(m - s, s))]
+    c = [mpmath.mpf(moment_coeff(params.eta, params.gamma, n)) for n in range(k + 1)]
+    return [mpmath.fsum(math.comb(i, n) * c[i - n] * a[n] for n in range(i + 1)) / mpmath.mpf(m + 1) ** i
+            for i in range(k + 1)]
 
 
 class TestClosedFormsAgainstQuadrature:
@@ -413,14 +461,14 @@ class TestCertifiedOrder:
         # e_k is at least |Q_n(s^k) - c_k| with the rule's float points and
         # weights summed exactly and c_k to 40 digits
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        for eta in _ETAS:
-            for gamma in (*_GAMMAS, 4.999):
-                e, c = _moment_misses(eta, gamma, order)
-                tg, w = _kernel_rule(eta, gamma, order)
-                for k in range(len(e)):
-                    q = mpmath.fsum(mpmath.mpf(wi) * mpmath.mpf(ti) ** k for wi, ti in zip(w, tg))
-                    g = mpmath.mpf(gamma) * k + 1
-                    exact = mpmath.gamma(mpmath.mpf(eta) + 1) * mpmath.gamma(g) / mpmath.gamma(mpmath.mpf(eta) + g)
-                    assert abs(q - exact) <= e[k], (eta, gamma, k)
-                    assert c[k] == moment_coeff(eta, gamma, k)
+        with mpmath.workdps(40):
+            for eta in _ETAS:
+                for gamma in (*_GAMMAS, 4.999):
+                    e, c = _moment_misses(eta, gamma, order)
+                    tg, w = _kernel_rule(eta, gamma, order)
+                    for k in range(len(e)):
+                        q = mpmath.fsum(mpmath.mpf(wi) * mpmath.mpf(ti) ** k for wi, ti in zip(w, tg))
+                        g = mpmath.mpf(gamma) * k + 1
+                        exact = mpmath.gamma(mpmath.mpf(eta) + 1) * mpmath.gamma(g) / mpmath.gamma(mpmath.mpf(eta) + g)
+                        assert abs(q - exact) <= e[k], (eta, gamma, k)
+                        assert c[k] == moment_coeff(eta, gamma, k)
