@@ -2,12 +2,13 @@
 
 For degree m, shape parameter alpha in [0,1] and blending parameter s >= 0
 the basis row at z consists of m+1 non-negative weights forming a partition
-of unity.  When m < s the row is the classical Bernstein row; otherwise each
-weight blends the classical term (weight alpha) with two degree-(m-s) terms
-(weight 1-alpha).  s=1 and alpha=1 both reduce to the classical basis, and
-s=2 gives the familiar alpha-Bernstein basis.  Each Bernstein row is walked
-out from its mode by the ratios of neighbouring weights, so the weights near
-the mode are right to 2e-13 relative at every degree up to 10**6.
+of unity.  When m < s the row is the classical Bernstein row; otherwise it
+is one dense row that adds, in this order, alpha times the degree-m row,
+(1-alpha)z times the degree-(m-s) row shifted by s columns and (1-alpha)(1-z)
+times that row in place.  s=1 and alpha=1 both reduce to the classical basis,
+and s=2 gives the familiar alpha-Bernstein basis.  Each Bernstein row is
+walked out from its mode by the ratios of neighbouring weights, so the
+weights near the mode are right to 2e-13 relative at every degree up to 10**6.
 """
 
 from __future__ import annotations
@@ -48,35 +49,28 @@ class BasisRow:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _bernstein_rows(degrees: tuple, z: np.ndarray) -> tuple[list, np.ndarray]:
-    """(bands, rows): rows[d] holds the Bernstein rows of degree degrees[d]
-    (the largest first) at the checked points z, each of degrees[0] + 1
-    columns and exactly 0.0 outside the columns bands[d].
+def _bernstein_rows(degrees: tuple, z: np.ndarray, parts: tuple) -> np.ndarray:
+    """One row of degrees[0] + 1 columns per checked point of the column z:
+    the sum, in the order of parts (d, shift, scale), of scale (a float or a
+    column) times the Bernstein row of degree degrees[d] moved right by shift.
 
-    Each row starts at its mode c = min(floor((n+1)z), n) with 2**600, so
-    that every weight above 2**-1600 of the mode's stays a normal float (the
-    weights fall away from c), and is walked outward with a cumulative
-    product of the ratios r(j) = (n-j+1)/j * z/(1-z) of column j to column
-    j-1 above c and of their inverses below c, reach = min(n, isqrt(400n))
-    columns either way, then divided by its sum over those 2*reach + 1
-    columns in a fixed order.
+    The degrees are walked together, the largest first.  Each row starts at
+    its mode c = min(floor((n+1)z), n) with 2**600, so that every weight
+    above 2**-1600 of the mode's stays a normal float (the weights fall away
+    from c), and is walked outward with a cumulative product of the ratios
+    r(j) = (n-j+1)/j * z/(1-z) of column j to column j-1 above c and of
+    their inverses below c, reach = min(n, isqrt(400n)) columns either way,
+    then divided by its sum over those 2*reach + 1 columns in a fixed order.
     With only + - * /, a row is the same in every block and beside every
     other degree; rows at 0 and 1 are unit vectors.  Hoeffding (1963) gives
     B_{n,j}(z) <= exp(-2(j-nz)^2/n), and c is within 1 of nz, so columns
     beyond the reach hold less than exp(-796): 0.0 in floats, also where a
-    smaller degree is walked as far as the largest.  bands[d] holds the
-    columns within sqrt(400n) + 1 of n*min(z) .. n*max(z), the + 1 covering
-    the rounding of n*z.
+    smaller degree is walked as far as the largest.  A part is added over
+    its walked window only: the row holds exact zeros elsewhere.
     """
-    zmin, zmax = np.minimum.reduce(z), np.maximum.reduce(z)
-    bands, reaches = [], []
-    for n in degrees:
-        h = math.sqrt(400.0 * n) + 1.0
-        bands.append(slice(max(0, math.floor(n * zmin - h)), min(n, math.ceil(n * zmax + h)) + 1))
-        reaches.append(min(n, math.isqrt(400 * n)))
+    reaches = [min(n, math.isqrt(400 * n)) for n in degrees]
     reach = reaches[0]
     n = np.array(degrees, dtype=float)[:, None, None]
-    z = z[:, None]
     mode = np.minimum(np.floor((n + 1.0) * z), n)
     # the ratio at column mode + e is r(t) above the mode (t = mode + e) and
     # 1/r(t) below it (t = mode + e + 1, the column it steps from)
@@ -94,42 +88,39 @@ def _bernstein_rows(degrees: tuple, z: np.ndarray) -> tuple[list, np.ndarray]:
     np.multiply.accumulate(walk[..., reach::-1], axis=-1, out=walk[..., reach::-1])
     for d, r in enumerate(reaches):
         walk[d] /= np.add.reduce(walk[d, :, reach - r : reach + r + 1], axis=1, keepdims=True)
-    # rows[d, i, reach + mode + e] = walk[d, i, reach + e]; the steps past 0
-    # and n land in the reach-wide margins
-    rows = np.zeros((len(degrees), z.size, degrees[0] + 1 + 2 * reach))
-    windows = np.ndarray((*rows.shape[:2], degrees[0] + 1, 2 * reach + 1), buffer=rows,
+    # windows[i, c] holds columns c - reach .. c + reach of row i; the steps
+    # past 0 and n land in the reach-wide margins
+    rows = np.zeros((z.size, degrees[0] + 1 + 2 * reach))
+    windows = np.ndarray((z.size, degrees[0] + 1, 2 * reach + 1), buffer=rows,
                          strides=(*rows.strides, rows.itemsize))
-    windows[np.arange(len(degrees))[:, None], np.arange(z.size), mode[..., 0].astype(np.intp)] = walk
-    return bands, rows[..., reach : reach + degrees[0] + 1]
+    points, mode = np.arange(z.size), mode[..., 0].astype(np.intp)
+    for d, shift, scale in parts:
+        windows[points, mode[d] + shift] += scale * walk[d]
+    return rows[:, reach : reach + degrees[0] + 1]
 
 
 def bernstein_row(n: int, z: float) -> np.ndarray:
     """Classical Bernstein row of degree n at z, walked out from its mode."""
     check_int("n", n, 0, 2**53 - 1)  # n + 1.0 is exact
-    return _bernstein_rows((n,), np.array([check_point(z)]))[1][0, 0]
+    return _bernstein_rows((n,), np.array([[check_point(z)]]), ((0, 0, 1.0),))[0]
 
 
 def _row_blocks(params: OperatorParams, zs: np.ndarray):
     """(slice, rows) for consecutive blocks of the checked points zs, each
     block holding at most _BLOCK_ELEMENTS weights (and at least one point).
 
-    For m >= s each row is assembled from two Bernstein rows: the degree-m
-    row and the degree-(m-s) row shifted by s indices (scaled by z) or kept
-    in place (scaled by 1-z).  This composition makes partition of unity
+    For m >= s each row adds the three parts of the blend in the order the
+    module docstring gives.  This composition makes partition of unity
     automatic and is numerically stable for large m.
     """
     m, s, alpha = params.m, params.s, params.alpha
+    degrees = (m,) if m < s else (m, m - s)
     step = max(1, _BLOCK_ELEMENTS // (m + 1))
     for start in range(0, zs.size, step):
-        z = zs[start : start + step]
-        bands, rows = _bernstein_rows((m,) if m < s else (m, m - s), z)
-        if m >= s:  # outside the bands the full rows would scale and add zeros
-            rows[0, :, bands[0]] *= alpha
-            cols, sub = bands[1], rows[1, :, bands[1]]
-            z = z[:, None]
-            rows[0, :, cols.start + s : cols.stop + s] += (1.0 - alpha) * z * sub
-            rows[0, :, cols] += (1.0 - alpha) * (1.0 - z) * sub
-        yield slice(start, start + step), rows[0]
+        z = zs[start : start + step, None]
+        parts = ((0, 0, 1.0),) if m < s else ((0, 0, alpha), (1, s, (1.0 - alpha) * z),
+                                                (1, 0, (1.0 - alpha) * (1.0 - z)))
+        yield slice(start, start + step), _bernstein_rows(degrees, z, parts)
 
 
 def basis_matrix(params: OperatorParams, zs) -> np.ndarray:

@@ -343,23 +343,22 @@ class TestBasisMatrix:
     @pytest.mark.parametrize("n", [1600, 1700, 3 * 10**4, 2 * 10**5])
     def test_reference_rows_vanish_outside_the_band(self, n):
         # each row is walked only near its mode, so it must hold exactly 0.0
-        # beyond sqrt(400n) + 1 of n*z, and its block's band must hold it
+        # beyond sqrt(400n) + 1 of n*z
         h = math.sqrt(400.0 * n) + 1.0
         zs = np.concatenate((np.linspace(0.0, 1.0, 41), _band_edges(n), [1e-300, 1.0 - 1e-16]))
+        j = np.arange(n + 1)
         for z in zs.tolist():
-            (cols,), _ = basis._bernstein_rows((n,), np.array([z]))
             ref = bernstein_row(n, z)
-            j = np.arange(n + 1)
-            assert 0 < cols.stop - cols.start <= n + 1
-            assert not ref[: cols.start].any() and not ref[cols.stop :].any(), z
+            assert ref.shape == (n + 1,) and ref.any(), z
             assert not ref[np.abs(j - n * z) > h].any(), z
-        # two points share one band, from the lower end of the first to the
-        # upper end of the second; two degrees walk together as each alone
+        # two points walk as each alone; two degrees walk together, one part
+        # each, as each degree alone, and the smaller leaves its tail 0.0
         pair = np.array([0.25, 0.3])
-        _, rows = basis._bernstein_rows((n, n // 2), pair)
-        assert np.array_equal(rows[0], np.array([bernstein_row(n, z) for z in (0.25, 0.3)]))
-        assert np.array_equal(rows[1, :, : n // 2 + 1], np.array([bernstein_row(n // 2, z) for z in (0.25, 0.3)]))
-        assert not rows[1, :, n // 2 + 1 :].any()
+        for d, k in enumerate((n, n // 2)):
+            rows = basis._bernstein_rows((n, n // 2), pair[:, None], ((d, 0, 1.0),))
+            assert rows.shape == (2, n + 1)
+            assert np.array_equal(rows[:, : k + 1], np.array([bernstein_row(k, z) for z in (0.25, 0.3)]))
+            assert not rows[:, k + 1 :].any()
 
     def test_bitwise_equal_on_many_points(self):
         # 2,502 points walked as one block (or as a few blocks) give the

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -224,9 +225,14 @@ class TestCsv:
         assert lines[0].startswith("# figure 3")
         assert any("f3" in l for l in lines[:5])
 
-    def test_footer_lines_follow_rows(self):
-        ds = Dataset(("first", "second"), ("a", "b"), ((1, 0.5), (2, "")), ("end=1",))
-        assert to_csv(ds) == "# first\n# second\na,b\n1,0.5\n2,\n# end=1\n"
+    @pytest.mark.parametrize("rows,text", [
+        (((1, 0.5), (2, "")), "1,0.5\n2,\n"),
+        # numpy scalars print as the Python numbers they hold
+        (((np.int64(-3), -0.0), (math.inf, 1e16), ("", np.float64(0.1))), "-3,-0.0\ninf,1e+16\n,0.1\n"),
+    ])
+    def test_footer_lines_follow_rows(self, rows, text):
+        ds = Dataset(("first", "second"), ("a", "b"), rows, ("end=1",))
+        assert to_csv(ds) == "# first\n# second\na,b\n" + text + "# end=1\n"
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.data())
