@@ -18,15 +18,15 @@ checked against f at the cell corners, and kept in a small cache; on one
 axis they are also merged pairwise into coarser levels, so that a large
 radius reads a short array; runs of at least 128 cells read them, so they
 keep the maxima of their 128-cell runs, and shorter runs read the last
-expression's finest level as its 4-, 16- or 64-cell maxima.  One doubling
-chain over the finest cells gives all of these tables.  Each level
-keeps the run ranges it has given, keyed by (runs, axes) with runs clipped
-to the axis length, so a repeated radius reads a dict: the values are the
-ones the engine would recompute, and they leave with the cache entry.  The
-two-axis moduli evaluate F at the cell corners and check them once more on
-every call, so that a traced run counts those evaluations.  omega_2 is the
-smaller of delta^2 * sup |f''| (exprlib.derivative_sup, on fewer cells)
-and twice omega, read from the same cached run ranges.
+expression's finest level as its 4-, 16- or 64-cell maxima.  _window_max
+builds all of these tables, the 128-cell ones from the 64-cell ones.  Each
+level keeps the run ranges it has given, keyed by (runs, axes) with runs
+clipped to the axis length, so a repeated radius reads a dict: the values
+are the ones the engine would recompute, and they leave with the cache
+entry.  The two-axis moduli evaluate F at the cell corners and check them
+once more on every call, so that a traced run counts those evaluations.
+omega_2 is the smaller of delta^2 * sup |f''| (exprlib.derivative_sup, on
+fewer cells) and twice omega, read from the same cached run ranges.
 """
 
 from __future__ import annotations
@@ -181,10 +181,10 @@ def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
     least 2*_RUN_CELLS remain, the maxima of the _RUN_CELLS-cell runs of
     pairwise merged cells (an odd last cell stays alone), all in one array;
     ranges holds the level's _run_range values by (runs, axes).  The
-    finest cells' doubling chain (_span_tables) gives their 128-cell maxima;
-    128 merged cells from c are the 256 cells below from 2c, so each merged
-    table takes entries 2c and 2c + 128 of the table below (the last entry
-    again at an odd end)."""
+    finest cells' 128-cell maxima come from their _finest_tables 64-cell
+    table; 128 merged cells from c are the 256 cells below from 2c, so each
+    merged table takes entries 2c and 2c + 128 of the table below (the last
+    entry again at an odd end)."""
     u = np.linspace(0.0, 1.0, cells + 1)
     ends = np.empty((2,) + (cells,) * ndim)
     rows = max(_CHUNK_CELLS // cells ** (ndim - 1), 1)
@@ -201,7 +201,7 @@ def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
     while n >= 2 * _RUN_CELLS:
         n = (n + 1) // 2
         sizes.append(n - _RUN_CELLS + 1)
-    table = _span_tables((f, cells), ends, _RUN_CELLS if sizes else 64)
+    table = _window_max(_finest_tables((f, cells), ends)[64], _RUN_CELLS, -1, 64) if sizes else None
     tables = np.empty((2, sum(sizes)))
     for start, size in zip(itertools.accumulate(sizes, initial=0), sizes):
         if table.shape[1] % 2 == 0:  # an odd count of cells below
@@ -216,28 +216,18 @@ def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
 _FINEST = {}
 
 
-def _span_tables(key, ends: np.ndarray, top: int) -> np.ndarray:
-    """The table of top-cell maxima of ends, as in _window_max, doubling the
-    span from 1; its read-only 4-, 16- and 64-cell tables fill _FINEST."""
-    _FINEST.clear()  # first, so the last expression's tables are freed before these are built
-    finest, table, span = {}, ends, 1
-    while span < top:
-        table = np.maximum(table[:, :-span], table[:, span:])
-        span *= 2
-        if span in (4, 16, 64):
+def _finest_tables(key, ends: np.ndarray) -> dict:
+    """The read-only 4-, 16- and 64-cell tables of ends, the finest one-axis
+    level of key = (f, cells), by span, as in _window_max; kept for the
+    last key only (3 MiB at 65,536 cells)."""
+    if key not in _FINEST:
+        _FINEST.clear()  # first, so the last expression's tables are freed before these are built
+        tables, table = {}, ends
+        for span in (4, 16, 64):
+            table = tables[span] = _window_max(table, span, -1, span // 4)
             table.setflags(write=False)
-            finest[span] = table
-    _FINEST[key] = finest
-    return table
-
-
-def _finest_tables(f: FunctionExpr, cells: int) -> dict:
-    """The 4-, 16- and 64-cell tables of the finest one-axis level by span,
-    kept for the last (f, cells) only (3 MiB at 65,536 cells)."""
-    ends = _levels(f, cells, 1)[0][0]
-    if (f, cells) not in _FINEST:
-        _span_tables((f, cells), ends, 64)
-    return _FINEST[(f, cells)]
+        _FINEST[key] = tables
+    return _FINEST[key]
 
 
 def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes) -> float:
@@ -257,7 +247,7 @@ def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes
     if key not in ranges:
         if ndim == 1 and not index and key[0] >= 4:
             span = max(s for s in (4, 16, 64) if s <= key[0])
-            values = _finest_tables(f, cells)[span]
+            values = _finest_tables((f, cells), values)[span]
         ranges[key] = _run_range(values, *key, span)
     value = ranges[key]
     return math.inf if math.isnan(value) else math.nextafter(value, math.inf)

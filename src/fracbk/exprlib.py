@@ -541,10 +541,17 @@ def _vars(node: Node) -> frozenset[str]:
     return free_variables(FunctionExpr(node))
 
 
+def _factors(node: Node) -> list:
+    return _factors(node.left) + _factors(node.right) if isinstance(node, BinOp) and node.op == "*" else [node]
+
+
 def _times(a: Node, b: Node) -> Node:
     """a * b, dropping a factor 1 (exact); never a factor 0, whose partner
-    may fail to evaluate."""
-    return b if a == _ONE else a if b == _ONE else BinOp("*", a, b)
+    may fail to evaluate.  The factors of both * chains are multiplied from
+    the left in one order (by repr), so equal products are one tree."""
+    if a == _ONE or b == _ONE:
+        return b if a == _ONE else a
+    return functools.reduce(lambda s, t: BinOp("*", s, t), sorted(_factors(a) + _factors(b), key=repr))
 
 
 def _merged(terms: list) -> list | None:

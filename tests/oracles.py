@@ -5,15 +5,18 @@ Simpson subdivision, basis_weight evaluates one basis weight from the
 three-term formula, binomial_power_polys gives the power sums of a
 Bernstein row as integer polynomials in z, window_range takes the range
 over every run of cells one offset at a time, and second_difference_max
-the largest second difference of grid values one shift at a time; none
-shares code with the library paths.
+the largest second difference of grid values one shift at a time, and
+kernel_reference a kernel integral by mpmath.quad at 30 digits; none shares
+code with the library paths.
 """
 
 import math
+import operator
 
 import numpy as np
 
 from fracbk.errors import DomainError, QuadratureError, check_int, check_points, check_real
+from fracbk.exprlib import BinOp, Neg, Num, Var
 
 _MAX_DEPTH = 48
 
@@ -148,3 +151,31 @@ def second_difference_max(values, shifts: int) -> float:
         for k in range(1, shifts + 1):
             best = max(best, float(np.max(np.abs(values[2 * k :] - 2.0 * values[k:-k] + values[: -2 * k]))))
     return best
+
+
+_MP_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
+
+
+def kernel_reference(f, eta: float, gamma: float, m: int, j: int) -> float:
+    """K_j = int_0^1 eta (1-s)^(eta-1) f((j + s^gamma)/(m+1)) ds of the
+    expression f of z, by mpmath.quad at 30 digits with f evaluated in
+    mpmath over its parsed tree; each Num is taken as the double it holds,
+    so pi is the library's pi."""
+    import mpmath
+
+    calls = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp, "sqrt": mpmath.sqrt, "abs": mpmath.fabs}
+
+    def value(node, z):
+        if isinstance(node, Num):
+            return mpmath.mpf(node.value)
+        if isinstance(node, Var):
+            return z
+        if isinstance(node, Neg):
+            return -value(node.operand, z)
+        if isinstance(node, BinOp):
+            return _MP_OPS[node.op](value(node.left, z), value(node.right, z))
+        return calls[node.func](value(node.arg, z))
+
+    with mpmath.workdps(30):
+        e, g = mpmath.mpf(eta), mpmath.mpf(gamma)
+        return float(mpmath.quad(lambda s: e * (1 - s) ** (e - 1) * value(f.root, (j + s**g) / (m + 1)), [0, 1]))

@@ -369,7 +369,8 @@ class TestMergedLevels:
 
 def _synthetic_levels(ends):
     """_levels on one axis of a finest level holding ends (enclose and the
-    corner check replaced), from a fresh cache and _FINEST slot."""
+    corner check replaced), from a fresh cache and _FINEST slot, and the
+    level's _finest_tables."""
     cells = ends.shape[-1]
 
     def fake_enclose(f, z_cells):
@@ -381,15 +382,16 @@ def _synthetic_levels(ends):
             mock.patch.dict(error_analysis._FINEST, clear=True):
         _levels.cache_clear()
         levels = _levels(parse_source("z"), cells, 1)
-        finest = error_analysis._FINEST[(parse_source("z"), cells)]
+        finest = _finest_tables((parse_source("z"), cells), levels[0][0])
     _levels.cache_clear()
     return levels, finest
 
 
 class TestDoublingChain:
-    """_levels builds the 4-, 16- and 64-cell tables and every merged level
-    from one doubling chain; the tables are those of pairwise merged cells
-    and _window_max byte for byte, signed zeros, inf and NaN included."""
+    """_finest_tables builds the 4-, 16- and 64-cell tables and _levels every
+    merged level from the 64-cell one, all by _window_max's doubling; the
+    tables are those of pairwise merged cells and _window_max byte for byte,
+    signed zeros, inf and NaN included."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([101, 127, 255, 256, 257, 511, 1001, 1025, 4097, 65535]), st.integers(0, 2**32 - 1),
@@ -415,9 +417,8 @@ class TestDoublingChain:
 
 def _tables_of(ends):
     """The tables _finest_tables builds on a finest level holding ends."""
-    with mock.patch.object(error_analysis, "_levels", lambda f, cells, ndim: ((ends, 1.0, {}),)), \
-            mock.patch.dict(error_analysis._FINEST, clear=True):
-        return _finest_tables(None, ends.shape[-1])
+    with mock.patch.dict(error_analysis._FINEST, clear=True):
+        return _finest_tables(None, ends)
 
 
 class TestFinestTables:
@@ -455,7 +456,7 @@ class TestFinestTables:
         for runs, _span in expected:
             modulus_continuity(f, (runs - 1.5) / 65536)  # runs - 1.5 cell widths: `runs` cells
         assert read == [(runs, span, 65537 - span) for runs, span in expected]
-        tables = weakref.ref(_finest_tables(f, 65536)[64])
+        tables = weakref.ref(_finest_tables((f, 65536), _levels(f, 65536, 1)[0][0])[64])
         modulus_continuity(g, 10 / 65536)
         assert tables() is None  # f's tables left with g's query
         assert list(error_analysis._FINEST) == [(g, 65536)]

@@ -542,6 +542,8 @@ class TestSeparate:
         assert len(separate(parse_source("(z+y)^2"))) == 3
         assert len(separate(parse_source("(z+y)^5"))) <= 6
         assert separate(parse_source("(z+y)^4*(1+z*y)")) is not None
+        # equal products built in another order (z*(z*z), (z*z)*z) stayed apart: 11 terms
+        assert len(separate(parse_source("(z-y)^3*(z+y)^3"))) <= 7
 
     @pytest.mark.parametrize("src", [
         "g1", "g2", "g3", "z", "y", "pi", "(z+y)^2", "(z+y)^5", "(z+y)^4*(1+z*y)", "z/y", "-(z-y)*y",
