@@ -13,20 +13,20 @@ Interval enclosures (exprlib.enclose) of f on equal cells per axis give,
 for a run of cells, an interval holding every value f takes there, and any
 two points closer than delta along an axis lie in one run of
 ceil(delta/h) + 1 cells of width h along it.  The enclosures are built
-8,192 cells at a time, once per expression, cell count and number of axes,
-checked against f at the cell corners, and kept in a small cache; on one
-axis they are also merged pairwise into coarser levels, so that a large
-radius reads a short array; runs of at least 128 cells read them, so they
-keep the maxima of their 128-cell runs, and shorter runs read the last
-expression's finest level as its 4-, 16- or 64-cell maxima.  _window_max
-builds all of these tables, the 128-cell ones from the 64-cell ones.  Each
-level keeps the run ranges it has given, keyed by (runs, axes) with runs
-clipped to the axis length, so a repeated radius reads a dict: the values
-are the ones the engine would recompute, and they leave with the cache
-entry.  The two-axis moduli evaluate F at the cell corners and check them
-once more on every call, so that a traced run counts those evaluations.
-omega_2 is the smaller of delta^2 * sup |f''| (exprlib.derivative_sup, on
-fewer cells) and twice omega, read from the same cached run ranges.
+8,192 cells at a time, each chunk checked against f at its cell corners,
+once per expression, cell count and number of axes, and kept in a small
+cache (1 MiB per expression at 65,536 cells or 256 x 256) with the run
+ranges they have given, keyed by (level, runs, axes) with runs clipped to
+the axis length, so a repeated radius reads a dict: the values are the ones
+the engine would recompute, and they leave with the cache entry.  On one
+axis a radius of at least 128 cells reads a level of pairwise merged cells
+through the maxima of its 128-cell runs, and a shorter one the finest level
+through its 4-, 16- or 64-cell maxima; _finest_tables builds these tables
+for the last one-axis expression only (about 4 MiB at 65,536 cells).  The
+two-axis moduli evaluate F at the cell corners and check them once more on
+every call, so that a traced run counts those evaluations.  omega_2 is the
+smaller of delta^2 * sup |f''| (exprlib.derivative_sup, on fewer cells)
+and twice omega, read from the same cached run ranges.
 """
 
 from __future__ import annotations
@@ -123,12 +123,14 @@ def _on_axis(u: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return u.reshape([-1 if i == axis else 1 for i in range(ndim)])
 
 
-def _check_corners(f: FunctionExpr, ends: np.ndarray) -> None:
+def _check_corners(f: FunctionExpr, ends: np.ndarray, cuts=None) -> None:
     """f at the corners of the cells of ends = (hi, -lo), axis i holding the
-    i-th variable (z, then y): finite, and inside the enclosure of every
-    cell it bounds; EvaluationError otherwise."""
-    u, ndim = np.linspace(0.0, 1.0, ends.shape[-1] + 1), ends.ndim - 1
-    values = eval_function(f, *(_on_axis(u, i, ndim) for i in range(ndim)))
+    i-th variable (z, then y) and its cell ends cuts[i] (by default the
+    equal cells of [0, 1]): finite, and inside the enclosure of every cell
+    it bounds; EvaluationError otherwise."""
+    ndim = ends.ndim - 1
+    cuts = cuts or [np.linspace(0.0, 1.0, n + 1) for n in ends.shape[1:]]
+    values = eval_function(f, *(_on_axis(u, i, ndim) for i, u in enumerate(cuts)))
     if not np.all(np.isfinite(values)):
         raise EvaluationError("function has non-finite values on the modulus grid")
     corners = [values[c] for c in itertools.product((slice(None, -1), slice(1, None)), repeat=ndim)]
@@ -173,58 +175,59 @@ def _resolution(f, grid_n: int | None) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
-    """(values, width, ranges) per level: read-only enclosures ends = (hi, -lo)
-    of f on `cells` equal cells per axis of [0, 1]^ndim, enclosed
-    _CHUNK_CELLS cells (whole rows of the first axis) at a time, which gives
-    one call's ends as every interval operation works cell by cell, and
-    checked against f at the cell corners; then, on one axis, while at
-    least 2*_RUN_CELLS remain, the maxima of the _RUN_CELLS-cell runs of
-    pairwise merged cells (an odd last cell stays alone), all in one array;
-    ranges holds the level's _run_range values by (runs, axes).  The
-    finest cells' 128-cell maxima come from their _finest_tables 64-cell
-    table; 128 merged cells from c are the 256 cells below from 2c, so each
-    merged table takes entries 2c and 2c + 128 of the table below (the last
-    entry again at an odd end)."""
+    """(ends, width, ranges): read-only enclosures ends = (hi, -lo) of f on
+    `cells` equal cells, at least `width` wide, per axis of [0, 1]^ndim, and
+    _enclosed_modulus' run ranges by (level, runs, axes).  The ends are
+    enclosed and checked at their cell corners _CHUNK_CELLS cells (whole
+    rows of the first axis) at a time, which gives one call's ends as every
+    interval operation works cell by cell."""
     u = np.linspace(0.0, 1.0, cells + 1)
     ends = np.empty((2,) + (cells,) * ndim)
     rows = max(_CHUNK_CELLS // cells ** (ndim - 1), 1)
     for i in range(0, cells, rows):
         cuts = [u[i : i + rows + 1]] + [u] * (ndim - 1)
         lo, hi = enclose(f, *((_on_axis(c[:-1], k, ndim), _on_axis(c[1:], k, ndim)) for k, c in enumerate(cuts)))
-        ends[0, i : i + rows], ends[1, i : i + rows] = hi, -lo
+        chunk = ends[:, i : i + rows]
+        chunk[0], chunk[1] = hi, -lo
+        _check_corners(f, chunk, cuts)
     ends.setflags(write=False)
-    _check_corners(f, ends)
-    levels = [(ends, float(np.min(np.diff(u))), {})]
-    if ndim > 1:
-        return tuple(levels)
-    n, sizes = cells, []  # table entries per merged level, in one array so the heap does not fragment
-    while n >= 2 * _RUN_CELLS:
-        n = (n + 1) // 2
-        sizes.append(n - _RUN_CELLS + 1)
-    table = _window_max(_finest_tables((f, cells), ends)[64], _RUN_CELLS, -1, 64) if sizes else None
-    tables = np.empty((2, sum(sizes)))
-    for start, size in zip(itertools.accumulate(sizes, initial=0), sizes):
-        if table.shape[1] % 2 == 0:  # an odd count of cells below
-            table = np.concatenate((table, table[:, -1:]), axis=1)
-        table = np.maximum(table[:, : 2 * size : 2], table[:, _RUN_CELLS :: 2], out=tables[:, start : start + size])
-        table.setflags(write=False)
-        levels.append((table, 2.0 * levels[-1][1], {}))
-    return tuple(levels)
+    return ends, float(np.min(np.diff(u))), {}
 
 
-# {(f, cells): {span: table}} of the last finest one-axis level built or read
+def _cell_counts(cells: int) -> list:
+    """The one-axis levels' cells: `cells`, halved (an odd last cell alone) while 2*_RUN_CELLS remain."""
+    counts = [cells]
+    while counts[-1] >= 2 * _RUN_CELLS:
+        counts.append((counts[-1] + 1) // 2)
+    return counts
+
+
+# {(f, cells): {(level, span): table}} of the last one-axis level whose tables were read
 _FINEST = {}
 
 
 def _finest_tables(key, ends: np.ndarray) -> dict:
-    """The read-only 4-, 16- and 64-cell tables of ends, the finest one-axis
-    level of key = (f, cells), by span, as in _window_max; kept for the
-    last key only (3 MiB at 65,536 cells)."""
+    """The read-only tables of span-cell maxima (as in _window_max) of the
+    finest one-axis level ends of key = (f, cells), by (level, span): its
+    4-, 16- and 64-cell maxima, then each merged level's _RUN_CELLS-cell
+    maxima in one array, the first from the 64-cell table; 128 merged cells
+    from c are the 256 cells below from 2c, so a merged table takes entries
+    2c and 2c + 128 of the 128-cell table below (the last again at an odd
+    end).  Kept for the last key only (about 4 MiB at 65,536 cells)."""
     if key not in _FINEST:
         _FINEST.clear()  # first, so the last expression's tables are freed before these are built
         tables, table = {}, ends
         for span in (4, 16, 64):
-            table = tables[span] = _window_max(table, span, -1, span // 4)
+            table = tables[0, span] = _window_max(table, span, -1, span // 4)
+        sizes = [n - _RUN_CELLS + 1 for n in _cell_counts(ends.shape[-1])[1:]]
+        table = _window_max(table, _RUN_CELLS, -1, 64) if sizes else None
+        merged = np.empty((2, sum(sizes)))  # one array, so the heap does not fragment
+        for level, (start, size) in enumerate(zip(itertools.accumulate(sizes, initial=0), sizes), 1):
+            if table.shape[1] % 2 == 0:  # an odd count of cells below
+                table = np.concatenate((table, table[:, -1:]), axis=1)
+            table = tables[level, _RUN_CELLS] = np.maximum(table[:, : 2 * size : 2], table[:, _RUN_CELLS :: 2],
+                                                           out=merged[:, start : start + size])
+        for table in tables.values():
             table.setflags(write=False)
         _FINEST[key] = tables
     return _FINEST[key]
@@ -234,21 +237,23 @@ def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes
     """Upper bound on |f(v) - f(u)| over points u, v closer than delta along
     each of axes, on the coarsest level whose runs still span _RUN_CELLS
     cells at delta (or the finest): on cells at least `width` wide (the
-    last may be narrower) such points lie in one run of ceil(delta/width)
-    + 1 cells per axis, and the run range bounds the difference.  The
-    finest one-axis level is read as its _finest_tables table of the largest
-    span up to the run.  The run range is kept in the level's ranges."""
-    levels = _levels(f, cells, ndim)
+    last may be narrower; width * 2**j at merged level j) such points lie
+    in one run of ceil(delta/width) + 1 cells per axis, and the run range
+    bounds the difference.  A one-axis run of 4 cells or more reads the
+    level's _finest_tables table of the largest span up to it."""
+    ends, width, ranges = _levels(f, cells, ndim)
     if delta == 0.0:
         return 0.0
-    index = next((i for i in reversed(range(len(levels))) if delta >= _RUN_CELLS * levels[i][1]), 0)
-    (values, width, ranges), span = levels[index], (_RUN_CELLS if index else 1)
-    key = (min(math.ceil(min(delta, 2.0) / width * (1.0 + 2.0**-40)) + 1, values.shape[-1] + span - 1), axes)
+    counts = _cell_counts(cells) if ndim == 1 else [cells]
+    level = max(j for j in range(len(counts)) if not j or delta >= _RUN_CELLS * width * 2**j)
+    width *= 2**level
+    key = (level, min(math.ceil(min(delta, 2.0) / width * (1.0 + 2.0**-40)) + 1, counts[level]), axes)
     if key not in ranges:
-        if ndim == 1 and not index and key[0] >= 4:
-            span = max(s for s in (4, 16, 64) if s <= key[0])
-            values = _finest_tables((f, cells), values)[span]
-        ranges[key] = _run_range(values, *key, span)
+        values, span = ends, 1
+        if ndim == 1 and (level or key[1] >= 4):
+            span = _RUN_CELLS if level else max(s for s in (4, 16, 64) if s <= key[1])
+            values = _finest_tables((f, cells), ends)[level, span]
+        ranges[key] = _run_range(values, *key[1:], span)
     value = ranges[key]
     return math.inf if math.isnan(value) else math.nextafter(value, math.inf)
 
@@ -286,7 +291,7 @@ def partial_moduli(F, d1: float, d2: float) -> tuple[float, float]:
     check_real("d1", d1, closed=True)
     check_real("d2", d2, closed=True)
     _check_expression(F)
-    _check_corners(F, _levels(F, _BIV_CELLS, 2)[0][0])  # every call: see the module docstring
+    _check_corners(F, _levels(F, _BIV_CELLS, 2)[0])  # every call: see the module docstring
     return _enclosed_modulus(F, d1, _BIV_CELLS, 2, (-2,)), _enclosed_modulus(F, d2, _BIV_CELLS, 2, (-1,))
 
 
@@ -297,7 +302,7 @@ def complete_modulus(F, d: float) -> float:
     axis, as in partial_moduli)."""
     check_real("d", d, closed=True)
     _check_expression(F)
-    _check_corners(F, _levels(F, _BIV_CELLS, 2)[0][0])  # every call: see the module docstring
+    _check_corners(F, _levels(F, _BIV_CELLS, 2)[0])  # every call: see the module docstring
     return _enclosed_modulus(F, d, _BIV_CELLS, 2, (-2, -1))
 
 

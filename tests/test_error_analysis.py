@@ -216,16 +216,18 @@ def _memo_radii(cells: int, ndim: int) -> list[float]:
     level and one ulp either side, where the choice of level flips, with 0
     and radii past the saturation at 2."""
     radii = [0.0, 1e-6, 0.003, 0.05, 0.3, 2.0, 2.5, 7.0]
-    for _ends, width, _ranges in _levels(get_function("f1" if ndim == 1 else "g1"), cells, ndim):
-        edge = 128.0 * width
+    f = get_function("f1" if ndim == 1 else "g1")
+    ends, width, _ranges = _levels(f, cells, ndim)
+    for level in {level for level, _span in _finest_tables((f, cells), ends)} if ndim == 1 else {0}:
+        edge = 128.0 * width * 2**level
         radii += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
     return radii
 
 
 class TestRunRangeMemo:
-    """Each enclosure level keeps its run ranges: a warm value is the value
-    computed after the cache is cleared, and the ranges leave with the
-    cache entry."""
+    """Each cache entry keeps the run ranges of all its levels: a warm value
+    is the value computed after the cache is cleared, and the ranges leave
+    with the cache entry."""
 
     @staticmethod
     def _warm_equals_cold(calls):
@@ -256,12 +258,12 @@ class TestRunRangeMemo:
         f = parse_source("sin(5*z) + z")
         before = modulus_continuity(f, 0.1).value
         entry = _levels(f, 65536, 1)
-        assert sum(len(ranges) for _ends, _width, ranges in entry) == 1
+        assert len(entry[2]) == 1
         for k in range(1, 9):  # eight other entries evict the least recent
             modulus_continuity(parse_source(f"z^{k}"), 0.1)
         fresh = _levels(f, 65536, 1)
         assert fresh is not entry
-        assert all(not ranges for _ends, _width, ranges in fresh)
+        assert not fresh[2]
         assert modulus_continuity(f, 0.1).value == before
 
 
@@ -349,28 +351,29 @@ class TestMergedLevels:
     @pytest.mark.parametrize("cells", [65536, 1000, 1001, 300])
     def test_tables_and_moduli(self, source, cells):
         f = get_function(source)
-        levels = _levels(f, cells, 1)
-        assert len(levels) > 1
-        fine = levels[0][0]
-        for k, (table, width, _ranges) in enumerate(levels[1:], 1):
-            merged = _merged_cells(fine, k)
-            assert table.shape == (2, merged.shape[-1] - 127)
-            np.testing.assert_array_equal(table, window_max(merged, 128))
-            # 128*width picks this level and the ulp below it the one before
-            edge = 128.0 * width
+        fine, width, _ranges = _levels(f, cells, 1)
+        tables = _finest_tables((f, cells), fine)
+        merged = {level: table for (level, span), table in tables.items() if level}
+        assert merged and {span for level, span in tables if level} == {128}
+        for k, table in merged.items():
+            on = _merged_cells(fine, k)
+            assert table.shape == (2, on.shape[-1] - 127)
+            np.testing.assert_array_equal(table, window_max(on, 128))
+            # 128 times the level's width picks it and the ulp below the one before
+            edge = 128.0 * width * 2**k
             for delta, level in ((math.nextafter(edge, 0.0), k - 1), (edge, k),
-                                 (math.nextafter(edge, math.inf), k), (2.0, len(levels) - 1)):
+                                 (math.nextafter(edge, math.inf), k), (2.0, max(merged))):
                 on = _merged_cells(fine, level)
-                w = levels[level][1]
+                w = width * 2**level
                 runs = min(math.ceil(min(delta, 2.0) / w * (1.0 + 2.0**-40)) + 1, on.shape[-1])
                 expected = math.nextafter(window_range(on[0], -on[1], runs, (-1,)), math.inf)
                 assert modulus_continuity(f, delta, cells).value == expected, (k, delta)
 
 
 def _synthetic_levels(ends):
-    """_levels on one axis of a finest level holding ends (enclose and the
-    corner check replaced), from a fresh cache and _FINEST slot, and the
-    level's _finest_tables."""
+    """The finest one-axis level _levels makes of ends (enclose and the
+    corner check replaced), from a fresh cache and _FINEST slot, and its
+    _finest_tables."""
     cells = ends.shape[-1]
 
     def fake_enclose(f, z_cells):
@@ -378,20 +381,20 @@ def _synthetic_levels(ends):
         return -ends[1, at], ends[0, at]
 
     with mock.patch.object(error_analysis, "enclose", fake_enclose), \
-            mock.patch.object(error_analysis, "_check_corners", lambda f, ends: None), \
+            mock.patch.object(error_analysis, "_check_corners", lambda f, ends, cuts=None: None), \
             mock.patch.dict(error_analysis._FINEST, clear=True):
         _levels.cache_clear()
-        levels = _levels(parse_source("z"), cells, 1)
-        finest = _finest_tables((parse_source("z"), cells), levels[0][0])
+        finest = _levels(parse_source("z"), cells, 1)[0]
+        tables = _finest_tables((parse_source("z"), cells), finest)
     _levels.cache_clear()
-    return levels, finest
+    return finest, tables
 
 
 class TestDoublingChain:
-    """_finest_tables builds the 4-, 16- and 64-cell tables and _levels every
-    merged level from the 64-cell one, all by _window_max's doubling; the
-    tables are those of pairwise merged cells and _window_max byte for byte,
-    signed zeros, inf and NaN included."""
+    """_finest_tables builds the 4-, 16- and 64-cell tables and every merged
+    level's table from the 64-cell one, all by _window_max's doubling, the
+    merged ones in one array; the tables are those of pairwise merged cells
+    and _window_max byte for byte, signed zeros, inf and NaN included."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([101, 127, 255, 256, 257, 511, 1001, 1025, 4097, 65535]), st.integers(0, 2**32 - 1),
@@ -404,15 +407,17 @@ class TestDoublingChain:
             else rng.standard_normal((2, cells))
         for row, at, value in specials:
             ends[row, int(at * cells)] = value
-        levels, finest = _synthetic_levels(ends)
-        assert levels[0][0].tobytes() == ends.tobytes()
+        finest, tables = _synthetic_levels(ends)
+        assert finest.tobytes() == ends.tobytes()
         for span in (4, 16, 64):
-            assert finest[span].tobytes() == window_max(ends, span).tobytes()
-            assert finest[span].tobytes() == _tables_of(ends)[span].tobytes()
-        assert len(levels) - 1 == sum(1 for k in range(1, 20) if -(-cells // 2 ** (k - 1)) >= 256)
-        for k, (table, _width, _ranges) in enumerate(levels[1:], 1):
-            assert not table.flags.writeable
-            assert table.tobytes() == window_max(_merged_cells(ends, k), 128).tobytes(), k
+            assert tables[0, span].tobytes() == window_max(ends, span).tobytes()
+            assert tables[0, span].tobytes() == _tables_of(ends)[0, span].tobytes()
+        merged = sorted(key for key in tables if key[0])
+        assert merged == [(k, 128) for k in range(1, 20) if -(-cells // 2 ** (k - 1)) >= 256]
+        assert len({id(tables[key].base) for key in merged}) <= 1
+        for key in merged:
+            assert not tables[key].flags.writeable
+            assert tables[key].tobytes() == window_max(_merged_cells(ends, key[0]), 128).tobytes(), key
 
 
 def _tables_of(ends):
@@ -439,13 +444,14 @@ class TestFinestTables:
         for row, at, value in specials:
             ends[row, int(at * n)] = value
         tables = _tables_of(ends)
-        assert sorted(tables) == [4, 16, 64]
+        assert sorted(tables)[:3] == [(0, 4), (0, 16), (0, 64)]
+        assert sorted(tables)[3:] == [(k, 128) for k in range(1, 20) if -(-n // 2 ** (k - 1)) >= 256]
         for span in (4, 16, 64):
-            assert not tables[span].flags.writeable and tables[span].shape == (2, n - span + 1)
+            assert not tables[0, span].flags.writeable and tables[0, span].shape == (2, n - span + 1)
         for runs in sorted({4, 15, 16, 63, 64, 65, n} | {4 + int(x * (n - 4)) for x in fractions}):
             raw = repr(_run_range(ends, runs, (-1,)))
             for span in (s for s in (4, 16, 64) if s <= runs):
-                assert repr(_run_range(tables[span], runs, (-1,), span)) == raw, (runs, span)
+                assert repr(_run_range(tables[0, span], runs, (-1,), span)) == raw, (runs, span)
 
     def test_largest_span_up_to_the_run_and_one_set_of_tables(self, monkeypatch):
         read, engine = [], error_analysis._run_range
@@ -456,7 +462,7 @@ class TestFinestTables:
         for runs, _span in expected:
             modulus_continuity(f, (runs - 1.5) / 65536)  # runs - 1.5 cell widths: `runs` cells
         assert read == [(runs, span, 65537 - span) for runs, span in expected]
-        tables = weakref.ref(_finest_tables((f, 65536), _levels(f, 65536, 1)[0][0])[64])
+        tables = weakref.ref(_finest_tables((f, 65536), _levels(f, 65536, 1)[0])[0, 64])
         modulus_continuity(g, 10 / 65536)
         assert tables() is None  # f's tables left with g's query
         assert list(error_analysis._FINEST) == [(g, 65536)]
@@ -482,7 +488,7 @@ class TestChunkedLevels:
         u = np.linspace(0.0, 1.0, cells + 1)
         z = (u[:-1], u[1:]) if ndim == 1 else (u[:-1, None], u[1:, None])
         lo, hi = enclose(f, z, *[(u[:-1], u[1:])][: ndim - 1])
-        ends = _levels(f, cells, ndim)[0][0]
+        ends = _levels(f, cells, ndim)[0]
         assert ends.shape == (2,) + (cells,) * ndim
         assert ends.tobytes() == np.stack((hi, -lo)).tobytes()
 
@@ -495,8 +501,7 @@ class TestCurvatureOrTwiceOmega:
     def _cold(call, f, grid_n):
         """repr of call() on cold run ranges, or its EvaluationError's text."""
         try:
-            for _values, _width, ranges in _levels(f, grid_n or 65536, 1):
-                ranges.clear()
+            _levels(f, grid_n or 65536, 1)[2].clear()
             return repr(call())
         except EvaluationError as exc:
             return str(exc)
@@ -535,8 +540,7 @@ def test_warm_modulus_temporaries_stay_bounded():
     # cells; a block holds at most _BLOCK_ELEMENTS values (512 KiB)
     f = get_function("f1")
     modulus_continuity(f, 0.003)
-    for _values, _width, ranges in _levels(f, 65536, 1):
-        ranges.clear()  # so that the engine runs again
+    _levels(f, 65536, 1)[2].clear()  # so that the engine runs again
     tracemalloc.start()
     try:
         modulus_continuity(f, 0.003)
@@ -544,6 +548,29 @@ def test_warm_modulus_temporaries_stay_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 2**20
+
+
+def test_cache_keeps_enclosures_and_the_last_expressions_tables():
+    # each of the 8 cache entries keeps its 1 MiB enclosure and only the last
+    # expression keeps its 4 MiB of tables; with every entry's merged tables
+    # and whole-level corner checks, 18.9 MiB stayed and the peak was 22.5
+    fs = [parse_source(f"sin({k}*z) + z^{k}") for k in range(1, 10)]
+    _levels.cache_clear()
+    error_analysis._FINEST.clear()
+    tracemalloc.start()
+    try:
+        for i, f in enumerate(fs):
+            modulus_continuity(f, 0.1)  # a merged level
+            modulus_continuity(f, 1e-4)  # the finest level's 4-cell table
+            if i == 0:
+                merged = weakref.ref(_finest_tables((f, 65536), _levels(f, 65536, 1)[0])[1, 128].base)
+                assert merged() is not None
+            elif i == 1:
+                assert merged() is None  # freed when the second expression's tables were built
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 12.5 * 2**20 and peak <= 15 * 2**20, (retained / 2**20, peak / 2**20)
 
 
 class TestSecondModulus:
