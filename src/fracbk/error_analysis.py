@@ -25,7 +25,7 @@ through its 4-, 16- or 64-cell maxima; _finest_tables builds these tables
 for the last one-axis expression only (about 4 MiB at 65,536 cells).  The
 two-axis moduli evaluate F at the cell corners and check them once more on
 every call, so that a traced run counts those evaluations.  omega_2 is the
-smaller of delta^2 * sup |f''| (exprlib.derivative_sup, on fewer cells)
+smaller of delta^2 * sup |f''| (exprlib.derivative_sup, on <= 4,096 cells)
 and twice omega, read from the same cached run ranges.
 """
 

@@ -8,10 +8,10 @@ and associating to the right), unary minus, parentheses, and the calls
 ``sin``, ``cos``, ``exp``, ``sqrt`` and ``abs``.  evaluate takes scalars or
 arrays, and eval_function (how every layer applies a function to points)
 also a callable; enclose bounds an expression over cells (interval
-arithmetic), derivative differentiates it in z and derivative_sup bounds
-|f^(k)| from one cached chain f, f', f'', ..., and separate splits a
-function of z and y into a sum of products of one-variable ones
-(separate_cells: cell by cell, where each abs keeps a sign).
+arithmetic), derivative_sup bounds |f^(k)| by its Taylor coefficients on
+cells, and separate splits a function of z and y into a sum of products of
+one-variable ones (separate_cells: cell by cell, where each abs keeps a
+sign).
 """
 
 from __future__ import annotations
@@ -375,51 +375,113 @@ def _constant(node: Node):
         return math.nan
 
 
-def _power(base, exponent: Node, cells):
+def _sum(x, y, op: str = "+"):
+    """x + y (x - y for op "-") of two intervals, None standing for an exact 0."""
+    if x is None or y is None:
+        return x if y is None else y if op == "+" else (-y[1], -y[0])
+    return _outward(x[0] + y[0], x[1] + y[1]) if op == "+" else _outward(x[0] - y[1], x[1] - y[0])
+
+
+def _conv(a, b, k: int, weight=None):
+    """sum_i weight(i) a_i b_(k-i) for coefficient lists a and b, whose
+    missing entries are 0 (so i >= 1 for a b of k entries), weight(i) a
+    rational rounded to nearest and 1 by default; None for no term."""
+    total = None
+    for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
+        x = _corners(np.multiply, a[i], _outward(weight(i), weight(i))) if weight else a[i]
+        total = _sum(total, _corners(np.multiply, x, b[k - i]))
+    return total
+
+
+def _series_product(a, b, K: int) -> list:
+    return [_conv(a, b, k) for k in range(min(len(a) + len(b) - 1, K + 1))]
+
+
+def _real_power(a, p0, c: float, K: int) -> list:
+    """base^c from the base's coefficients a and p_0, by k a_0 p_k = sum over
+    i of ((c+1)i - k) a_i p_(k-i); unbounded where a_0 holds 0 or p_0 is."""
+    p, mask = [p0], (a[0][0] <= 0.0) & (a[0][1] >= 0.0) | (p0[1] == math.inf)
+    num, den = c.as_integer_ratio()  # so the weights are exact rationals, rounded once
+    for k in range(1, K + 1 if len(a) > 1 else 1):
+        x = _conv(a, p, k, lambda i: ((num + den) * i - den * k) / (den * k))
+        p.append(_unbounded_where(mask, *_corners(np.divide, x, a[0])))
+    return p
+
+
+def _power(a, exponent: Node, cells, K: int) -> list:
+    """base^exponent from the base's coefficients a: by products for an
+    integer n >= 0, by _real_power for other constants, and unbounded past
+    f_0 for a varying exponent."""
     c = _constant(exponent)
-    lo, hi = base
+    lo, hi = a[0]
     if c is not None and math.isfinite(c) and c == math.floor(c):  # an integer power, any base sign
-        out = _corners(np.power, base, (c, c), 4)
+        out = _corners(np.power, a[0], (c, c), 4)
         if c > 0 and c % 2 == 0:  # even: the minimum 0 where the base holds 0
             out = (np.where((lo < 0.0) & (hi > 0.0), 0.0, out[0]), out[1])
-        return _unbounded_where(c < 0 and (lo <= 0.0) & (hi >= 0.0), *out)
+        out = _unbounded_where(c < 0 and (lo <= 0.0) & (hi >= 0.0), *out)
+        if c < 0:
+            return _real_power(a, out, c, K)
+        p = a if c > 0 else [out]
+        for bit in bin(int(c))[3:] if len(a) > 1 else "":  # a^c by squaring, below the top bit
+            p = _series_product(p, p, K)
+            p = _series_product(p, a, K) if bit == "1" else p
+        return [out] + p[1:]
     # a real power needs a base >= 0; x^y is monotone in each argument
-    e = (c, c) if c is not None else _interval(exponent, cells)
-    return _unbounded_where(lo < 0.0, *_corners(np.power, (np.fmax(lo, 0.0), hi), e, 4))
+    e = (c, c) if c is not None else _taylor(exponent, cells, 0)[0]
+    out = _unbounded_where(lo < 0.0, *_corners(np.power, (np.fmax(lo, 0.0), hi), e, 4))
+    if c is None or not math.isfinite(c):
+        return [out] + [(-math.inf, math.inf)] * K
+    return _real_power(a, out, c, K)
 
 
-def _interval(node: Node, cells):
+def _taylor(node: Node, cells, K: int) -> list:
+    """The Taylor coefficients f_k = f^(k)/k! in z of node on the cells as
+    intervals, k <= K, up to the last that may not be 0 (a constant has one
+    and z two).  f_0 is the enclosure, the others come by products and the
+    recurrences of quotients, powers, exp and sin with cos (Moore, Kearfott
+    & Cloud 2009, ch. 9); unbounded where these divide by an interval
+    holding 0, past a varying exponent and where abs may kink."""
     if isinstance(node, Num):
-        return node.value, node.value
+        return [(node.value, node.value)]
     if isinstance(node, Var):
         if node.name == "y" and len(cells) < 2:
             raise EvaluationError("expression uses 'y' but no y cells were supplied")
-        return cells[0] if node.name == "z" else cells[1]
+        return [cells[0], (1.0, 1.0)][: K + 1] if node.name == "z" else [cells[1]]
     if isinstance(node, Neg):
-        lo, hi = _interval(node.operand, cells)
-        return -hi, -lo
+        return [(-hi, -lo) for lo, hi in _taylor(node.operand, cells, K)]
     if isinstance(node, BinOp):
-        a = _interval(node.left, cells)
+        a = _taylor(node.left, cells, K)
         if node.op == "^":
-            return _power(a, node.right, cells)
-        b = _interval(node.right, cells)
-        if node.op == "+":
-            return _outward(a[0] + b[0], a[1] + b[1])
-        if node.op == "-":
-            return _outward(a[0] - b[1], a[1] - b[0])
+            return _power(a, node.right, cells, K)
+        b = _taylor(node.right, cells, K)
+        if node.op in "+-":
+            return [_sum(x, y, node.op) for x, y in itertools.zip_longest(a, b)]
         if node.op == "*":
-            return _corners(np.multiply, a, b)
-        return _unbounded_where((b[0] <= 0.0) & (b[1] >= 0.0), *_corners(np.divide, a, b))
-    lo, hi = _interval(node.arg, cells)
-    if node.func == "sin":
-        return _trig(np.sin, (lo, hi), 0.5 * math.pi)
-    if node.func == "cos":
-        return _trig(np.cos, (lo, hi), 0.0)
-    if node.func == "exp":
-        return _outward(np.exp(lo), np.exp(hi), 4)
+            return _series_product(a, b, K)
+        mask, q = (b[0][0] <= 0.0) & (b[0][1] >= 0.0), [_corners(np.divide, a[0], b[0])]
+        for k in range(1, K + 1 if len(b) > 1 else len(a)):  # b q = a
+            q.append(_corners(np.divide, _sum(a[k] if k < len(a) else None, _conv(b, q, k), "-"), b[0]))
+        return [_unbounded_where(mask, *x) for x in q]
+    a = _taylor(node.arg, cells, K)
+    (lo, hi), n = a[0], K + 1 if len(a) > 1 else 1
+    if node.func in ("sin", "cos"):  # sin' = a' cos and cos' = -a' sin
+        sin = [_trig(np.sin, (lo, hi), 0.5 * math.pi)] if node.func == "sin" or n > 1 else None
+        cos = [_trig(np.cos, (lo, hi), 0.0)] if node.func == "cos" or n > 1 else None
+        for k in range(1, n):  # each from the other's first k coefficients
+            sin, cos = sin + [_conv(a, cos, k, lambda i: i / k)], cos + [_conv(a, sin, k, lambda i: -i / k)]
+        return sin if node.func == "sin" else cos
+    if node.func == "exp":  # exp' = a' exp
+        e = [_outward(np.exp(lo), np.exp(hi), 4)]
+        for k in range(1, n):
+            e.append(_conv(a, e, k, lambda i: i / k))
+        return e
     if node.func == "sqrt":
-        return _unbounded_where(lo < 0.0, *_outward(np.sqrt(np.fmax(lo, 0.0)), np.sqrt(hi)))
-    return np.where(lo >= 0.0, lo, np.where(hi <= 0.0, -hi, 0.0)), np.maximum(-lo, hi)
+        return _real_power(a, _unbounded_where(lo < 0.0, *_outward(np.sqrt(np.fmax(lo, 0.0)), np.sqrt(hi))), 0.5, K)
+    out = [(np.where(lo >= 0.0, lo, np.where(hi <= 0.0, -hi, 0.0)), np.maximum(-lo, hi))]
+    kink, neg = (lo <= 0.0) & (hi >= 0.0), hi < 0.0  # abs(a) is a or -a where a keeps a sign
+    for x, y in a[1:]:
+        out.append(_unbounded_where(kink, np.where(neg, -y, x), np.where(neg, -x, y)))
+    return out + [_unbounded_where(kink, 0.0, 0.0)] * (n - len(a))
 
 
 def enclose(expr: FunctionExpr, z_cells, y_cells=None) -> tuple[np.ndarray, np.ndarray]:
@@ -433,7 +495,7 @@ def enclose(expr: FunctionExpr, z_cells, y_cells=None) -> tuple[np.ndarray, np.n
     cells = (z_cells,) if y_cells is None else (z_cells, y_cells)
     shape = np.broadcast_shapes(*(np.shape(end) for cell in cells for end in cell))
     with np.errstate(all="ignore"):
-        lo, hi = _interval(expr.root, cells)
+        lo, hi = _taylor(expr.root, cells, 0)[0]
     return np.broadcast_to(lo, shape).astype(float), np.broadcast_to(hi, shape).astype(float)
 
 
@@ -445,93 +507,29 @@ def _cell_signs(expr: FunctionExpr, z_cells, y_cells=None) -> np.ndarray:
     return ((lo > 0.0) & (hi < math.inf)).astype(np.int8) - ((hi < 0.0) & (lo > -math.inf))
 
 
-_ZERO, _ONE = Num(0.0), Num(1.0)
-_MAX_DERIVATIVE_NODES = 2000
-
-
-def _add(a: Node, b: Node) -> Node:
-    return b if a == _ZERO else a if b == _ZERO else BinOp("+", a, b)
-
-
-def _neg(a: Node) -> Node:
-    return _ZERO if a == _ZERO else Neg(a)
-
-
-def _sub(a: Node, b: Node) -> Node:
-    return _neg(b) if a == _ZERO else a if b == _ZERO else BinOp("-", a, b)
-
-
-def _mul(a: Node, b: Node) -> Node:
-    if a == _ZERO or b == _ZERO:
-        return _ZERO
-    return b if a == _ONE else a if b == _ONE else BinOp("*", a, b)
-
-
-def _derivative(node: Node, var: str) -> Node | None:
-    """d node / d var by the sum, product, quotient, power and chain rules;
-    exactly _ZERO for a subtree without var, None where no rule applies
-    (abs of a varying argument, a varying exponent)."""
-    if isinstance(node, Num):
-        return _ZERO
-    if isinstance(node, Var):
-        return _ONE if node.name == var else _ZERO
-    if isinstance(node, Neg):
-        d = _derivative(node.operand, var)
-        return None if d is None else _neg(d)
-    if isinstance(node, Call):
-        d = _derivative(node.arg, var)
-        if d is None or d == _ZERO:
-            return d
-        outer = {"sin": Call("cos", node.arg), "cos": Neg(Call("sin", node.arg)), "exp": node,
-                 "sqrt": BinOp("/", Num(0.5), node)}.get(node.func)
-        return None if outer is None else _mul(outer, d)
-    a, b = node.left, node.right
-    da, db = _derivative(a, var), _derivative(b, var)
-    if da is None or db is None:
-        return None
-    if node.op == "+":
-        return _add(da, db)
-    if node.op == "-":
-        return _sub(da, db)
-    if node.op == "*":
-        return _add(_mul(da, b), _mul(a, db))
-    if node.op == "/":
-        return _mul(_sub(_mul(da, b), _mul(a, db)), BinOp("^", b, Num(-2.0)))
-    if db != _ZERO:
-        return None
-    lowered = Num(b.value - 1.0) if isinstance(b, Num) else BinOp("-", b, _ONE)
-    return _mul(_mul(b, BinOp("^", a, lowered)), da)
-
-
-def _size_at_most(node: Node, limit: int) -> bool:
-    """Whether the tree, shared subtrees counted each time, has <= limit nodes."""
-    return next(itertools.islice(_walk(node), limit, None), None) is None
-
-
-@functools.lru_cache(maxsize=16)  # the last expression's chain, so each tree is built once
-def _chain(expr: FunctionExpr, k: int) -> Node | None:
-    """The k-th z-derivative's tree, uncapped: _derivative of the (k-1)-th."""
-    if k == 0:
-        return expr.root
-    d = _chain(expr, k - 1)
-    return None if d is None else _derivative(d, "z")
-
-
-def derivative(expr: FunctionExpr, k: int) -> FunctionExpr | None:
-    """The k-th symbolic derivative in z, built from the (k-1)-th whatever
-    its size; None where no rule applies or past _MAX_DERIVATIVE_NODES
-    nodes (deep nesting grows it fast, and evaluating it costs too much)."""
-    d = _chain(expr, k)
-    return FunctionExpr(d) if d is not None and _size_at_most(d, _MAX_DERIVATIVE_NODES) else None
+_TAYLOR_TERMS = 12
 
 
 @functools.lru_cache(maxsize=1024)
+def _sups(expr: FunctionExpr, cells: int) -> tuple:
+    """k! max |f_k| on `cells` equal cells of [0, 1] from one _taylor pass
+    to _TAYLOR_TERMS; inf for NaN, rounded up where k! is no power of two."""
+    u = np.linspace(0.0, 1.0, cells + 1)
+    with np.errstate(all="ignore"):
+        coeffs = _taylor(expr.root, ((u[:-1], u[1:]),), _TAYLOR_TERMS)
+    sups = [math.factorial(k) * float(np.maximum(np.max(hi), -np.min(lo))) for k, (lo, hi) in enumerate(coeffs)]
+    sups = [math.nextafter(s, math.inf) if k > 2 and s else s for k, s in enumerate(sups)]
+    return tuple(math.inf if math.isnan(s) else s for s in sups + [0.0] * (_TAYLOR_TERMS + 1 - len(sups)))
+
+
 def derivative_sup(expr: FunctionExpr, k: int, cells: int) -> float:
-    """An upper bound on sup |f^(k)| over [0, 1] from enclose on `cells`
-    equal cells; inf where derivative gives no tree or it is unbounded."""
-    d, u = derivative(expr, k), np.linspace(0.0, 1.0, cells + 1)
-    s = math.inf if d is None else float(np.max(np.abs(enclose(d, (u[:-1], u[1:])))))
-    return math.inf if math.isnan(s) else s
+    """An upper bound on sup |f^(k)| over [0, 1] from _sups on `cells` equal
+    cells: 0 past the last coefficient that may not be 0, inf where one is
+    unbounded, and inf for k past _TAYLOR_TERMS."""
+    return _sups(expr, cells)[k] if k <= _TAYLOR_TERMS else math.inf
+
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
 
 
 _MAX_RANK = 16

@@ -5,8 +5,8 @@ not depend on z, so the integrals are computed once per function and reused
 across evaluation points.  Closed forms are provided for the images of
 every t^i up to i = 16 and the first two central moments.  _certificate
 bounds the quadrature error of the kernel integrals from the closed-form
-kernel moments and exprlib.derivative_sup, and _kernel_order picks the
-lowest order that bound allows.
+kernel moments and the sups of f's Taylor coefficients on cells
+(exprlib.derivative_sup), and _kernel_order picks the lowest order it allows.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ import numpy as np
 
 from .basis import _BLOCK_ELEMENTS, OperatorParams, _row_blocks, basis_row
 from .errors import QuadratureError, check_int, check_point, check_points, check_type
-from .exprlib import FunctionExpr, derivative_sup, eval_function, free_variables
+from .exprlib import _TAYLOR_TERMS, FunctionExpr, derivative_sup, eval_function, free_variables
 from .quadrature import _kernel_rule
 from .specfun import moment_coeff
 
 DEFAULT_ORDER = 64
-# Orders a certificate may choose, its Taylor terms, and enclosure cells
-_CERTIFIED_ORDERS, _TAYLOR_TERMS, _DERIVATIVE_CELLS, _EPS = (8, 16, 32), 12, 256, 2.0**-52
+# Orders a certificate may choose, and the cells of its sups of f^(k)
+_CERTIFIED_ORDERS, _DERIVATIVE_CELLS, _EPS = (8, 16, 32), 256, 2.0**-52
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +104,8 @@ def _certificate(f: FunctionExpr, eta: float, gamma: float, m: int, n: int) -> f
 
 def _kernel_order(params: OperatorParams, f) -> int:
     """The least of _CERTIFIED_ORDERS whose _certificate is at most half an
-    ulp of S_0, else DEFAULT_ORDER (a callable, an expression of y, abs,
-    sqrt at 0, a derivative too large for exprlib.derivative: no bound at all)."""
+    ulp of S_0, else DEFAULT_ORDER (no bound at all for a callable, an
+    expression of y, abs where it may kink or sqrt at 0)."""
     if not isinstance(f, FunctionExpr) or free_variables(f) - {"z"}:
         return DEFAULT_ORDER
     s0 = derivative_sup(f, 0, _DERIVATIVE_CELLS)

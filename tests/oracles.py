@@ -5,9 +5,10 @@ Simpson subdivision, basis_weight evaluates one basis weight from the
 three-term formula, binomial_power_polys gives the power sums of a
 Bernstein row as integer polynomials in z, window_range takes the range
 over every run of cells one offset at a time, and second_difference_max
-the largest second difference of grid values one shift at a time, and
-kernel_reference a kernel integral by mpmath.quad at 30 digits; none shares
-code with the library paths.
+the largest second difference of grid values one shift at a time,
+tree_value an expression tree in mpmath, and kernel_reference a kernel
+integral by mpmath.quad at 30 digits over it; none shares code with the
+library paths.
 """
 
 import math
@@ -156,26 +157,28 @@ def second_difference_max(values, shifts: int) -> float:
 _MP_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
 
 
-def kernel_reference(f, eta: float, gamma: float, m: int, j: int) -> float:
-    """K_j = int_0^1 eta (1-s)^(eta-1) f((j + s^gamma)/(m+1)) ds of the
-    expression f of z, by mpmath.quad at 30 digits with f evaluated in
-    mpmath over its parsed tree; each Num is taken as the double it holds,
+def tree_value(node, z):
+    """The parsed expression tree node of z at the mpmath number z, in
+    mpmath's working precision; each Num is taken as the double it holds,
     so pi is the library's pi."""
     import mpmath
 
-    calls = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp, "sqrt": mpmath.sqrt, "abs": mpmath.fabs}
+    if isinstance(node, Num):
+        return mpmath.mpf(node.value)
+    if isinstance(node, Var):
+        return z
+    if isinstance(node, Neg):
+        return -tree_value(node.operand, z)
+    if isinstance(node, BinOp):
+        return _MP_OPS[node.op](tree_value(node.left, z), tree_value(node.right, z))
+    return getattr(mpmath, "fabs" if node.func == "abs" else node.func)(tree_value(node.arg, z))
 
-    def value(node, z):
-        if isinstance(node, Num):
-            return mpmath.mpf(node.value)
-        if isinstance(node, Var):
-            return z
-        if isinstance(node, Neg):
-            return -value(node.operand, z)
-        if isinstance(node, BinOp):
-            return _MP_OPS[node.op](value(node.left, z), value(node.right, z))
-        return calls[node.func](value(node.arg, z))
+
+def kernel_reference(f, eta: float, gamma: float, m: int, j: int) -> float:
+    """K_j = int_0^1 eta (1-s)^(eta-1) f((j + s^gamma)/(m+1)) ds of the
+    expression f of z, by mpmath.quad at 30 digits over tree_value."""
+    import mpmath
 
     with mpmath.workdps(30):
         e, g = mpmath.mpf(eta), mpmath.mpf(gamma)
-        return float(mpmath.quad(lambda s: e * (1 - s) ** (e - 1) * value(f.root, (j + s**g) / (m + 1)), [0, 1]))
+        return float(mpmath.quad(lambda s: e * (1 - s) ** (e - 1) * tree_value(f.root, (j + s**g) / (m + 1)), [0, 1]))

@@ -358,9 +358,11 @@ class TestBounds:
 
 # Bound columns of `fracbk bounds ... --grid 65536 --M 1 --kappa 1 --C 2`,
 # written before the finest enclosure level was read through tables of
-# 4-, 16- and 64-cell maxima; actual_error is left out (its last bits follow
-# the BLAS thread count).  The expressions are enclosed with +, -, *, /,
-# abs and sqrt only, which IEEE rounds the same on every CPU.
+# 4-, 16- and 64-cell maxima (the bound_kfunctional columns of f3 and f4:
+# when sup |f''| came from Taylor coefficients); actual_error is left out
+# (its last bits follow the BLAS thread count).  The expressions are
+# enclosed with +, -, *, /, abs and sqrt only, which IEEE rounds the same
+# on every CPU.
 GOLDEN_BOUNDS = {
     "bounds_f3_m30": ("--m", "30", "--fn", "f3", "--z", "0:1:41"),
     "bounds_f4_m100000": ("--m", "100000", "--fn", "f4", "--z", "0:1:41"),
@@ -380,6 +382,19 @@ def test_bound_columns_match_the_golden_csv(capsys, name):
     golden = Path(__file__).parent / "golden" / f"{name}.csv"
     assert "\n".join(lines) + "\n" == golden.read_text()
 
+
+
+@pytest.mark.parametrize("name", ["bounds_f3_m30", "bounds_f4_m100000"])
+def test_golden_kfunctional_bounds_hold_the_actual_error(capsys, name):
+    # the bound_kfunctional columns of these two were written again when
+    # sup |f''| came from Taylor coefficients instead of a symbolic tree
+    code, out, _ = run_cli(capsys, "bounds", *GOLDEN_BOUNDS[name], "--grid", "65536",
+                           "--M", "1", "--kappa", "1", "--C", "2")
+    golden = (Path(__file__).parent / "golden" / f"{name}.csv").read_text()
+    actual = {row[0]: float(row[1]) for row in csv_rows(out)[1]}
+    bounds = {row[0]: float(row[3]) for row in csv_rows(golden)[1]}
+    assert code == 0 and actual.keys() == bounds.keys()
+    assert all(bounds[z] >= actual[z] for z in bounds)
 
 class TestBivEval:
     def test_known_cell(self, capsys):

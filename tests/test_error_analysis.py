@@ -42,7 +42,7 @@ from fracbk import error_analysis, exprlib
 from fracbk.basis import _BLOCK_ELEMENTS
 from fracbk.error_analysis import _finest_tables, _levels, _run_range, _shift_count
 from fracbk.exprlib import BinOp, FunctionExpr, Num, Var, derivative_sup, enclose
-from fracbk.operator_uni import DEFAULT_ORDER, _kernel_order
+from fracbk.operator_uni import _kernel_order
 from oracles import second_difference_max, window_max, window_range
 
 
@@ -789,38 +789,43 @@ class TestBoundKFunctional:
 
 class TestOneDerivativeChain:
     """The kernel-order certificate (sups on 256 cells) and omega_2 (on
-    4,096) read one chain of symbolic derivatives, exprlib.derivative."""
+    4,096) read the Taylor coefficients of one exprlib._taylor pass per
+    expression and cell count."""
 
     def test_each_tree_is_differentiated_once(self, monkeypatch):
-        depth, trees = [0], []
-        inner = exprlib._derivative
+        depth, passes = [0], []
+        inner = exprlib._taylor
 
-        def counted(node, var):  # records the top-level calls only
-            if not depth[0]:
-                trees.append(node)
+        def counted(node, cells, K):  # records the top-level passes past coefficient 0
+            if not depth[0] and K:
+                passes.append((node, cells[0][0].size))
             depth[0] += 1
             try:
-                return inner(node, var)
+                return inner(node, cells, K)
             finally:
                 depth[0] -= 1
 
-        monkeypatch.setattr(exprlib, "_derivative", counted)
+        monkeypatch.setattr(exprlib, "_taylor", counted)
         params = OperatorParams(50802, 0.75, 1.654, 0.5, 2)
         f = parse_source("(1-z)*cos(2*pi*z) + 0.000123*z")  # in no cache yet
         assert _kernel_order(params, f) == 8
-        built = list(trees)
-        assert len(built) >= 2  # the certificate built f'' from f'
+        assert passes == [(f.root, 256)]
         bound_kfunctional(params, f, 0.5, 1.0, 4096)
-        assert trees == built and len(set(trees)) == len(trees)  # omega_2 read the certificate's f''
+        assert passes == [(f.root, 256), (f.root, 4096)]
+        bound_kfunctional(params, f, 0.25, 1.0, 4096)
+        second_modulus(f, 0.1, 4096)
+        _kernel_order(OperatorParams(100, 0.75, 1.654, 0.5, 2), f)
+        assert passes == [(f.root, 256), (f.root, 4096)]  # omega_2 reused the 4,096-cell pass
 
-    def test_a_first_derivative_past_the_cap(self):
-        # z*C for a balanced sum C of 2,048 ones has 4,097 nodes: f' is C,
-        # past the cap, so there is no certificate, and f'' is 0
+    def test_a_first_derivative_of_many_nodes(self):
+        # z*C for a balanced sum C of 2,048 ones has 4,097 nodes, and its
+        # coefficients are C, 1*C and none past them: f' is bounded by C,
+        # so there is a certificate, and f'' is 0
         C = Num(1.0)
         for _ in range(11):
             C = BinOp("+", C, C)
         f = FunctionExpr(BinOp("*", Var("z"), C))
-        assert _kernel_order(OperatorParams(50802, 0.75, 1.654, 0.5, 2), f) == DEFAULT_ORDER
+        assert _kernel_order(OperatorParams(50802, 0.75, 1.654, 0.5, 2), f) == 8
         assert second_modulus(f, 0.1, 4096).value == 0.0
 
 

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -28,12 +29,14 @@ from fracbk import (
     surface_rows,
     surface_values,
 )
+from fracbk import exprlib
 from fracbk.exprlib import (
-    Num, _cell_signs, _corners, _outward, _eval_node, derivative, derivative_sup, enclose, eval_function, free_variables,
-    parse, separate, separate_cells, tokenize,
+    _TAYLOR_TERMS, Num, _cell_signs, _corners, _outward, _eval_node, _taylor, derivative_sup, enclose, eval_function,
+    free_variables, parse, separate, separate_cells, tokenize,
 )
 
 from conftest import expression_texts
+from oracles import tree_value
 
 
 class TestTokenize:
@@ -482,7 +485,15 @@ def test_enclosure_holds_every_sampled_point(src, seed):
         assert not np.any(outside), (src, points[outside], values[outside])
 
 
+def _coefficients(src, lo, hi, K):
+    """_taylor's coefficients of src on the cells (lo, hi) of z, k <= K."""
+    with np.errstate(all="ignore"):
+        return _taylor(parse_source(src).root, ((lo, hi),), K)
+
+
 class TestDerivative:
+    """_taylor's coefficients f_k = f^(k)/k! and derivative_sup's k! max |f_k|."""
+
     @pytest.mark.parametrize("src, expected", [
         ("z^3", lambda z: 6.0 * z),
         ("sin(2*z)", lambda z: -4.0 * np.sin(2.0 * z)),
@@ -495,20 +506,38 @@ class TestDerivative:
         ("abs(z-0.3)", None),
     ])
     def test_second_derivative_matches_closed_form(self, src, expected):
-        d2 = derivative(parse_source(src), 2)
         if expected is None:
-            assert d2 is None
+            # no rule: f_2 is unbounded on every cell of 2^z, and on the
+            # cell of abs(z-0.3) that holds its kink (0 elsewhere)
+            u = np.linspace(0.0, 1.0, 257)
+            lo, hi = np.broadcast_arrays(*_coefficients(src, u[:-1], u[1:], 2)[2], u[1:])[:2]
+            kink = (u[:-1] <= 0.3) & (u[1:] >= 0.3) if src.startswith("abs") else np.ones(256, bool)
+            assert np.array_equal(lo == -math.inf, kink) and np.array_equal(hi == math.inf, kink)
+            assert not np.any(lo[~kink]) and not np.any(hi[~kink])
             return
-        z = np.linspace(0.05, 0.95, 19)
-        assert evaluate(d2, z) == pytest.approx(expected(z), rel=1e-12, abs=1e-12)
+        z = np.linspace(0.05, 0.95, 19)  # degenerate cells [z, z]
+        lo, hi = _coefficients(src, z, z, 2)[2]
+        assert np.all(lo <= hi)
+        assert 2.0 * lo == pytest.approx(expected(z), rel=1e-12, abs=1e-12)
+        assert 2.0 * hi == pytest.approx(expected(z), rel=1e-12, abs=1e-12)
 
-    def test_constant_subtrees_vanish(self):
-        assert derivative(parse_source("abs(-2)*z + 3"), 2) == FunctionExpr(Num(0.0))
+    @pytest.mark.parametrize("src, degree", [("abs(-2)*z + 3", 1), ("z^4 - 2*z", 4), ("2*z+1", 1)])
+    def test_exactly_zero_past_the_degree(self, src, degree):
+        u = np.linspace(0.0, 1.0, 257)
+        assert len(_coefficients(src, u[:-1], u[1:], 12)) == degree + 1
+        f = parse_source(src)
+        assert [derivative_sup(f, k, cells) for cells in (256, 4096) for k in range(degree + 1, 13)] == \
+            [0.0] * 2 * (12 - degree)
 
-    def test_chain_starts_at_the_expression(self):
-        f = parse_source("z^4 - 2*z")
-        assert derivative(f, 0) == f
-        assert [evaluate(derivative(f, k), 0.5) for k in range(1, 6)] == [-1.5, 3.0, 12.0, 24.0, 0.0]
+    def test_coefficients_start_at_the_enclosure(self):
+        f, z = parse_source("z^4 - 2*z"), np.array([0.5])
+        coeffs = _coefficients("z^4 - 2*z", z, z, 12)
+        assert [a.tobytes() for a in np.broadcast_arrays(*coeffs[0], z)[:2]] == \
+            [a.tobytes() for a in enclose(f, (z, z))]
+        assert len(coeffs) == 5  # f^(5) = 0
+        for k, want in enumerate([-1.5, 3.0, 12.0, 24.0], 1):
+            lo, hi = (math.factorial(k) * np.asarray(end).item() for end in coeffs[k])
+            assert lo <= want <= hi and hi - lo <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("src, k, sup", [("z^3", 1, 3.0), ("sin(2*z)", 2, 4.0), ("z^3", 4, 0.0),
                                              ("abs(z-0.3)", 1, math.inf), ("sqrt(z)", 1, math.inf)])
@@ -516,6 +545,135 @@ class TestDerivative:
         # at least the true sup, and within 1% of it on 256 cells
         got = derivative_sup(parse_source(src), k, 256)
         assert sup <= got <= 1.01 * sup
+
+
+def _sampled_sups(f, points=33):
+    """max |f^(k)| for k <= _TAYLOR_TERMS over `points` equal steps of [0, 1]
+    (one-sided at the ends) by mpmath.diffs at 30 digits; a point where f
+    is not real is skipped."""
+    mpmath = pytest.importorskip("mpmath")
+    best = [mpmath.mpf(0)] * (_TAYLOR_TERMS + 1)
+    with mpmath.workdps(30):
+        for j in range(points):
+            direction = 1 if j == 0 else -1 if j == points - 1 else 0
+            try:
+                ds = list(mpmath.diffs(lambda z: tree_value(f.root, z), mpmath.mpf(j) / (points - 1),
+                                       _TAYLOR_TERMS, direction=direction))
+            except (ZeroDivisionError, ValueError, OverflowError):
+                continue
+            if all(isinstance(d, mpmath.mpf) and mpmath.isfinite(d) for d in ds):
+                best = [max(b, abs(d)) for b, d in zip(best, ds)]
+    return best
+
+
+def _assert_at_least_sampled(f):
+    mpmath = pytest.importorskip("mpmath")
+    sampled = _sampled_sups(f)
+    for cells in (256, 4096):
+        for k, low in enumerate(sampled):
+            s = derivative_sup(f, k, cells)
+            # mpmath's differences err by about 1e-30 (an exact 0 reads about 1e-33)
+            assert low <= mpmath.mpf(s) * (1 + mpmath.mpf(1e-20)) + mpmath.mpf(1e-20), (k, cells, s, low)
+
+
+# derivative_sup(f, k, cells) for k = 0..12 from the enclosures of the
+# symbolic derivative trees that _taylor replaced (inf past their
+# 2,000-node cap)
+inf = math.inf
+_CHAIN_SUPS = {
+    "f1": {
+        256: (0.1115155592886885, 1.3463968515384859, 9.02788553665923, 30.20255707096463, 177.69102076885693,
+             757.6643741249026, 3041.588762726557, 14362.021481110323, 55071.13358268173, 233409.80851243506,
+             866617.7949093541, inf, inf),
+        4096: (0.10944309201911431, 1.3463968515384859, 8.979223249267479, 29.887345090695593, 177.21074324304823,
+              751.5528365017648, 3033.30764822823, 14270.545046633426, 54961.25577435247, 232197.02111144926,
+              865239.5297986746, inf, inf),
+    },
+    "f2": {
+        256: (1.0000000000000004, 5.145693831706118, 39.4784176043575, 243.30510942715915, 1558.5454565440448,
+             11735.146738871686, 72256.00260160021, 559941.756909267, 3538150.5278727487, 26224194.10532977,
+             167768765.9110624, 1205430841.6443756, 7757212092.785133),
+        4096: (1.0000000000000004, 5.102982082306523, 39.4784176043575, 240.40931204912334, 1558.5454565440448,
+              11589.98713639367, 71456.31442606308, 553441.5009863977, 3504024.23710048, 25946484.618321367,
+              166357554.78455108, 1193922397.9312181, 7699799233.018798),
+    },
+    "f3": {
+        256: (1.5400000000000014, 19.14000000000002, 79.20000000000006, 132.00000000000006, 0.0, 0.0, 0.0, 0.0,
+             0.0, 0.0, 0.0, 0.0, 0.0),
+        4096: (1.5400000000000014, 19.14000000000002, 79.20000000000006, 132.00000000000006, 0.0, 0.0, 0.0, 0.0,
+              0.0, 0.0, 0.0, 0.0, 0.0),
+    },
+    "f4": {
+        256: (0.0750000000000002, 0.800000000000001, 3.450000000000003, 6.0000000000000036, 0.0, 0.0, 0.0, 0.0,
+             0.0, 0.0, 0.0, 0.0, 0.0),
+        4096: (0.0750000000000002, 0.800000000000001, 3.450000000000003, 6.0000000000000036, 0.0, 0.0, 0.0, 0.0,
+              0.0, 0.0, 0.0, 0.0, 0.0),
+    },
+    "exp(sin(3*z))": {
+        256: (2.7182818284590473, 4.415823990907875, 24.464669436601167, 111.82672095490052, 880.7352806695131,
+             6174.065965378297, inf, inf, inf, inf, inf, inf, inf),
+        4096: (2.7182818284590473, 4.3781052451694835, 24.464539398651404, 110.03048795780808, 880.7235772475321,
+              6038.097303087164, inf, inf, inf, inf, inf, inf, inf),
+    },
+    "1/(1+25*z^2)": {
+        256: (1.0000000000000004, 3.3586645081165827, 50.00000000000016, 625.1412616685284, 15000.000000000087,
+             346636.7393415383, inf, inf, inf, inf, inf, inf, inf),
+        4096: (1.0000000000000004, 3.254465580581386, 50.00000000000016, 586.1596548907249, 15000.000000000087,
+              315967.36585647735, inf, inf, inf, inf, inf, inf, inf),
+    },
+    "sqrt(1+z)": {
+        256: (1.4142135623730954, 0.5000000000000003, 0.25000000000000067, 0.37500000000000167,
+             0.9375000000000062, 3.2812500000000293, inf, inf, inf, inf, inf, inf, inf),
+        4096: (1.4142135623730954, 0.5000000000000003, 0.25000000000000067, 0.37500000000000167,
+              0.9375000000000062, 3.2812500000000293, inf, inf, inf, inf, inf, inf, inf),
+    },
+    "exp(z)*sin(5*z)": {
+        256: (2.6280024680266334, 10.218558954751295, 70.64398220778372, 289.29348668045435, 1622.586921454341,
+             8175.088185428892, 31706.59486898747, inf, inf, inf, inf, inf, inf),
+        4096: (2.6184713283459113, 10.147060786411476, 70.29389102962682, 285.61084373511636, 1611.6204404458795,
+              8038.211858074909, 31144.64554759718, inf, inf, inf, inf, inf, inf),
+    },
+    "(1+z)^0.5*cos(3*z)": {
+        256: (1.4000608153399534, 3.7956088487555486, 12.388947381134761, 37.22124120235341, 112.79569948439939,
+             375.26066531670193, 1127.4399577671816, inf, inf, inf, inf, inf, inf),
+        4096: (1.4000608153399534, 3.787136291768615, 12.388706419907312, 37.07668975074191, 112.77334851760838,
+              373.35435713579864, 1118.3933809517666, inf, inf, inf, inf, inf, inf),
+    },
+}
+
+
+class TestDerivativeSupReferee:
+    """derivative_sup against mpmath's derivatives and against the sups of
+    the symbolic derivative trees it replaced."""
+
+    @pytest.mark.parametrize("src", sorted(_CHAIN_SUPS))
+    def test_at_least_the_sampled_derivative(self, src):
+        _assert_at_least_sampled(get_function(src))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(expression_texts().filter(lambda text: "z" in text))
+    def test_at_least_the_sampled_derivative_drawn(self, text):
+        _assert_at_least_sampled(parse_source(text))
+
+    @pytest.mark.parametrize("src", sorted(_CHAIN_SUPS))
+    def test_within_one_percent_of_the_symbolic_chain(self, src):
+        f = get_function(src)
+        for cells, chain in _CHAIN_SUPS[src].items():
+            got = [derivative_sup(f, k, cells) for k in range(_TAYLOR_TERMS + 1)]
+            assert all(s <= 1.01 * c for s, c in zip(got, chain) if c < inf), (cells, got)
+
+    def test_a_kink_is_unbounded_past_the_values(self):
+        f = parse_source("abs(z-0.37)")
+        assert [derivative_sup(f, k, cells) for cells in (256, 4096) for k in range(1, 13)] == [inf] * 24
+
+    def test_all_sups_of_nested_expressions_are_fast(self):
+        # the symbolic trees took 319 s for sqrt(z) alone
+        exprlib._sups.cache_clear()
+        start = time.perf_counter()
+        for src in ("sqrt(z)", "exp(sin(3*z))", "1/(1+25*z^2)"):
+            f = parse_source(src)
+            [derivative_sup(f, k, 256) for k in range(_TAYLOR_TERMS + 1)]
+        assert time.perf_counter() - start < 2.0
 
 
 class TestSeparate:

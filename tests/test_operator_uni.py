@@ -472,3 +472,38 @@ class TestCertifiedOrder:
                         exact = mpmath.gamma(mpmath.mpf(eta) + 1) * mpmath.gamma(g) / mpmath.gamma(mpmath.mpf(eta) + g)
                         assert abs(q - exact) <= e[k], (eta, gamma, k)
                         assert c[k] == moment_coeff(eta, gamma, k)
+
+
+# _kernel_order at _ORDER_MS with (eta, gamma, alpha, s) = (2, 2.3, 0.6, 3)
+# when the sups came from symbolic derivative trees, which read S_k = inf
+# past 2,000 nodes and so kept the nested expressions at order 64
+_ORDER_MS = (10, 40, 100, 250, 1000, 4437, 10**5)
+_CHAIN_ORDERS = {
+    "exp(sin(3*z))": (64, 64, 64, 64, 64, 8, 8),
+    "1/(1+25*z^2)": (64, 64, 64, 64, 64, 16, 8),
+    "sqrt(1+z)": (64, 64, 64, 64, 8, 8, 8),
+    "exp(z)*sin(5*z)": (64, 64, 64, 64, 16, 16, 8),
+    "(1+z)^0.5*cos(3*z)": (64, 64, 64, 64, 16, 8, 8),
+    "f1": (64, 64, 64, 64, 16, 16, 8),
+    "f2": (64, 64, 64, 16, 16, 16, 8),
+    "f3": (64, 64, 64, 64, 16, 16, 8),
+}
+
+
+class TestTaylorOrders:
+    """The sups of the Taylor coefficients lower the order of nested
+    expressions and raise none."""
+
+    @pytest.mark.parametrize("source", sorted(_CHAIN_ORDERS))
+    def test_no_order_rises(self, source):
+        f = get_function(source)
+        orders = [_kernel_order(OperatorParams(m, 2.0, 2.3, 0.6, 3), f) for m in _ORDER_MS]
+        assert all(new <= old for new, old in zip(orders, _CHAIN_ORDERS[source])), orders
+        if source in ("f1", "f2", "f3"):
+            assert orders == list(_CHAIN_ORDERS[source])
+
+    @pytest.mark.parametrize("source, m", [("exp(sin(3*z))", 100), ("sqrt(1+z)", 40)])
+    def test_nested_expressions_take_order_16(self, source, m):
+        assert _CHAIN_ORDERS[source][_ORDER_MS.index(m)] == DEFAULT_ORDER
+        assert _kernel_order(OperatorParams(m, 2.0, 2.3, 0.6, 3), get_function(source)) == 16
+        assert _check_auto_order(get_function(source), 2.0, 2.3, m) == 16  # within the certificate
