@@ -14,19 +14,19 @@ for a run of cells, an interval holding every value f takes there, and any
 two points closer than delta along an axis lie in one run of
 ceil(delta/h) + 1 cells of width h along it.  The enclosures are built
 8,192 cells at a time, each chunk checked against f at its cell corners,
-once per expression, cell count and number of axes, and kept in a small
-cache (1 MiB per expression at 65,536 cells or 256 x 256) with the run
-ranges they have given, keyed by (level, runs, axes) with runs clipped to
-the axis length, so a repeated radius reads a dict: the values are the ones
-the engine would recompute, and they leave with the cache entry.  On one
-axis a radius of at least 128 cells reads a level of pairwise merged cells
-through the maxima of its 128-cell runs, and a shorter one the finest level
-through its 4-, 16- or 64-cell maxima; _finest_tables builds these tables
-for the last one-axis expression only (about 4 MiB at 65,536 cells).  The
-two-axis moduli evaluate F at the cell corners and check them once more on
-every call, so that a traced run counts those evaluations.  omega_2 is the
-smaller of delta^2 * sup |f''| (exprlib.derivative_sup, on <= 4,096 cells)
-and twice omega, read from the same cached run ranges.
+once per expression, cell count and number of axes, and kept in 8 cache
+entries (1 MiB each at 65,536 cells or 256 x 256; a miss drops the least
+recently used one before it builds) with the run ranges they have given,
+by (level, runs, axes) with runs clipped to the axis length: a repeated
+radius reads a dict, and the ranges leave with their entry.  On one axis a
+radius of at least 128 cells reads a level of pairwise merged cells
+through the maxima of its 128-cell runs, and one of 16-127 cells the
+finest level through its 16- or 64-cell maxima; only the last one-axis
+expression keeps these tables (_finest_tables, about 3 MiB at 65,536
+cells).  The two-axis moduli evaluate F at the cell corners and check
+them once more on every call, so that a traced run counts those
+evaluations.  omega_2 is the smaller of delta^2 * sup |f''| (exprlib._sups
+to k = 2, on <= 4,096 cells) and twice omega from the same cached run ranges.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from .basis import _BLOCK_ELEMENTS, OperatorParams
 from .dataset import Dataset, to_csv
 from .errors import DomainError, EvaluationError, check_int, check_points, check_real, check_type
-from .exprlib import FunctionExpr, derivative_sup, enclose, eval_function
+from .exprlib import FunctionExpr, _sups, enclose, eval_function
 from .operator_uni import _kernel_order, apply_kernel, central_moments, kernel_integrals
 
 # Enclosure cells of [0, 1] for the moduli on one axis, by default and at
@@ -173,7 +173,9 @@ def _resolution(f, grid_n: int | None) -> int:
     return _RESOLUTION if grid_n is None else check_int("grid_n", grid_n, 101, _RESOLUTION)
 
 
-@functools.lru_cache(maxsize=8)
+_ENTRIES = {}  # {(f, cells, ndim): entry} of _levels, at most 8, the most recently used last
+
+
 def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
     """(ends, width, ranges): read-only enclosures ends = (hi, -lo) of f on
     `cells` equal cells, at least `width` wide, per axis of [0, 1]^ndim, and
@@ -181,6 +183,12 @@ def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
     enclosed and checked at their cell corners _CHUNK_CELLS cells (whole
     rows of the first axis) at a time, which gives one call's ends as every
     interval operation works cell by cell."""
+    key = (f, cells, ndim)
+    if key in _ENTRIES:
+        _ENTRIES[key] = _ENTRIES.pop(key)
+        return _ENTRIES[key]
+    if len(_ENTRIES) >= 8:  # before the build, so that no 9th enclosure is alive
+        del _ENTRIES[next(iter(_ENTRIES))]
     u = np.linspace(0.0, 1.0, cells + 1)
     ends = np.empty((2,) + (cells,) * ndim)
     rows = max(_CHUNK_CELLS // cells ** (ndim - 1), 1)
@@ -191,7 +199,8 @@ def _levels(f: FunctionExpr, cells: int, ndim: int) -> tuple:
         chunk[0], chunk[1] = hi, -lo
         _check_corners(f, chunk, cuts)
     ends.setflags(write=False)
-    return ends, float(np.min(np.diff(u))), {}
+    _ENTRIES[key] = ends, float(np.min(np.diff(u))), {}
+    return _ENTRIES[key]
 
 
 def _cell_counts(cells: int) -> list:
@@ -209,16 +218,15 @@ _FINEST = {}
 def _finest_tables(key, ends: np.ndarray) -> dict:
     """The read-only tables of span-cell maxima (as in _window_max) of the
     finest one-axis level ends of key = (f, cells), by (level, span): its
-    4-, 16- and 64-cell maxima, then each merged level's _RUN_CELLS-cell
-    maxima in one array, the first from the 64-cell table; 128 merged cells
-    from c are the 256 cells below from 2c, so a merged table takes entries
-    2c and 2c + 128 of the 128-cell table below (the last again at an odd
-    end).  Kept for the last key only (about 4 MiB at 65,536 cells)."""
+    16- and 64-cell maxima, then each merged level's _RUN_CELLS-cell maxima
+    in one array, the first from the 64-cell table; 128 merged cells from c
+    are the 256 cells below from 2c, so a merged table takes entries 2c and
+    2c + 128 of the 128-cell table below (the last again at an odd end).
+    Kept for the last key only (about 3 MiB at 65,536 cells)."""
     if key not in _FINEST:
         _FINEST.clear()  # first, so the last expression's tables are freed before these are built
-        tables, table = {}, ends
-        for span in (4, 16, 64):
-            table = tables[0, span] = _window_max(table, span, -1, span // 4)
+        tables = {(0, 16): _window_max(ends, 16)}
+        table = tables[0, 64] = _window_max(tables[0, 16], 64, -1, 16)
         sizes = [n - _RUN_CELLS + 1 for n in _cell_counts(ends.shape[-1])[1:]]
         table = _window_max(table, _RUN_CELLS, -1, 64) if sizes else None
         merged = np.empty((2, sum(sizes)))  # one array, so the heap does not fragment
@@ -239,7 +247,7 @@ def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes
     cells at delta (or the finest): on cells at least `width` wide (the
     last may be narrower; width * 2**j at merged level j) such points lie
     in one run of ceil(delta/width) + 1 cells per axis, and the run range
-    bounds the difference.  A one-axis run of 4 cells or more reads the
+    bounds the difference.  A one-axis run of 16 cells or more reads the
     level's _finest_tables table of the largest span up to it."""
     ends, width, ranges = _levels(f, cells, ndim)
     if delta == 0.0:
@@ -250,8 +258,8 @@ def _enclosed_modulus(f: FunctionExpr, delta: float, cells: int, ndim: int, axes
     key = (level, min(math.ceil(min(delta, 2.0) / width * (1.0 + 2.0**-40)) + 1, counts[level]), axes)
     if key not in ranges:
         values, span = ends, 1
-        if ndim == 1 and (level or key[1] >= 4):
-            span = _RUN_CELLS if level else max(s for s in (4, 16, 64) if s <= key[1])
+        if ndim == 1 and (level or key[1] >= 16):
+            span = _RUN_CELLS if level else 64 if key[1] >= 64 else 16
             values = _finest_tables((f, cells), ends)[level, span]
         ranges[key] = _run_range(values, *key[1:], span)
     value = ranges[key]
@@ -276,7 +284,7 @@ def second_modulus(f, delta: float, grid_n: int | None = None) -> ModulusEstimat
     d = min(delta, 0.5)  # u and u + 2h both lie in [0, 1]
     if d == 0.0:
         return ModulusEstimate(delta, 0.0, n)
-    s = derivative_sup(f, 2, min(n, _SECOND_CELLS))
+    s = _sups(f, min(n, _SECOND_CELLS), 2)[2]  # a pass to k = 2: f'' only
     # d*(d*s) is inf for s = inf at any d > 0; 4 ulps cover its two
     # roundings, an underflow to 0 included
     t = d * (d * s)

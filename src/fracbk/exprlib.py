@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -249,6 +250,16 @@ def _substitute(node: Node, mapping: dict) -> Node:
 
 
 _CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
+# a op b, a op= b and the ufunc of a op b: _eval_node puts each result in an operand array that it made
+_OPS = {"+": (operator.add, operator.iadd, np.add), "-": (operator.sub, operator.isub, np.subtract),
+        "*": (operator.mul, operator.imul, np.multiply), "/": (operator.truediv, operator.itruediv, np.divide),
+        "^": (operator.pow, operator.ipow, np.power)}
+
+
+def _own(x, other: tuple, z, y) -> bool:
+    """Whether x is an array the walk made (not z or y) that an operand of shape `other` broadcasts to."""
+    return type(x) is np.ndarray and x is not z and x is not y and len(other) <= x.ndim \
+        and all(n == 1 or n == m for n, m in zip(reversed(other), reversed(x.shape)))
 
 
 def _eval_node(node: Node, z, y):
@@ -261,22 +272,20 @@ def _eval_node(node: Node, z, y):
             raise EvaluationError("expression uses 'y' but no y value was supplied")
         return y
     if isinstance(node, Neg):
-        return -_eval_node(node.operand, z, y)
+        a = _eval_node(node.operand, z, y)
+        return np.negative(a, out=a) if _own(a, (), z, y) else -a
     if isinstance(node, BinOp):
         a = _eval_node(node.left, z, y)
         b = _eval_node(node.right, z, y)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
         # a numpy base, so a power of a negative constant is NaN (or raises
         # under evaluate's errstate), never a Python complex
-        return np.float64(a) ** b if isinstance(a, float) else a ** b
-    return _CALLS[node.func](_eval_node(node.arg, z, y))
+        a = np.float64(a) if node.op == "^" and isinstance(a, float) else a
+        new, inplace, ufunc = _OPS[node.op]
+        if _own(a, np.shape(b), z, y):
+            return inplace(a, b)
+        return ufunc(a, b, out=b) if _own(b, np.shape(a), z, y) else new(a, b)
+    a = _eval_node(node.arg, z, y)
+    return _CALLS[node.func](a, out=a if _own(a, (), z, y) else None)
 
 
 def evaluate(expr: FunctionExpr, z, y=None):
@@ -511,22 +520,23 @@ _TAYLOR_TERMS = 12
 
 
 @functools.lru_cache(maxsize=1024)
-def _sups(expr: FunctionExpr, cells: int) -> tuple:
-    """k! max |f_k| on `cells` equal cells of [0, 1] from one _taylor pass
-    to _TAYLOR_TERMS; inf for NaN, rounded up where k! is no power of two."""
+def _sups(expr: FunctionExpr, cells: int, K: int) -> tuple:
+    """k! max |f_k| for k <= K on `cells` equal cells of [0, 1] from one
+    _taylor pass to K (f_k reads f_j for j <= k only, so K > k leaves it as
+    it is); inf for NaN, rounded up where k! is no power of two."""
     u = np.linspace(0.0, 1.0, cells + 1)
     with np.errstate(all="ignore"):
-        coeffs = _taylor(expr.root, ((u[:-1], u[1:]),), _TAYLOR_TERMS)
+        coeffs = _taylor(expr.root, ((u[:-1], u[1:]),), K)
     sups = [math.factorial(k) * float(np.maximum(np.max(hi), -np.min(lo))) for k, (lo, hi) in enumerate(coeffs)]
     sups = [math.nextafter(s, math.inf) if k > 2 and s else s for k, s in enumerate(sups)]
-    return tuple(math.inf if math.isnan(s) else s for s in sups + [0.0] * (_TAYLOR_TERMS + 1 - len(sups)))
+    return tuple(math.inf if math.isnan(s) else s for s in sups + [0.0] * (K + 1 - len(sups)))
 
 
 def derivative_sup(expr: FunctionExpr, k: int, cells: int) -> float:
-    """An upper bound on sup |f^(k)| over [0, 1] from _sups on `cells` equal
-    cells: 0 past the last coefficient that may not be 0, inf where one is
-    unbounded, and inf for k past _TAYLOR_TERMS."""
-    return _sups(expr, cells)[k] if k <= _TAYLOR_TERMS else math.inf
+    """An upper bound on sup |f^(k)| over [0, 1] from _sups to _TAYLOR_TERMS
+    on `cells` equal cells: 0 past the last coefficient that may not be 0,
+    inf where one is unbounded, and inf for k past _TAYLOR_TERMS."""
+    return _sups(expr, cells, _TAYLOR_TERMS)[k] if k <= _TAYLOR_TERMS else math.inf
 
 
 _ZERO, _ONE = Num(0.0), Num(1.0)

@@ -6,9 +6,10 @@ three-term formula, binomial_power_polys gives the power sums of a
 Bernstein row as integer polynomials in z, window_range takes the range
 over every run of cells one offset at a time, and second_difference_max
 the largest second difference of grid values one shift at a time,
-tree_value an expression tree in mpmath, and kernel_reference a kernel
-integral by mpmath.quad at 30 digits over it; none shares code with the
-library paths.
+tree_value an expression tree in mpmath, kernel_reference a kernel
+integral by mpmath.quad at 30 digits over it, and evaluate_reference an
+expression as evaluate takes it with a new array for every operation;
+none shares code with the library paths.
 """
 
 import math
@@ -16,7 +17,7 @@ import operator
 
 import numpy as np
 
-from fracbk.errors import DomainError, QuadratureError, check_int, check_points, check_real
+from fracbk.errors import DomainError, EvaluationError, QuadratureError, check_int, check_points, check_real
 from fracbk.exprlib import BinOp, Neg, Num, Var
 
 _MAX_DEPTH = 48
@@ -182,3 +183,39 @@ def kernel_reference(f, eta: float, gamma: float, m: int, j: int) -> float:
     with mpmath.workdps(30):
         e, g = mpmath.mpf(eta), mpmath.mpf(gamma)
         return float(mpmath.quad(lambda s: e * (1 - s) ** (e - 1) * tree_value(f.root, (j + s**g) / (m + 1)), [0, 1]))
+
+
+_NP_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
+
+
+def _reference_node(node, z, y):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        if node.name == "z":
+            return z
+        if y is None:
+            raise EvaluationError("expression uses 'y' but no y value was supplied")
+        return y
+    if isinstance(node, Neg):
+        return -_reference_node(node.operand, z, y)
+    if isinstance(node, BinOp):
+        a = _reference_node(node.left, z, y)
+        b = _reference_node(node.right, z, y)
+        if node.op == "^":  # a numpy base: a negative one to a real power is NaN, never complex
+            return np.float64(a) ** b if isinstance(a, float) else a ** b
+        return _MP_OPS[node.op](a, b)
+    return _NP_CALLS[node.func](_reference_node(node.arg, z, y))
+
+
+def evaluate_reference(expr, z, y=None):
+    """evaluate(expr, z, y) by a walk that takes a new array for every
+    operation, under the same errstate and with the same errors."""
+    zz = np.asarray(z, dtype=float)[()]
+    yy = None if y is None else np.asarray(y, dtype=float)[()]
+    try:
+        with np.errstate(divide="raise", over="ignore", invalid="raise"):
+            out = _reference_node(expr.root, zz, yy)
+    except (ArithmeticError, ValueError) as exc:
+        raise EvaluationError(f"evaluation failed: {exc}") from exc
+    return float(out) if np.ndim(zz) == 0 and np.ndim(yy) == 0 else out

@@ -41,7 +41,7 @@ from conftest import draw_params, expression_texts
 from fracbk import error_analysis, exprlib
 from fracbk.basis import _BLOCK_ELEMENTS
 from fracbk.error_analysis import _finest_tables, _levels, _run_range, _shift_count
-from fracbk.exprlib import BinOp, FunctionExpr, Num, Var, derivative_sup, enclose
+from fracbk.exprlib import _TAYLOR_TERMS, BinOp, FunctionExpr, Num, Var, derivative_sup, enclose
 from fracbk.operator_uni import _kernel_order
 from oracles import second_difference_max, window_max, window_range
 
@@ -235,7 +235,7 @@ class TestRunRangeMemo:
             call()  # fill the ranges of every radius
         warm = [repr(call()) for call in calls]
         for call, value in zip(calls, warm):
-            _levels.cache_clear()
+            error_analysis._ENTRIES.clear()
             assert repr(call()) == value, call
 
     @pytest.mark.parametrize("source", ["f1", "abs(z-0.37)", "exp(3*z)*sin(7*z)"])
@@ -382,16 +382,14 @@ def _synthetic_levels(ends):
 
     with mock.patch.object(error_analysis, "enclose", fake_enclose), \
             mock.patch.object(error_analysis, "_check_corners", lambda f, ends, cuts=None: None), \
-            mock.patch.dict(error_analysis._FINEST, clear=True):
-        _levels.cache_clear()
+            mock.patch.dict(error_analysis._ENTRIES, clear=True), mock.patch.dict(error_analysis._FINEST, clear=True):
         finest = _levels(parse_source("z"), cells, 1)[0]
         tables = _finest_tables((parse_source("z"), cells), finest)
-    _levels.cache_clear()
     return finest, tables
 
 
 class TestDoublingChain:
-    """_finest_tables builds the 4-, 16- and 64-cell tables and every merged
+    """_finest_tables builds the 16- and 64-cell tables and every merged
     level's table from the 64-cell one, all by _window_max's doubling, the
     merged ones in one array; the tables are those of pairwise merged cells
     and _window_max byte for byte, signed zeros, inf and NaN included."""
@@ -409,7 +407,7 @@ class TestDoublingChain:
             ends[row, int(at * cells)] = value
         finest, tables = _synthetic_levels(ends)
         assert finest.tobytes() == ends.tobytes()
-        for span in (4, 16, 64):
+        for span in (16, 64):
             assert tables[0, span].tobytes() == window_max(ends, span).tobytes()
             assert tables[0, span].tobytes() == _tables_of(ends)[0, span].tobytes()
         merged = sorted(key for key in tables if key[0])
@@ -427,9 +425,10 @@ def _tables_of(ends):
 
 
 class TestFinestTables:
-    """The finest one-axis level is read through its table of 4-, 16- or
-    64-cell maxima: the same sparse-table passes from a later start, so the
-    run range is the raw level's bit for bit."""
+    """The finest one-axis level is read through its table of 16- or
+    64-cell maxima (a shorter run through its cells): the same sparse-table
+    passes from a later start, so the run range is the raw level's bit for
+    bit."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.integers(64, 3000), st.integers(0, 2**32 - 1), st.booleans(),
@@ -444,13 +443,13 @@ class TestFinestTables:
         for row, at, value in specials:
             ends[row, int(at * n)] = value
         tables = _tables_of(ends)
-        assert sorted(tables)[:3] == [(0, 4), (0, 16), (0, 64)]
-        assert sorted(tables)[3:] == [(k, 128) for k in range(1, 20) if -(-n // 2 ** (k - 1)) >= 256]
-        for span in (4, 16, 64):
+        assert sorted(tables)[:2] == [(0, 16), (0, 64)]
+        assert sorted(tables)[2:] == [(k, 128) for k in range(1, 20) if -(-n // 2 ** (k - 1)) >= 256]
+        for span in (16, 64):
             assert not tables[0, span].flags.writeable and tables[0, span].shape == (2, n - span + 1)
-        for runs in sorted({4, 15, 16, 63, 64, 65, n} | {4 + int(x * (n - 4)) for x in fractions}):
+        for runs in sorted({16, 63, 64, 65, n} | {16 + int(x * (n - 16)) for x in fractions}):
             raw = repr(_run_range(ends, runs, (-1,)))
-            for span in (s for s in (4, 16, 64) if s <= runs):
+            for span in (s for s in (16, 64) if s <= runs):
                 assert repr(_run_range(tables[0, span], runs, (-1,), span)) == raw, (runs, span)
 
     def test_largest_span_up_to_the_run_and_one_set_of_tables(self, monkeypatch):
@@ -458,12 +457,12 @@ class TestFinestTables:
         monkeypatch.setattr(error_analysis, "_run_range", lambda values, runs, axes, span=1:
                             read.append((runs, span, values.shape[-1])) or engine(values, runs, axes, span))
         f, g = parse_source("sin(9*z) + z"), parse_source("cos(9*z) - z")
-        expected = [(3, 1), (4, 4), (15, 4), (16, 16), (63, 16), (64, 64), (129, 64)]
+        expected = [(3, 1), (4, 1), (15, 1), (16, 16), (63, 16), (64, 64), (129, 64)]
         for runs, _span in expected:
             modulus_continuity(f, (runs - 1.5) / 65536)  # runs - 1.5 cell widths: `runs` cells
         assert read == [(runs, span, 65537 - span) for runs, span in expected]
         tables = weakref.ref(_finest_tables((f, 65536), _levels(f, 65536, 1)[0])[0, 64])
-        modulus_continuity(g, 10 / 65536)
+        modulus_continuity(g, 20 / 65536)  # 21 cells: the 16-cell table
         assert tables() is None  # f's tables left with g's query
         assert list(error_analysis._FINEST) == [(g, 65536)]
 
@@ -552,16 +551,18 @@ def test_warm_modulus_temporaries_stay_bounded():
 
 def test_cache_keeps_enclosures_and_the_last_expressions_tables():
     # each of the 8 cache entries keeps its 1 MiB enclosure and only the last
-    # expression keeps its 4 MiB of tables; with every entry's merged tables
-    # and whole-level corner checks, 18.9 MiB stayed and the peak was 22.5
+    # expression keeps its 3 MiB of tables; with every entry's merged tables
+    # and whole-level corner checks, 18.9 MiB stayed and the peak was 22.5,
+    # and with a 4-cell table and a 9th enclosure built before the eviction,
+    # 12.0 and 14.3
     fs = [parse_source(f"sin({k}*z) + z^{k}") for k in range(1, 10)]
-    _levels.cache_clear()
+    error_analysis._ENTRIES.clear()
     error_analysis._FINEST.clear()
     tracemalloc.start()
     try:
         for i, f in enumerate(fs):
             modulus_continuity(f, 0.1)  # a merged level
-            modulus_continuity(f, 1e-4)  # the finest level's 4-cell table
+            modulus_continuity(f, 1e-4)  # the finest level's cells
             if i == 0:
                 merged = weakref.ref(_finest_tables((f, 65536), _levels(f, 65536, 1)[0])[1, 128].base)
                 assert merged() is not None
@@ -570,7 +571,29 @@ def test_cache_keeps_enclosures_and_the_last_expressions_tables():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert retained <= 12.5 * 2**20 and peak <= 15 * 2**20, (retained / 2**20, peak / 2**20)
+    assert retained <= 11.5 * 2**20 and peak <= 13 * 2**20, (retained / 2**20, peak / 2**20)
+
+
+def test_a_miss_drops_the_least_recent_entry_before_it_builds(monkeypatch):
+    # the 9th expression is enclosed next to 7 enclosures
+    fs = [parse_source(f"cos({k}*z) - z^{k}") for k in range(1, 10)]
+    error_analysis._ENTRIES.clear()
+    refs = []
+    for f in fs[:8]:
+        modulus_continuity(f, 0.1)
+        refs.append(weakref.ref(_levels(f, 65536, 1)[0]))
+    _levels(fs[0], 65536, 1)  # the most recently used: fs[1] is the least
+    seen, inner = [], error_analysis.enclose
+
+    def counted(f, *cells):
+        seen.append(sum(ref() is not None for ref in refs))
+        return inner(f, *cells)
+
+    monkeypatch.setattr(error_analysis, "enclose", counted)
+    modulus_continuity(fs[8], 0.1)
+    assert seen == [7] * 8  # 8 chunks of 8,192 cells
+    assert [ref() is None for ref in refs] == [i == 1 for i in range(8)]
+    assert list(error_analysis._ENTRIES) == [(f, 65536, 1) for f in fs[2:8] + fs[:1] + fs[8:]]
 
 
 class TestSecondModulus:
@@ -788,9 +811,9 @@ class TestBoundKFunctional:
 
 
 class TestOneDerivativeChain:
-    """The kernel-order certificate (sups on 256 cells) and omega_2 (on
-    4,096) read the Taylor coefficients of one exprlib._taylor pass per
-    expression and cell count."""
+    """The kernel-order certificate (sups to k = 12 on 256 cells) and
+    omega_2 (f'' on 4,096) read the Taylor coefficients of one
+    exprlib._taylor pass each per expression and cell count."""
 
     def test_each_tree_is_differentiated_once(self, monkeypatch):
         depth, passes = [0], []
@@ -798,7 +821,7 @@ class TestOneDerivativeChain:
 
         def counted(node, cells, K):  # records the top-level passes past coefficient 0
             if not depth[0] and K:
-                passes.append((node, cells[0][0].size))
+                passes.append((node, cells[0][0].size, K))
             depth[0] += 1
             try:
                 return inner(node, cells, K)
@@ -809,13 +832,21 @@ class TestOneDerivativeChain:
         params = OperatorParams(50802, 0.75, 1.654, 0.5, 2)
         f = parse_source("(1-z)*cos(2*pi*z) + 0.000123*z")  # in no cache yet
         assert _kernel_order(params, f) == 8
-        assert passes == [(f.root, 256)]
+        assert passes == [(f.root, 256, 12)]
         bound_kfunctional(params, f, 0.5, 1.0, 4096)
-        assert passes == [(f.root, 256), (f.root, 4096)]
+        assert passes == [(f.root, 256, 12), (f.root, 4096, 2)]
         bound_kfunctional(params, f, 0.25, 1.0, 4096)
         second_modulus(f, 0.1, 4096)
         _kernel_order(OperatorParams(100, 0.75, 1.654, 0.5, 2), f)
-        assert passes == [(f.root, 256), (f.root, 4096)]  # omega_2 reused the 4,096-cell pass
+        assert passes == [(f.root, 256, 12), (f.root, 4096, 2)]  # omega_2 reused the 4,096-cell pass
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(expression_texts())
+    def test_a_pass_to_k_2_gives_the_full_passes_sups(self, text):
+        # coefficient k of every _taylor rule reads coefficients up to k only
+        f = parse_source(text)
+        for cells in (256, 4096):
+            assert repr(exprlib._sups(f, cells, 2)) == repr(exprlib._sups(f, cells, _TAYLOR_TERMS)[:3]), cells
 
     def test_a_first_derivative_of_many_nodes(self):
         # z*C for a balanced sum C of 2,048 ones has 4,097 nodes, and its

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from fracbk.exprlib import (
 )
 
 from conftest import expression_texts
-from oracles import tree_value
+from oracles import evaluate_reference, tree_value
 
 
 class TestTokenize:
@@ -243,6 +244,74 @@ class TestEvaluate:
         name = "y" if y is not None else "z"
         with pytest.raises(DomainError, match=rf"^{name} must be real numbers, got "):
             evaluate(parse_source("z*y"), z, y)
+
+
+def _points(rng, kind):
+    """z and y of one kind: floats, 1-D arrays, an (n, 1) by (1, m) grid,
+    read-only broadcast views, or shapes that do not broadcast; values in
+    [-1, 1], a quarter of them 0, so that x/0 and a negative base to a real
+    power occur."""
+    def draw(shape):
+        values = rng.uniform(-1.0, 1.0, shape)
+        return np.where(rng.random(shape) < 0.25, 0.0, values)
+    if kind == "scalar":
+        return float(draw(())), float(draw(()))
+    shapes = {"1-D": [(7,), (7,)], "grid": [(5, 1), (1, 4)], "view": [(1, 6), (1, 6)], "mismatch": [(3,), (4,)]}
+    z, y = (draw(shape) for shape in shapes[kind])
+    return (np.broadcast_to(z, (4, 6)), np.broadcast_to(y, (4, 6))) if kind == "view" else (z, y)
+
+
+def _outcome(walk, expr, z, y):
+    """type and bytes of walk's value, or its error's type and text."""
+    try:
+        out = walk(expr, z, y)
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+    return type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+def _assert_as_the_reference(text, kind, seed):
+    z, y = _points(np.random.default_rng(seed), kind)
+    before = [np.asarray(v).tobytes() for v in (z, y)]
+    expr = parse_source(text)
+    assert _outcome(evaluate, expr, z, y) == _outcome(evaluate_reference, expr, z, y), (text, kind)
+    assert [np.asarray(v).tobytes() for v in (z, y)] == before
+
+
+class TestInPlaceEvaluation:
+    """evaluate writes each operation into an operand array that its walk
+    made; oracles.evaluate_reference takes a new array for every operation.
+    The values, their bytes and the errors are the same, and z and y are
+    left as they were."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(expression_texts(12), expression_texts(12, variables=("z", "y"))).filter(lambda t: "z" in t),
+           st.sampled_from(["scalar", "1-D", "grid", "view", "mismatch"]), st.integers(0, 2**32 - 1))
+    def test_matches_the_allocating_walk(self, text, kind, seed):
+        _assert_as_the_reference(text, kind, seed)
+
+    # each operation with a made array on the left, on the right, on both,
+    # and of a shape the other operand widens
+    @pytest.mark.parametrize("text", ["sin(z)+y", "cos(y)-sin(z)", "2-sin(z)", "(z*y)*(y+1)", "(z+y)/(z-y)",
+                                      "2/(z*y)", "abs(z)^0.5", "(z+y)^2", "2^(z*y)", "(z-y)^(z+y)", "-(z*y)",
+                                      "exp(z-y)", "(z-1)^0.5 + y", "sqrt(z*z - y)", "abs(sin(z)*y)^1.5"])
+    @pytest.mark.parametrize("kind", ["scalar", "1-D", "grid", "view", "mismatch"])
+    def test_each_operation_on_either_side(self, text, kind):
+        _assert_as_the_reference(text, kind, 7)
+
+    def test_a_product_of_subtrees_holds_no_third_array(self):
+        # z*(z-4/7)*sin(pi*z): the allocating walk holds z*(z-4/7), pi*z and
+        # its sine at once (three arrays of 8 MB); in place, two
+        f, z = get_function("f1"), np.linspace(0.0, 1.0, 10**6)
+        peaks = []
+        for walk in (evaluate, evaluate_reference):
+            tracemalloc.start()
+            try:
+                walk(f, z)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 2 * z.nbytes + 2**16 and peaks[1] - peaks[0] >= z.nbytes - 2**12, peaks
 
 
 _F_ENTRY_POINTS = {
