@@ -563,16 +563,16 @@ def _times(a: Node, b: Node) -> Node:
 
 
 def _merged(terms: list) -> list | None:
-    """The terms with the pure-z ones (y-factor 1) summed into one term, the
-    pure-y ones (a constant z-factor) into another, and the y-factors of the
-    others summed per z-factor; None above _MAX_RANK terms."""
+    """The terms with the y-factors summed per z-factor of a mixed term (1 last
+    for a pure-z term of it), the other pure-z terms (y-factor 1) into one and
+    the pure-y ones (a constant z-factor) into another; None above _MAX_RANK."""
     add = functools.partial(functools.reduce, lambda s, t: BinOp("+", s, t))
-    pure_z = [a for a, b in terms if b == _ONE]
     pure_y = [_times(a, b) for a, b in terms if b != _ONE and not _vars(a)]
     mixed = {}
-    for a, b in terms:
-        if b != _ONE and _vars(a):
+    for a, b in sorted(terms, key=lambda term: term[1] == _ONE):  # stable: the pure-z terms last
+        if (b != _ONE and _vars(a)) or a in mixed:
             mixed.setdefault(a, []).append(b)
+    pure_z = [a for a, b in terms if b == _ONE and a not in mixed]
     out = [(add(pure_z), _ONE)] if pure_z else []
     out += [(a, add(bs)) for a, bs in mixed.items()]
     out += [(_ONE, add(pure_y))] if pure_y else []
@@ -635,9 +635,9 @@ def separate(expr: FunctionExpr) -> tuple[tuple[FunctionExpr, FunctionExpr], ...
     / by a subtree of one variable divides that variable's factors, and a
     power 1..16 of a mixed base multiplies it out.  Anything else of both
     variables (abs(z-y), sin(z*y), (z+y)^0.5) gives None (abs(z-y)
-    separates cell by cell: separate_cells).  Pure-z terms merge into one,
-    pure-y terms into another, terms with the same z-factor into one, and
-    more than 16 terms give None.
+    separates cell by cell: separate_cells).  Terms with the same z-factor,
+    pure-z ones (y-factor 1) among them, merge into one, the other pure-z
+    terms into one, pure-y terms into another; more than 16 give None.
     """
     terms = _terms(expr.root)
     return None if terms is None else tuple((FunctionExpr(a), FunctionExpr(b)) for a, b in terms)
@@ -648,20 +648,17 @@ def separate_cells(expr: FunctionExpr, z_cells, y_cells):
     more than two distinct arguments g of both z and y.  A piece is (cells,
     terms): on those cells every g keeps a sign s (_cell_signs), and terms
     is separate() of expr with each abs(g) read as s*g; rest marks the cells
-    where some g may change sign.  Without such a g one piece covers all."""
+    where some g may change sign (without such a g: True and False)."""
     args = tuple(dict.fromkeys(node.arg for node in _walk(expr.root)
                                if isinstance(node, Call) and node.func == "abs" and len(_vars(node.arg)) == 2))
     if len(args) > 2:
         return None
-    if not args:
-        shape = np.broadcast(*z_cells, *y_cells).shape
-        return [(np.ones(shape, dtype=bool), separate(expr))], np.zeros(shape, dtype=bool)
-    signs = np.stack([_cell_signs(FunctionExpr(g), z_cells, y_cells) for g in args])
+    signs = [_cell_signs(FunctionExpr(g), z_cells, y_cells) for g in args]
     pieces = []
     for pattern in itertools.product((1, -1), repeat=len(args)):
-        cells = np.all([s == sign for s, sign in zip(signs, pattern)], axis=0)
+        cells = np.logical_and.reduce([s == sign for s, sign in zip(signs, pattern)])
         if cells.any():
             resolved = {Call("abs", g): g if sign > 0 else Neg(g) for g, sign in zip(args, pattern)}
-            pieces.append((cells, separate(FunctionExpr(_substitute(expr.root, resolved)))))
-    return pieces, np.any(signs == 0, axis=0)
+            pieces.append((cells, separate(FunctionExpr(_substitute(expr.root, resolved)) if resolved else expr)))
+    return pieces, np.logical_or.reduce([s == 0 for s in signs])
 

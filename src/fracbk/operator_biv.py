@@ -6,13 +6,13 @@ axes.  The tensor rule is the product of the two univariate kernel rules, so
 for an expression that is a sum of products a_r(z) b_r(y) (exprlib.separate)
 V is the sum of the outer products of the factors' univariate kernel
 integrals.  exprlib.separate_cells splits the tensor cells into pieces on
-which every abs(g) of one or two g of z and y is +-g, each with its own
-such sum (an expression without them is one piece); a callable, another
+which every abs(g) of one or two g of z and y is +-g (one piece without
+them), each with its own such sum: the first piece's sum becomes V, and
+each later one is copied into it on its own cells.  A callable, another
 inseparable expression, and the cells where some g may change sign are
-evaluated on the tensor rule one row of V at a time.
-The error bounds read the partial and complete moduli of continuity, which
-error_analysis computes with the same engine as the univariate moduli (and
-which this module re-exports).
+evaluated on the tensor rule one row of V at a time.  The error bounds read
+the partial and complete moduli of continuity, which error_analysis
+computes with the same engine as the univariate moduli (re-exported here).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .basis import OperatorParams, basis_matrix, basis_row
 from .error_analysis import ErrorTable, complete_modulus, partial_moduli
 from .errors import EvaluationError, QuadratureError, check_point, check_points, check_type
-from .exprlib import FunctionExpr, eval_function, evaluate, separate_cells
+from .exprlib import FunctionExpr, Var, _substitute, eval_function, separate_cells
 from .operator_uni import DEFAULT_ORDER, central_moments, kernel_integrals, raw_moments
 from .quadrature import _kernel_rule
 
@@ -57,13 +57,14 @@ class BivMoments:
 
 
 def _separated(bp: BivariateParams, terms, order: int) -> np.ndarray | None:
-    """sum_r outer(K_z[a_r], K_y[b_r]) over separated terms (a_r, b_r); None
-    where a factor or the sum fails or is not finite, where the loop runs and
-    reports the failure (or has none: a regrouped product may overflow)."""
+    """sum_r outer(K_z[a_r], K_y[b_r]) over the terms (a_r, b_r), y read as z
+    in b_r; None where a factor or the sum fails or is not finite, where the
+    loop runs and reports the failure (or has none: a regrouped product may overflow)."""
+    in_z = {Var("y"): Var("z")}
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             values = sum(np.outer(kernel_integrals(bp.px, a, order).values,
-                                  kernel_integrals(bp.py, lambda t: evaluate(b, t, t), order).values)
+                                  kernel_integrals(bp.py, FunctionExpr(_substitute(b.root, in_z)), order).values)
                          for a, b in terms)
     except (EvaluationError, QuadratureError):
         return None
@@ -73,28 +74,30 @@ def _separated(bp: BivariateParams, terms, order: int) -> np.ndarray | None:
 def biv_kernel_integrals(bp: BivariateParams, F, order: int = DEFAULT_ORDER) -> BivKernelIntegrals:
     """The (m1+1) x (m2+1) matrix of tensor kernel integrals of F.
 
-    On the cells of each piece of exprlib.separate_cells (every cell for
-    an expression without abs of a function of z and y) a sum of outer
-    products of univariate kernel integrals (equal to the loop up to
-    rounding); F on the tensor rule, one row of V at a time, on the rest,
+    On the cells of each piece of exprlib.separate_cells (every cell without
+    abs of a function of z and y) a sum of outer products of univariate
+    kernel integrals (the loop's up to rounding), written into the first
+    piece's sum; F on the tensor rule, one row of V at a time, on the rest,
     and on every cell for a callable or where a piece is not separated.
     """
     check_type("bp", bp, BivariateParams)
     px, py = bp.px, bp.py
-    values, rest = np.empty((px.m + 1, py.m + 1)), np.ones((px.m + 1, py.m + 1), dtype=bool)
+    values, rest = None, True
     z, y = (np.arange(p.m + 2) / (p.m + 1.0) for p in (px, py))
     split = separate_cells(F, (z[:-1, None], z[1:, None]), (y[:-1], y[1:])) if isinstance(F, FunctionExpr) else None
     if split is not None:
         for cells, terms in split[0]:
             if terms is None or (separated := _separated(bp, terms, order)) is None:
                 break
-            values = separated if cells.all() else np.where(cells, separated, values)
+            values = separated if values is None else values
+            np.copyto(values, separated, where=cells)  # (a copy onto itself returns at once)
         else:
             rest = split[1]
-    if rest.any():
-        (tg1, w1), (tg2, w2) = (_kernel_rule(p.eta, p.gamma, order) for p in (px, py))
-        x_args = (np.arange(px.m + 1)[:, None] + tg1[None, :]) / (px.m + 1.0)
-        y_args = (np.arange(py.m + 1)[:, None] + tg2[None, :]) / (py.m + 1.0)
+    if np.any(rest):
+        rest = np.broadcast_to(rest, (px.m + 1, py.m + 1))
+        values = np.empty(rest.shape) if values is None else values
+        (x_args, w1), (y_args, w2) = (((np.arange(p.m + 1)[:, None] + t) / (p.m + 1.0), w)
+                                      for p in (px, py) for t, w in [_kernel_rule(p.eta, p.gamma, order)])
         for j1 in np.flatnonzero(rest.any(axis=1)):
             cols = np.flatnonzero(rest[j1])
             vals = eval_function(F, x_args[j1][:, None, None], y_args[None, cols])

@@ -10,15 +10,26 @@ tree_value an expression tree in mpmath, kernel_reference a kernel
 integral by mpmath.quad at 30 digits over it, and evaluate_reference an
 expression as evaluate takes it with a new array for every operation;
 none shares code with the library paths.
+
+masked_biv_kernel_integrals is the other kind: the bivariate kernel as it
+was built before each separated piece was written into the matrix that is
+returned, over the library's univariate kernels and cell signs, so that
+the one-buffer builder can be held to it bit for bit.
 """
 
+import functools
+import itertools
 import math
 import operator
+from unittest import mock
 
 import numpy as np
 
+from fracbk import exprlib
 from fracbk.errors import DomainError, EvaluationError, QuadratureError, check_int, check_points, check_real
-from fracbk.exprlib import BinOp, Neg, Num, Var
+from fracbk.exprlib import _MAX_RANK, _ONE, BinOp, Call, FunctionExpr, Neg, Num, Var, _times, _vars
+from fracbk.operator_uni import kernel_integrals
+from fracbk.quadrature import _kernel_rule
 
 _MAX_DEPTH = 48
 
@@ -219,3 +230,87 @@ def evaluate_reference(expr, z, y=None):
     except (ArithmeticError, ValueError) as exc:
         raise EvaluationError(f"evaluation failed: {exc}") from exc
     return float(out) if np.ndim(zz) == 0 and np.ndim(yy) == 0 else out
+
+
+def _unjoined_merged(terms: list) -> list | None:
+    """exprlib._merged as it was while every pure-z term (y-factor 1) was
+    summed into one term, apart from the mixed terms of its z-factor."""
+    add = functools.partial(functools.reduce, lambda s, t: BinOp("+", s, t))
+    pure_z = [a for a, b in terms if b == _ONE]
+    pure_y = [_times(a, b) for a, b in terms if b != _ONE and not _vars(a)]
+    mixed = {}
+    for a, b in terms:
+        if b != _ONE and _vars(a):
+            mixed.setdefault(a, []).append(b)
+    out = [(add(pure_z), _ONE)] if pure_z else []
+    out += [(a, add(bs)) for a, bs in mixed.items()]
+    out += [(_ONE, add(pure_y))] if pure_y else []
+    return out if len(out) <= _MAX_RANK else None
+
+
+def unjoined_separate(expr):
+    """exprlib.separate, its walk merging terms by _unjoined_merged."""
+    with mock.patch.object(exprlib, "_merged", _unjoined_merged):
+        return exprlib.separate(expr)
+
+
+def masked_separate_cells(expr, z_cells, y_cells):
+    """exprlib.separate_cells with a full boolean mask of the cells for
+    every piece and for the rest, and unjoined_separate's terms."""
+    args = tuple(dict.fromkeys(node.arg for node in exprlib._walk(expr.root)
+                               if isinstance(node, Call) and node.func == "abs" and len(_vars(node.arg)) == 2))
+    if len(args) > 2:
+        return None
+    if not args:
+        shape = np.broadcast(*z_cells, *y_cells).shape
+        return [(np.ones(shape, dtype=bool), unjoined_separate(expr))], np.zeros(shape, dtype=bool)
+    signs = np.stack([exprlib._cell_signs(FunctionExpr(g), z_cells, y_cells) for g in args])
+    pieces = []
+    for pattern in itertools.product((1, -1), repeat=len(args)):
+        cells = np.all([s == sign for s, sign in zip(signs, pattern)], axis=0)
+        if cells.any():
+            resolved = {Call("abs", g): g if sign > 0 else Neg(g) for g, sign in zip(args, pattern)}
+            pieces.append((cells, unjoined_separate(FunctionExpr(exprlib._substitute(expr.root, resolved)))))
+    return pieces, np.any(signs == 0, axis=0)
+
+
+def _masked_separated(bp, terms, order):
+    """sum_r outer(K_z[a_r], K_y[b_r]), each y-factor's kernel from a
+    callable that evaluates it at (t, t); None where it fails."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = sum(np.outer(kernel_integrals(bp.px, a, order).values,
+                                  kernel_integrals(bp.py, lambda t: exprlib.evaluate(b, t, t), order).values)
+                         for a, b in terms)
+    except (EvaluationError, QuadratureError):
+        return None
+    return values if np.all(np.isfinite(values)) else None
+
+
+def masked_biv_kernel_integrals(bp, F, order: int = 64) -> np.ndarray:
+    """The tensor kernel matrix of F from an empty placeholder and a rest
+    mask of every cell: one np.where copy per separated piece of
+    masked_separate_cells, then the tensor rule row by row on the rest."""
+    px, py = bp.px, bp.py
+    values, rest = np.empty((px.m + 1, py.m + 1)), np.ones((px.m + 1, py.m + 1), dtype=bool)
+    z, y = (np.arange(p.m + 2) / (p.m + 1.0) for p in (px, py))
+    split = (masked_separate_cells(F, (z[:-1, None], z[1:, None]), (y[:-1], y[1:]))
+             if isinstance(F, FunctionExpr) else None)
+    if split is not None:
+        for cells, terms in split[0]:
+            if terms is None or (separated := _masked_separated(bp, terms, order)) is None:
+                break
+            values = separated if cells.all() else np.where(cells, separated, values)
+        else:
+            rest = split[1]
+    if rest.any():
+        (tg1, w1), (tg2, w2) = (_kernel_rule(p.eta, p.gamma, order) for p in (px, py))
+        x_args = (np.arange(px.m + 1)[:, None] + tg1[None, :]) / (px.m + 1.0)
+        y_args = (np.arange(py.m + 1)[:, None] + tg2[None, :]) / (py.m + 1.0)
+        for j1 in np.flatnonzero(rest.any(axis=1)):
+            cols = np.flatnonzero(rest[j1])
+            vals = exprlib.eval_function(F, x_args[j1][:, None, None], y_args[None, cols])
+            if not np.all(np.isfinite(vals)):
+                raise QuadratureError("bivariate kernel integrand produced non-finite values")
+            values[j1, cols] = np.einsum("a,abc,c->b", w1, vals, w2)
+    return values

@@ -768,7 +768,10 @@ class TestSeparate:
         # and the other two passed 16 terms and gave None
         assert len(separate(parse_source("(z+y)^2"))) == 3
         assert len(separate(parse_source("(z+y)^5"))) <= 6
-        assert separate(parse_source("(z+y)^4*(1+z*y)")) is not None
+        # a pure-z term joins the mixed terms of its z-factor: (z+y)^4*(1+z*y)
+        # gave 7 terms and z*y+z 2
+        assert len(separate(parse_source("(z+y)^4*(1+z*y)"))) == 6
+        assert separate(parse_source("z*y+z")) == separate(parse_source("z*(y+1)"))
         # equal products built in another order (z*(z*z), (z*z)*z) stayed apart: 11 terms
         assert len(separate(parse_source("(z-y)^3*(z+y)^3"))) <= 7
 
@@ -800,10 +803,12 @@ class TestSeparateCells:
 
     @pytest.mark.parametrize("src", ["z*y", "g1", "abs(z-0.5)*y", "sin(z*y)", "3"])
     def test_without_abs_of_both_variables_one_piece_covers_every_cell(self, src):
+        # as scalars True and False: no mask of the cells' shape is built
         F = get_function(src)
         (cells, terms), = self.pieces(F)
-        assert cells.shape == (8, 8) and cells.all() and terms == separate(F)
-        assert not separate_cells(F, *self.CELLS)[1].any()
+        assert np.broadcast_to(cells, (8, 8)).all() and terms == separate(F)
+        rest = separate_cells(F, *self.CELLS)[1]
+        assert np.shape(cells) == np.shape(rest) == () and not np.any(rest)
 
     def test_each_sign_of_g_is_one_piece(self):
         # abs(z-y) is z-y below the diagonal cells and their neighbours,
